@@ -27,6 +27,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .integrator import Trajectory, newton_matrix
+from .ninebus import ix_vre
 from .observation import NoiseModel, ObservationSet, POLAR, RECT, grid_indices, observe
 
 
@@ -54,7 +55,7 @@ def misfit_state_gradients(traj: Trajectory, obs: ObservationSet,
     for k, node in enumerate(nodes):
         ru = out.setdefault(int(node), np.zeros(n_state))
         for j, b in enumerate(obs.buses):
-            col = n_state - 18 + 2 * int(b)
+            col = ix_vre(int(b))
             w0 = w[2 * nb * k + 2 * j]
             w1 = w[2 * nb * k + 2 * j + 1]
             if obs.coords == RECT:

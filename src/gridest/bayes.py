@@ -128,13 +128,21 @@ def laplace_covariance(m_map: np.ndarray, grad_fn, rel_step: float = 1e-4,
     if asym > sym_tol:
         raise RuntimeError(f"FD Hessian asymmetry {asym:.2e} exceeds {sym_tol:.0e}")
     hess = 0.5 * (hess + hess.T)
+    return hessian_inverse(hess), hess
+
+
+def hessian_inverse(hess: np.ndarray) -> np.ndarray:
+    """Symmetric inverse of a positive-definite Hessian by Cholesky.
+
+    A Hessian that is not positive definite raises with its eigenvalues.
+    """
     try:
         cf = cho_factor(hess)
     except np.linalg.LinAlgError as exc:
         eig = np.linalg.eigvalsh(hess)
         raise RuntimeError(f"Hessian not positive definite, eigenvalues {eig}") from exc
-    gpost = cho_solve(cf, np.eye(n))
-    return 0.5 * (gpost + gpost.T), hess
+    inv = cho_solve(cf, np.eye(hess.shape[0]))
+    return 0.5 * (inv + inv.T)
 
 
 def metrics(m_map: np.ndarray, gpost: np.ndarray, m_true: np.ndarray):
@@ -151,7 +159,11 @@ def metrics(m_map: np.ndarray, gpost: np.ndarray, m_true: np.ndarray):
 
 @dataclass
 class PosteriorSummary:
-    """MAP point, Laplace covariance, metrics, and cost counters."""
+    """MAP point, Laplace covariance, metrics, and cost counters.
+
+    Both back ends put iterations, forward_solves, adjoint_solves and
+    converged into stats; the other keys are back-end specific.
+    """
     m_map: np.ndarray
     gamma_post: np.ndarray
     method: str
@@ -201,6 +213,8 @@ def estimate_adjoint(system, obs: ObservationSet, noise: NoiseModel,
         "message": res.message,
         "final_grad_norm": res.grad_norm,
         "objective": res.fun,
+        "forward_solves": objective.n_forward,
+        "adjoint_solves": objective.n_adjoint,
         "map_forward_solves": map_fwd,
         "map_adjoint_solves": map_adj,
         "hessian_forward_solves": objective.n_forward - map_fwd,

@@ -18,13 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bayes import AdjointObjective, estimate_adjoint
+from .bayes import AdjointObjective, PosteriorSummary, estimate_adjoint
 from .integrator import simulate, write_trajectory_csv
-from .ninebus import DisturbanceEvent, load_system, state_names
-from .observation import (observe, read_observations,
-                          synthesize_observations, write_observations)
+from .ninebus import N_BUS, DisturbanceEvent, load_system, state_names
+from .observation import (ObservationSet, observe, read_observations,
+                          synthesize_observations, write_observation_csv,
+                          write_observations)
 from .pce import estimate_pce
-from .scenario import ScenarioConfig
+from .scenario import METHODS, PCE_RULES, ScenarioConfig
 
 FMT = "{:.17g}"
 
@@ -65,7 +66,7 @@ def _synth(cfg: ScenarioConfig, system):
     times = cfg.times()
     traj = simulate(system, np.array(cfg.m_true), cfg.t_f, cfg.dt,
                     events=cfg.events())
-    noise = cfg.noise(2 * 9 * len(times))
+    noise = cfg.noise(2 * N_BUS * len(times))
     obs = synthesize_observations(traj, times, noise, cfg.seed,
                                   meta={"seed": cfg.seed})
     return traj, obs, noise
@@ -84,17 +85,8 @@ def cmd_simulate(args) -> int:
     obs_path = prefix.with_name(prefix.name + "_observables.csv")
     write_trajectory_csv(traj, traj_path, state_names(), header_lines=hdr)
     times = cfg.times()
-    clean = observe(traj, times)
-    with open(obs_path, "w", newline="") as fh:
-        for line in hdr:
-            fh.write(f"# {line}\n")
-        w = csv.writer(fh)
-        w.writerow(["time", "bus", "v_re", "v_im"])
-        for k, t in enumerate(times):
-            for b in range(9):
-                base = 18 * k + 2 * b
-                w.writerow([_fmt(t), b + 1, _fmt(clean[base]),
-                            _fmt(clean[base + 1])])
+    clean = ObservationSet(times, np.arange(N_BUS), observe(traj, times))
+    write_observation_csv(clean, obs_path, header_lines=hdr)
     print(f"simulated {len(traj.times)} steps to t={cfg.t_f} s")
     print(f"wrote {traj_path} and {obs_path}")
     return 0
@@ -109,26 +101,32 @@ def cmd_synth_data(args) -> int:
     return 0
 
 
-def _report(summary, cfg: ScenarioConfig) -> str:
+def run_estimate(cfg: ScenarioConfig, system, obs, noise,
+                 jobs: int = 1) -> PosteriorSummary:
+    """MAP point and Laplace posterior with the back end cfg.method names."""
+    m_true = np.array(cfg.m_true)
+    if cfg.method == "adjoint":
+        return estimate_adjoint(system, obs, noise, cfg.prior(), cfg.t_f,
+                                cfg.dt, cfg.events(), m_true=m_true)
+    summary, _ = estimate_pce(system, obs, noise, cfg.prior(), cfg.t_f, cfg.dt,
+                              cfg.events(), order=cfg.pce_order,
+                              rule=cfg.pce_rule, m_true=m_true, seed=cfg.seed,
+                              jobs=jobs)
+    return summary
+
+
+def _report(summary) -> str:
     std = np.sqrt(np.diag(summary.gamma_post))
     lines = [f"method: {summary.method}",
              "  param        map        std        cns"]
-    cns = summary.cns if summary.cns is not None else [float("nan")] * 3
-    for i, (m, s, p) in enumerate(zip(summary.m_map, std, cns)):
+    for i, (m, s, p) in enumerate(zip(summary.m_map, std, summary.cns)):
         lines.append(f"  m_{i + 1}    {m:10.4f} {s:10.4f}     {p:6.4f}")
-    if summary.err is not None:
-        lines.append(f"  Err = {summary.err:.4e}   tau = {summary.tau:.4e}")
+    lines.append(f"  Err = {summary.err:.4e}   tau = {summary.tau:.4e}")
     st = summary.stats
-    if summary.method == "adjoint":
-        lines.append(
-            f"  cost: {st['iterations']} iterations, "
-            f"{st['map_forward_solves']} forward + "
-            f"{st['map_adjoint_solves']} adjoint solves (MAP), "
-            f"{st['hessian_forward_solves']} gradient evals (Hessian)")
-    else:
-        lines.append(
-            f"  cost: {st['surrogate_forward_solves']} forward sims "
-            f"(surrogate, {cfg.pce_rule}, order {cfg.pce_order})")
+    lines.append(f"  cost: {st['iterations']} iterations, "
+                 f"{st['forward_solves']} forward + "
+                 f"{st['adjoint_solves']} adjoint solves, "
+                 f"converged: {st['converged']}")
     return "\n".join(lines)
 
 
@@ -136,18 +134,10 @@ def cmd_estimate(args) -> int:
     cfg = _load_config(args)
     system = load_system()
     obs, noise = read_observations(args.data)
-    m_true = np.array(cfg.m_true)
-    if cfg.method == "adjoint":
-        summary = estimate_adjoint(system, obs, noise, cfg.prior(), cfg.t_f,
-                                   cfg.dt, cfg.events(), m_true=m_true)
-    else:
-        summary, _ = estimate_pce(system, obs, noise, cfg.prior(), cfg.t_f,
-                                  cfg.dt, cfg.events(), order=cfg.pce_order,
-                                  rule=cfg.pce_rule, m_true=m_true,
-                                  seed=cfg.seed, jobs=args.jobs)
+    summary = run_estimate(cfg, system, obs, noise, jobs=args.jobs)
     summary.to_json(args.out, extra={"config": cfg.to_dict(),
                                      "version": __version__})
-    print(_report(summary, cfg))
+    print(_report(summary))
     print(f"wrote {args.out}")
     return 0
 
@@ -168,26 +158,16 @@ def _sweep_one(packed):
     index, cfg = packed
     system = load_system()
     _, obs, noise = _synth(cfg, system)
-    m_true = np.array(cfg.m_true)
-    if cfg.method == "adjoint":
-        s = estimate_adjoint(system, obs, noise, cfg.prior(), cfg.t_f,
-                             cfg.dt, cfg.events(), m_true=m_true)
-        fwd = s.stats["map_forward_solves"] + s.stats["hessian_forward_solves"]
-        adj = s.stats["map_adjoint_solves"] + s.stats["hessian_forward_solves"]
-        its, conv = s.stats["iterations"], s.stats["converged"]
-    else:
-        s, _ = estimate_pce(system, obs, noise, cfg.prior(), cfg.t_f, cfg.dt,
-                            cfg.events(), order=cfg.pce_order,
-                            rule=cfg.pce_rule, m_true=m_true, seed=cfg.seed)
-        fwd, adj = s.stats["surrogate_forward_solves"], 0
-        its, conv = s.stats["iterations"], s.stats["converged"]
+    s = run_estimate(cfg, system, obs, noise)
+    st = s.stats
     load = cfg.disturbance.load if cfg.disturbance is not None else 0.0
     return [index, _fmt(cfg.t_f), _fmt(cfg.dt), _fmt(cfg.dt_obs), _fmt(load),
             _fmt(cfg.noise_var), cfg.seed, cfg.method,
             _fmt(s.m_map[0]), _fmt(s.m_map[1]), _fmt(s.m_map[2]),
             _fmt(np.trace(s.gamma_post)), _fmt(s.err), _fmt(s.tau),
             _fmt(s.cns[0]), _fmt(s.cns[1]), _fmt(s.cns[2]),
-            its, fwd, adj, int(conv)]
+            st["iterations"], st["forward_solves"], st["adjoint_solves"],
+            int(st["converged"])]
 
 
 def cmd_sweep(args) -> int:
@@ -200,8 +180,6 @@ def cmd_sweep(args) -> int:
     grid = list(product(
         axes["t_f"] or [cfg.t_f], axes["dt_obs"] or [cfg.dt_obs],
         axes["load"] or [None], axes["noise_var"] or [cfg.noise_var]))
-    if not grid:
-        raise SystemExit("sweep grid is empty")
     scenarios = []
     for i, (t_f, dt_obs, load, nv) in enumerate(grid):
         dist = cfg.disturbance
@@ -266,10 +244,9 @@ def _scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dt-obs", dest="dt_obs", type=float)
     p.add_argument("--noise-var", dest="noise_var", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--method", choices=("adjoint", "pce"))
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--pce-order", dest="pce_order", type=int)
-    p.add_argument("--pce-rule", dest="pce_rule",
-                   choices=("stochastic-testing", "tensor", "sparse"))
+    p.add_argument("--pce-rule", dest="pce_rule", choices=PCE_RULES)
     p.add_argument("--bus", type=int, help="disturbance bus (1-based)")
     p.add_argument("--event-start", dest="event_start", type=float)
     p.add_argument("--event-duration", dest="event_duration", type=float)

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
+from .ninebus import N_BUS, ix_vim, ix_vre
+
 NEWTON_TOL = 1e-12        # target residual (inf norm)
 NEWTON_ACCEPT = 1e-10     # hard acceptance threshold
 NEWTON_MAXIT = 25
@@ -229,10 +231,10 @@ def simulate(system, m: np.ndarray, t_f: float, dt: float,
 
 
 def write_trajectory_csv(traj: Trajectory, path, state_names,
-                         header_lines=(), n_bus: int = 9) -> None:
+                         header_lines=()) -> None:
     """Dump a trajectory as CSV: time, all states, bus |V| and angle."""
-    vre = traj.states[:, -2 * n_bus::2]
-    vim = traj.states[:, -2 * n_bus + 1::2]
+    vre = traj.states[:, [ix_vre(b) for b in range(N_BUS)]]
+    vim = traj.states[:, [ix_vim(b) for b in range(N_BUS)]]
     vmag = np.hypot(vre, vim)
     vang = np.arctan2(vim, vre)
     with open(path, "w", newline="") as fh:
@@ -240,8 +242,8 @@ def write_trajectory_csv(traj: Trajectory, path, state_names,
             fh.write(f"# {line}\n")
         w = csv.writer(fh)
         w.writerow(["time"] + list(state_names)
-                   + [f"vmag_{b + 1}" for b in range(n_bus)]
-                   + [f"vang_{b + 1}" for b in range(n_bus)])
+                   + [f"vmag_{b + 1}" for b in range(N_BUS)]
+                   + [f"vang_{b + 1}" for b in range(N_BUS)])
         for k, t in enumerate(traj.times):
             row = [f"{t:.17g}"]
             row += [f"{x:.17g}" for x in traj.states[k]]

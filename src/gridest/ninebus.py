@@ -163,9 +163,9 @@ def _build_ybus(branches) -> np.ndarray:
 class NineBusSystem:
     """Immutable-after-init model object.
 
-    All evaluation methods (rhs, jac_u, jac_m, residual, jacobians) are
-    pure functions of their arguments once `initialize` has run, so a
-    single instance can be shared across threads/processes.
+    All evaluation methods (rhs, jac_u, jac_m) are pure functions of
+    their arguments once `initialize` has run, so a single instance can
+    be shared across threads/processes.
     """
 
     def __init__(self, network: NetworkData, gens: GeneratorParams,
@@ -450,21 +450,6 @@ class NineBusSystem:
         jac = np.zeros((N_STATE, self.n_param))
         jac[OMEGA:N_X:7, :] = np.diag(-ws / (2.0 * m ** 2) * accel)
         return jac
-
-    # ------------------------------------------------------------------
-    # residual-convention surface (M du/dt - F and its derivatives)
-
-    def residual(self, t: float, u: np.ndarray, udot: np.ndarray,
-                 m: np.ndarray, events=()) -> np.ndarray:
-        """DAE residual M du/dt - F(t, u; m) under the active load set."""
-        p, q = self.loads_at(t, events)
-        return self.mass * udot - self.rhs(t, u, m, p, q)
-
-    def jacobians(self, t: float, u: np.ndarray, m: np.ndarray,
-                  events=()) -> tuple[np.ndarray, np.ndarray]:
-        """Derivatives of the residual w.r.t. u and m (udot held fixed)."""
-        p, q = self.loads_at(t, events)
-        return -self.jac_u(t, u, m, p, q), -self.jac_m(t, u, m, p, q)
 
     @property
     def h_ref(self) -> np.ndarray:

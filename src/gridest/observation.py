@@ -26,6 +26,8 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtri
 
+from .ninebus import N_BUS, ix_vim, ix_vre
+
 RECT, POLAR = "rect", "polar"
 _COMPONENTS = {RECT: ("v_re", "v_im"), POLAR: ("v_mag", "v_ang")}
 
@@ -94,13 +96,13 @@ def grid_indices(times: np.ndarray, dt: float) -> np.ndarray:
 def observe(traj, times: np.ndarray, buses=None, coords: str = RECT) -> np.ndarray:
     """Extract noiseless observables f from a trajectory (time-major flat)."""
     if buses is None:
-        buses = np.arange(9)
+        buses = np.arange(N_BUS)
     buses = np.asarray(buses, dtype=int)
     nodes = grid_indices(times, traj.dt)
     if nodes.max() > traj.n_steps:
         raise ValueError("observation time beyond the trajectory")
-    vre = traj.states[np.ix_(nodes, [_vre_col(traj, b) for b in buses])]
-    vim = traj.states[np.ix_(nodes, [_vre_col(traj, b) + 1 for b in buses])]
+    vre = traj.states[np.ix_(nodes, [ix_vre(b) for b in buses])]
+    vim = traj.states[np.ix_(nodes, [ix_vim(b) for b in buses])]
     if coords == RECT:
         comp0, comp1 = vre, vim
     elif coords == POLAR:
@@ -111,11 +113,6 @@ def observe(traj, times: np.ndarray, buses=None, coords: str = RECT) -> np.ndarr
     out[:, :, 0] = comp0
     out[:, :, 1] = comp1
     return out.reshape(-1)
-
-
-def _vre_col(traj, bus: int) -> int:
-    n_state = traj.states.shape[1]
-    return n_state - 18 + 2 * bus
 
 
 def normal_stream(seed: int, n: int) -> np.ndarray:
@@ -136,7 +133,7 @@ def synthesize_observations(traj, times, noise: NoiseModel, seed: int,
                             meta: dict | None = None) -> ObservationSet:
     """Simulate the measurement process on an existing trajectory."""
     if buses is None:
-        buses = np.arange(9)
+        buses = np.arange(N_BUS)
     f = observe(traj, times, buses, coords)
     if noise.var.size == 1:
         noise = NoiseModel.iid(float(noise.var[0]), f.size)
@@ -155,22 +152,24 @@ def synthesize_observations(traj, times, noise: NoiseModel, seed: int,
 # file formats: CSV (time, bus, comp0, comp1) + JSON sidecar with the
 # noise/seed/config metadata
 
-def write_observations(obs: ObservationSet, noise: NoiseModel, path,
-                       header_lines=()) -> None:
-    path = Path(path)
-    c0, c1 = _COMPONENTS[obs.coords]
-    nb = len(obs.buses)
+def write_observation_csv(obs: ObservationSet, path, header_lines=()) -> None:
+    """The CSV alone: header lines, column row, then time-major rows."""
+    values = obs.values.reshape(len(obs.times), len(obs.buses), 2)
     with open(path, "w", newline="") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         w = csv.writer(fh)
-        w.writerow(["time", "bus", c0, c1])
-        for k, t in enumerate(obs.times):
-            for j, b in enumerate(obs.buses):
-                base = 2 * nb * k + 2 * j
-                w.writerow([f"{t:.17g}", b + 1,
-                            f"{obs.values[base]:.17g}",
-                            f"{obs.values[base + 1]:.17g}"])
+        w.writerow(["time", "bus", *_COMPONENTS[obs.coords]])
+        for t, row in zip(obs.times, values):
+            for b, (x0, x1) in zip(obs.buses, row):
+                w.writerow([f"{t:.17g}", b + 1, f"{x0:.17g}", f"{x1:.17g}"])
+
+
+def write_observations(obs: ObservationSet, noise: NoiseModel, path,
+                       header_lines=()) -> None:
+    """The CSV plus its JSON sidecar with the noise model and metadata."""
+    path = Path(path)
+    write_observation_csv(obs, path, header_lines)
     if noise.var.size > 1 and np.all(noise.var == noise.var[0]):
         noise_field = {"iid": float(noise.var[0])}
     else:

@@ -20,14 +20,16 @@ is the analytic Hessian inverse.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import product
 from math import comb
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, qr
+from scipy.linalg import qr
 
-from .bayes import H_LOWER_BOUND, GaussianPrior, PosteriorSummary, metrics
+from .bayes import (H_LOWER_BOUND, GaussianPrior, PosteriorSummary,
+                    hessian_inverse, metrics)
 from .hermite import basis_derivatives, basis_matrix, gauss_hermite, multi_index_set
 from .integrator import simulate
 from .lbfgs import minimize
@@ -54,7 +56,7 @@ class QuadratureRule:
 
     def physical(self, prior: GaussianPrior) -> np.ndarray:
         """Map the standardized nodes to parameter space."""
-        return prior.mean + np.sqrt(prior.var) * self.xi
+        return unstandardize(self.xi, prior)
 
 
 def standardize(m, prior: GaussianPrior) -> np.ndarray:
@@ -172,10 +174,6 @@ class Surrogate:
         xi = standardize(m, self.prior)
         return basis_matrix(self.indices, xi[None, :])[0] @ self.coeffs
 
-    def evaluate_batch(self, ms) -> np.ndarray:
-        xi = (np.asarray(ms, dtype=float) - self.prior_mean) / np.sqrt(self.prior_var)
-        return basis_matrix(self.indices, xi) @ self.coeffs
-
     def save(self, path) -> None:
         np.savez(path, indices=self.indices, coeffs=self.coeffs,
                  prior_mean=self.prior_mean, prior_var=self.prior_var,
@@ -211,14 +209,14 @@ class _TrajectoryObservables:
 
 
 def _evaluate_forward(forward, nodes_m, jobs: int) -> np.ndarray:
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(forward, nodes_m))
-    else:
+    """Forward map at every node: in-process for jobs == 1, else a pool."""
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    with pool or nullcontext():
+        results = pool.map(forward, nodes_m) if pool else map(forward, nodes_m)
         rows = []
         for i, m in enumerate(nodes_m):
             try:
-                rows.append(forward(m))
+                rows.append(next(results))
             except Exception as exc:
                 raise RuntimeError(
                     f"forward simulation failed at node {i}, m = {m}") from exc
@@ -339,26 +337,19 @@ def surrogate_map(surrogate: Surrogate, obs, noise, prior: GaussianPrior,
         if best is None or res.fun < best.fun:
             best = res
 
-    hess = objective.hessian(best.x)
-    try:
-        factor = cho_factor(hess)
-    except np.linalg.LinAlgError as exc:
-        eigs = np.linalg.eigvalsh(hess)
-        raise np.linalg.LinAlgError(
-            f"surrogate Hessian not positive definite at the MAP; "
-            f"eigenvalues {eigs}") from exc
-    gpost = cho_solve(factor, np.eye(len(best.x)))
-    gpost = 0.5 * (gpost + gpost.T)
+    gpost = hessian_inverse(objective.hessian(best.x))
 
     stats = {
         "method": "pce",
         "rule": surrogate.rule_kind,
         "order": surrogate.order,
-        "surrogate_forward_solves": surrogate.n_forward,
+        "iterations": total_iters,
+        "forward_solves": surrogate.n_forward,
+        "adjoint_solves": 0,
+        "converged": bool(best.converged),
         "collocation_condition": surrogate.cond,
         "n_starts": int(starts.shape[0]),
         "n_converged_starts": n_minima,
-        "total_iterations": total_iters,
         "objective": best.fun,
         "final_grad_norm": best.grad_norm,
     }

@@ -11,6 +11,12 @@ from gridest.scenario import ScenarioConfig
 
 FAST = ["--t-f", "0.5", "--dt-obs", "0.1"]
 
+# forward solves per order-2 surrogate in three parameters, by rule
+PCE_NODES = {"stochastic-testing": 10, "tensor": 27, "sparse": 19}
+# every method the CLI accepts, and for pce every rule
+METHOD_CASES = [pytest.param("adjoint", None, id="adjoint")] + [
+    pytest.param("pce", rule, id=f"pce-{rule}") for rule in PCE_NODES]
+
 
 def _run(argv):
     return main([str(a) for a in argv])
@@ -73,17 +79,35 @@ def test_estimate_adjoint_json(tmp_path, capsys):
     assert "adjoint solves" in text
 
 
-def test_estimate_pce_json(tmp_path):
+def _method_flags(method, rule):
+    return ["--method", method] + ([] if rule is None else ["--pce-rule", rule])
+
+
+def _assert_shared_cost(rule, iterations, forward, adjoint, converged):
+    """The cost keys every back end reports; rule is None for adjoint."""
+    assert iterations > 0
+    assert converged
+    if rule is None:
+        assert forward > 0 and adjoint > 0
+    else:
+        assert forward == PCE_NODES[rule]
+        assert adjoint == 0
+
+
+@pytest.mark.parametrize("method, rule", METHOD_CASES)
+def test_estimate_pce_json(tmp_path, method, rule):
     data = tmp_path / "obs.csv"
     _run(["synth-data", *FAST, "--out", data])
     out = tmp_path / "post.json"
-    rc = _run(["estimate", *FAST, "--method", "pce", "--data", data,
-               "--out", out])
+    rc = _run(["estimate", *FAST, *_method_flags(method, rule),
+               "--data", data, "--out", out])
     assert rc == 0
     doc = json.loads(out.read_text())
-    assert doc["method"] == "pce"
-    assert doc["stats"]["surrogate_forward_solves"] == 10
-    assert doc["config"]["method"] == "pce"
+    assert doc["method"] == method
+    assert doc["config"]["method"] == method
+    st = doc["stats"]
+    _assert_shared_cost(rule, st["iterations"], st["forward_solves"],
+                        st["adjoint_solves"], st["converged"])
 
 
 def test_estimate_matches_library(tmp_path, system, prior):
@@ -134,12 +158,14 @@ def test_no_disturbance_flag(tmp_path):
     assert np.max(np.ptp(dvals, axis=0)) > 0.1
 
 
-def test_sweep_csv(tmp_path):
+@pytest.mark.parametrize("method, rule", METHOD_CASES)
+def test_sweep_csv(tmp_path, method, rule):
+    argv = ["sweep", "--t-f", "0.5", "--dt-obs", "0.1",
+            *_method_flags(method, rule),
+            "--t-f-list", "0.5", "--dt-obs-list", "0.1",
+            "--load-list", "5.5", "6.0", "--noise-var-list", "1e-4"]
     out = tmp_path / "sweep.csv"
-    rc = _run(["sweep", "--t-f", "0.5", "--dt-obs", "0.1",
-               "--t-f-list", "0.5", "--dt-obs-list", "0.1",
-               "--load-list", "5.5", "6.0",
-               "--noise-var-list", "1e-4", "--out", out])
+    rc = _run([*argv, "--out", out])
     assert rc == 0
     with open(out) as fh:
         rows = list(csv.DictReader(r for r in fh if not r.startswith("#")))
@@ -148,18 +174,16 @@ def test_sweep_csv(tmp_path):
     assert {r["load"] for r in rows} == {"5.5", "6"} or \
         {float(r["load"]) for r in rows} == {5.5, 6.0}
     for r in rows:
-        assert r["method"] == "adjoint"
+        assert r["method"] == method
         assert float(r["err"]) < 0.5
-        assert r["converged"] in ("True", "1", "true")
-        assert int(r["iterations"]) > 0
+        _assert_shared_cost(rule, int(r["iterations"]),
+                            int(r["forward_solves"]), int(r["adjoint_solves"]),
+                            r["converged"] == "1")
     # per-row seeds are derived, distinct, and stable across reruns
     seeds = [int(r["seed"]) for r in rows]
     assert len(set(seeds)) == 2
     out2 = tmp_path / "sweep2.csv"
-    _run(["sweep", "--t-f", "0.5", "--dt-obs", "0.1",
-          "--t-f-list", "0.5", "--dt-obs-list", "0.1",
-          "--load-list", "5.5", "6.0",
-          "--noise-var-list", "1e-4", "--out", out2])
+    _run([*argv, "--out", out2])
     assert out.read_bytes() == out2.read_bytes()
 
 

@@ -41,17 +41,6 @@ def test_steady_state_is_equilibrium_for_any_inertia(system):
         assert np.max(np.abs(f)) < 1e-9
 
 
-def test_residual_convention(system):
-    u0 = system.steady_state()
-    r = system.residual(0.0, u0, np.zeros(N_STATE), system.h_ref)
-    assert np.max(np.abs(r)) < 1e-9
-    # residual = M udot - F, so udot enters only on differential rows
-    udot = np.ones(N_STATE)
-    r2 = system.residual(0.0, u0, udot, system.h_ref)
-    assert np.allclose(r2[:N_X] - r[:N_X], 1.0)
-    assert np.allclose(r2[N_X:], r[N_X:])
-
-
 def test_ybus_structure(system):
     y = system.network.ybus
     assert y.shape == (N_BUS, N_BUS)

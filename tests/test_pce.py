@@ -117,6 +117,28 @@ def test_build_surrogate_validation():
         build_surrogate("kriging", tensor_rule(1, 2), 2, lambda m: m, prior)
 
 
+class _FailAt:
+    """Picklable forward map: the identity, except that it raises at one point."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def __call__(self, m):
+        if np.array_equal(m, self.bad):
+            raise ValueError("injected forward failure")
+        return np.asarray(m, dtype=float)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_forward_failure_names_its_node(jobs):
+    prior = GaussianPrior(mean=np.array([24.0, 6.0, 3.1]),
+                          var=np.array([5.76, 0.36, 0.09]))
+    rule = tensor_rule(3, 1)
+    forward = _FailAt(rule.physical(prior)[5])
+    with pytest.raises(RuntimeError, match="failed at node 5, m = "):
+        build_surrogate("projection", rule, 1, forward, prior, jobs=jobs)
+
+
 def test_standardize_round_trip():
     prior = GaussianPrior(mean=np.array([24.0, 6.0, 3.1]),
                           var=np.array([5.76, 0.36, 0.09]))
@@ -227,7 +249,7 @@ def test_estimate_pce_small_pipeline(system, prior, make_scenario):
                                       m_true=[23.64, 6.40, 3.01], seed=1234)
     assert summary.method == "pce"
     assert surrogate.n_forward == 10
-    assert summary.stats["surrogate_forward_solves"] == 10
+    assert summary.stats["forward_solves"] == 10
     assert summary.stats["rule"] == "stochastic-testing"
     assert np.all(np.linalg.eigvalsh(summary.gamma_post) > 0)
     assert summary.err is not None
