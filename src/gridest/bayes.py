@@ -34,6 +34,8 @@ from .integrator import simulate
 from .observation import NoiseModel, ObservationSet
 
 H_LOWER_BOUND = 0.1    # physical safety net for the optimizer (seconds)
+FD_REL_STEP = 1e-4     # relative central-difference step, Laplace Hessian
+FD_SYM_TOL = 1e-3      # largest relative asymmetry of that Hessian
 
 
 @dataclass(frozen=True)
@@ -100,14 +102,13 @@ def neg_log_posterior(system, m, obs, noise, prior, t_f, dt, events=()):
 
 
 def map_estimate(objective, m0: np.ndarray, tol: float = 1e-6,
-                 max_iter: int = 50, callback=None) -> lbfgs.OptimizeResult:
+                 max_iter: int = 50) -> lbfgs.OptimizeResult:
     """Minimize the negative log posterior from m0 (usually the prior mean)."""
     return lbfgs.minimize(objective, m0, lower=H_LOWER_BOUND, tol=tol,
-                          max_iter=max_iter, memory=10, callback=callback)
+                          max_iter=max_iter)
 
 
-def laplace_covariance(m_map: np.ndarray, grad_fn, rel_step: float = 1e-4,
-                       sym_tol: float = 1e-3):
+def laplace_covariance(m_map: np.ndarray, grad_fn):
     """Gpost = H^-1 with H from central differences of the gradient.
 
     The raw FD Hessian is checked for symmetry (relative infinity norm)
@@ -119,14 +120,14 @@ def laplace_covariance(m_map: np.ndarray, grad_fn, rel_step: float = 1e-4,
     n = m_map.size
     hess = np.empty((n, n))
     for j in range(n):
-        h = rel_step * max(abs(m_map[j]), 1e-8)
+        h = FD_REL_STEP * max(abs(m_map[j]), 1e-8)
         mp, mm = m_map.copy(), m_map.copy()
         mp[j] += h
         mm[j] -= h
         hess[:, j] = (grad_fn(mp) - grad_fn(mm)) / (2.0 * h)
     asym = np.linalg.norm(hess - hess.T, np.inf) / max(np.linalg.norm(hess, np.inf), 1e-30)
-    if asym > sym_tol:
-        raise RuntimeError(f"FD Hessian asymmetry {asym:.2e} exceeds {sym_tol:.0e}")
+    if asym > FD_SYM_TOL:
+        raise RuntimeError(f"FD Hessian asymmetry {asym:.2e} exceeds {FD_SYM_TOL:.0e}")
     hess = 0.5 * (hess + hess.T)
     return hessian_inverse(hess), hess
 
@@ -163,6 +164,9 @@ class PosteriorSummary:
 
     Both back ends put iterations, forward_solves, adjoint_solves and
     converged into stats; the other keys are back-end specific.
+    converged means the MAP optimizer met its gradient tolerance, or
+    stopped with its gradient at the roundoff floor certified by the
+    Hessian at the MAP (lbfgs.at_roundoff_floor).
     """
     m_map: np.ndarray
     gamma_post: np.ndarray
@@ -197,19 +201,20 @@ class PosteriorSummary:
 
 def estimate_adjoint(system, obs: ObservationSet, noise: NoiseModel,
                      prior: GaussianPrior, t_f: float, dt: float, events=(),
-                     m_true=None, tol: float = 1e-6, max_iter: int = 50,
-                     callback=None) -> PosteriorSummary:
+                     m_true=None, tol: float = 1e-6,
+                     max_iter: int = 50) -> PosteriorSummary:
     """Full adjoint-based pipeline: MAP point then Laplace covariance."""
     objective = AdjointObjective(system, obs, noise, prior, t_f, dt, events)
     res = map_estimate(objective, prior.mean.copy(), tol=tol,
-                       max_iter=max_iter, callback=callback)
+                       max_iter=max_iter)
     map_fwd, map_adj = objective.n_forward, objective.n_adjoint
 
     gpost, hess = laplace_covariance(res.x, objective.gradient)
+    converged = res.converged or lbfgs.at_roundoff_floor(res, hess)
     stats = {
         "iterations": res.iterations,
         "n_evals": res.n_evals,
-        "converged": bool(res.converged),
+        "converged": converged,
         "message": res.message,
         "final_grad_norm": res.grad_norm,
         "objective": res.fun,

@@ -111,16 +111,14 @@ def newton_matrix(system, fu: np.ndarray, dt: float) -> np.ndarray:
 
 def step_trapezoidal(system, u_k: np.ndarray, t_k: float, dt: float,
                      m: np.ndarray, p_load: np.ndarray, q_load: np.ndarray,
-                     f_k: np.ndarray | None = None):
+                     f_k: np.ndarray):
     """One implicit step from (t_k, u_k); returns (u_{k+1}, newton_iters).
 
-    f_k may pass the cached RHS at the departure state.  The returned
-    state satisfies the step equations with residual inf-norm below
-    NEWTON_ACCEPT (typically near machine precision).
+    f_k is the caller's cached RHS at the departure state.  The
+    returned state satisfies the step equations with residual inf-norm
+    below NEWTON_ACCEPT (typically near machine precision).
     """
     n_x = int(system.mass.sum())
-    if f_k is None:
-        f_k = system.rhs(t_k, u_k, m, p_load, q_load)
     t_next = t_k + dt
     v = u_k.copy()
     phi = np.empty_like(v)

@@ -14,22 +14,21 @@ simulation:
 * curvature pairs with s.y <= eps ||s|| ||y|| are skipped instead of
   corrupting the inverse-Hessian estimate.
 
-Termination: the primary test is the projected gradient infinity norm
-dropping to tol.  Large-scale objectives (a misfit summing thousands of
+Termination: converged means the projected gradient infinity norm
+dropped to tol.  Large-scale objectives (a misfit summing thousands of
 squared residuals) hit double-precision limits first: once the gradient
 norm falls to roughly sqrt(eps * |f| * lambda_max), a Newton step
 changes f by less than one unit in the last place and no line search
-can verify descent.  The loop therefore also stops when an accepted
-step decreases f by less than ftol (relative), or when the line search
-cannot make progress; either outcome counts as converged when the
-gradient norm is at that roundoff floor (estimated from the current
-quasi-Newton curvature scale), and is reported as a distinct failure
-otherwise.
+can verify descent.  The loop therefore also stops, not converged, when
+a step decreases f by less than ftol = 1e4 eps relative or the line
+search fails; ftol * max(1, |f|) is also the line search's objective
+noise.  lambda_max is unknown here, so at_roundoff_floor makes the
+floor verdict from the Hessian the caller computes at the MAP.
 
 The objective callable returns (value, gradient).  Every accepted step
-satisfies the Armijo condition; per-iteration records (value, gradient
-norm, step length, cumulative evaluations) are collected for
-machine-readable logging.
+satisfies the Armijo condition; one record per iterate (value,
+gradient norm, step length, cumulative evaluations) is kept in
+history for machine-readable logging.
 """
 from __future__ import annotations
 
@@ -39,6 +38,10 @@ import numpy as np
 
 _CURV_EPS = 1e-10
 _EPS = float(np.finfo(float).eps)
+_MEMORY = 10
+_C1, _C2 = 1e-4, 0.9
+_FTOL = 1e4 * _EPS     # relative objective decrease, and line-search noise
+_LS_EVALS = 25         # evaluations per line search
 
 
 @dataclass
@@ -95,34 +98,13 @@ def _cubic_min(a, fa, dfa, b, fb, dfb):
     return t
 
 
-def _at_noise_floor(gnorm, f, s_mem, y_mem):
-    """True when gnorm is within the double-precision decrease floor.
-
-    A quadratic step from a point with gradient g reduces f by about
-    g.H^-1.g/2 >= |g|^2 / (2 lambda_max); once that is below the unit
-    in the last place of f the decrease is unrepresentable.  lambda_max
-    is estimated by the inverse of the two-loop scaling gamma (1 when
-    no curvature pairs exist yet); the factor 10 absorbs the slack of
-    that estimate.
-    """
-    if s_mem:
-        gamma = (s_mem[-1] @ y_mem[-1]) / (y_mem[-1] @ y_mem[-1])
-        lam = 1.0 / max(gamma, 1e-300)
-    else:
-        lam = 1.0
-    floor = 10.0 * np.sqrt(_EPS * max(1.0, abs(f)) * lam)
-    return gnorm <= floor
-
-
-def minimize(fun, x0, lower=None, tol=1e-6, max_iter=100, memory=10,
-             c1=1e-4, c2=0.9, ftol=1e4 * _EPS, callback=None) -> OptimizeResult:
+def minimize(fun, x0, lower=None, tol=1e-6, max_iter=100) -> OptimizeResult:
     """Minimize fun(x) -> (value, grad) from x0.
 
     lower: optional array (or scalar) of lower bounds; iterates never
-    violate them.  Terminates when the projected gradient infinity norm
-    drops to tol, when an accepted step decreases the objective by less
-    than ftol relative (converged if the gradient is at the roundoff
-    floor, see module docstring), or after max_iter iterations.
+    violate them.  Only a projected gradient at tol is converged; any
+    other stop says why in message: "objective decrease below ftol",
+    "line search failed" or "max_iter reached" (see at_roundoff_floor).
     """
     x = np.asarray(x0, dtype=float).copy()
     if lower is not None:
@@ -145,18 +127,19 @@ def minimize(fun, x0, lower=None, tol=1e-6, max_iter=100, memory=10,
     rho_mem: list[float] = []
     skipped = 0
     message = "max_iter reached"
-    converged = False
+    converged = stalled = False
+    alpha = None
 
     it = 0
     while True:
         gnorm = _projected_grad_norm(x, g, lower)
         history.append({"iter": it, "fun": f, "grad_norm": float(gnorm),
-                        "step": None if it == 0 else history[-1].get("_last_step"),
-                        "evals": evals})
-        if callback is not None:
-            callback(history[-1])
+                        "step": alpha, "evals": evals})
         if gnorm <= tol:
             converged, message = True, "projected gradient below tolerance"
+            break
+        if stalled:
+            message = "objective decrease below ftol"
             break
         if it >= max_iter:
             break
@@ -183,13 +166,9 @@ def minimize(fun, x0, lower=None, tol=1e-6, max_iter=100, memory=10,
                 a_max = np.min((lower[neg] - x[neg]) / p[neg])
                 a_max = max(a_max, 0.0)
 
-        x_new, f_new, g_new, alpha = _wolfe(fg, x, f, g, p, c1, c2, a_max)
+        x_new, f_new, g_new, alpha = _wolfe(fg, x, f, g, p, a_max)
         if x_new is None:
-            if _at_noise_floor(gnorm, f, s_mem, y_mem):
-                converged = True
-                message = "gradient at the roundoff floor of the objective"
-            else:
-                message = "line search failed"
+            message = "line search failed"
             break
 
         s = x_new - x
@@ -199,44 +178,39 @@ def minimize(fun, x0, lower=None, tol=1e-6, max_iter=100, memory=10,
             s_mem.append(s)
             y_mem.append(y)
             rho_mem.append(1.0 / sy)
-            if len(s_mem) > memory:
+            if len(s_mem) > _MEMORY:
                 s_mem.pop(0)
                 y_mem.pop(0)
                 rho_mem.pop(0)
         else:
             skipped += 1
 
-        decrease = f - f_new
+        stalled = f - f_new <= _FTOL * max(abs(f), abs(f_new), 1.0)
         x, f, g = x_new, f_new, g_new
+        alpha = float(alpha)
         it += 1
-        history[-1]["_last_step"] = float(alpha)
 
-        if decrease <= ftol * max(abs(f), abs(f_new), 1.0):
-            gnorm = _projected_grad_norm(x, g, lower)
-            history.append({"iter": it, "fun": f, "grad_norm": float(gnorm),
-                            "step": float(alpha), "evals": evals})
-            if callback is not None:
-                callback(history[-1])
-            if gnorm <= tol:
-                converged, message = True, "projected gradient below tolerance"
-            elif _at_noise_floor(gnorm, f, s_mem, y_mem):
-                converged = True
-                message = "objective decrease at the roundoff floor"
-            else:
-                message = "objective stagnated above the noise floor"
-            break
-
-    for rec in history:
-        rec.pop("_last_step", None)
-    gnorm = _projected_grad_norm(x, g, lower)
     return OptimizeResult(x=x, fun=f, grad=g, grad_norm=float(gnorm),
                           iterations=it, n_evals=evals, converged=converged,
                           message=message, history=history,
                           skipped_updates=skipped)
 
 
-def _wolfe(fg, x, f0, g0, p, c1, c2, a_max, max_evals=25):
-    """Strong-Wolfe search along p, capped at a_max (bound crossing).
+def at_roundoff_floor(res: OptimizeResult, hess: np.ndarray) -> bool:
+    """True when res stopped with its gradient at the roundoff floor.
+
+    hess is the exact (or finite-difference) Hessian at res.x.  The
+    floor is 10 sqrt(eps max(1, |f|) lambda_max), see the module
+    docstring; a Hessian with no positive eigenvalue certifies nothing.
+    """
+    lam = float(np.linalg.eigvalsh(hess)[-1])
+    if lam <= 0.0:
+        return False
+    return bool(res.grad_norm <= 10.0 * np.sqrt(_EPS * max(1.0, abs(res.fun)) * lam))
+
+
+def _wolfe(fg, x, f0, g0, p, a_max):
+    """Strong-Wolfe search along the descent direction p, capped at a_max.
 
     Returns (x_new, f_new, g_new, alpha) or (None, ...) on failure.
     If the cap itself satisfies Armijo but curvature cannot be met
@@ -244,49 +218,41 @@ def _wolfe(fg, x, f0, g0, p, c1, c2, a_max, max_evals=25):
     caller's curvature test then decides whether the pair is usable.
     """
     dphi0 = g0 @ p
-    if dphi0 >= 0.0:
-        return None, None, None, None
-
-    def phi(a):
-        return fg(x + a * p)
-
-    capped = np.isfinite(a_max)
-    a_hi_limit = a_max if capped else np.inf
     a_prev, f_prev, g_prev, dphi_prev = 0.0, f0, g0, dphi0
-    a = min(1.0, a_hi_limit)
-    f_a, g_a = phi(a)
+    a = min(1.0, a_max)
+    f_a, g_a = fg(x + a * p)
     n = 1
 
     while True:
         dphi_a = g_a @ p
-        if f_a > f0 + c1 * a * dphi0 or (a_prev > 0.0 and f_a >= f_prev):
-            return _zoom(fg, x, p, f0, dphi0, c1, c2,
+        if f_a > f0 + _C1 * a * dphi0 or (a_prev > 0.0 and f_a >= f_prev):
+            return _zoom(fg, x, p, f0, dphi0,
                          a_prev, f_prev, g_prev, dphi_prev,
-                         a, f_a, g_a, dphi_a, max_evals - n)
-        if abs(dphi_a) <= -c2 * dphi0:
+                         a, f_a, g_a, dphi_a, _LS_EVALS - n)
+        if abs(dphi_a) <= -_C2 * dphi0:
             return x + a * p, f_a, g_a, a
         if dphi_a >= 0.0:
-            return _zoom(fg, x, p, f0, dphi0, c1, c2,
+            return _zoom(fg, x, p, f0, dphi0,
                          a, f_a, g_a, dphi_a,
-                         a_prev, f_prev, g_prev, dphi_prev, max_evals - n)
-        if a >= a_hi_limit - 1e-16:
+                         a_prev, f_prev, g_prev, dphi_prev, _LS_EVALS - n)
+        if a >= a_max - 1e-16:
             # Armijo holds at the cap and the slope still points outward
             return x + a * p, f_a, g_a, a
         a_prev, f_prev, g_prev, dphi_prev = a, f_a, g_a, dphi_a
-        a = min(2.0 * a, a_hi_limit)
-        if n >= max_evals:
+        a = min(2.0 * a, a_max)
+        if n >= _LS_EVALS:
             return None, None, None, None
-        f_a, g_a = phi(a)
+        f_a, g_a = fg(x + a * p)
         n += 1
 
 
-def _zoom(fg, x, p, f0, dphi0, c1, c2, a_lo, f_lo, g_lo, dphi_lo,
+def _zoom(fg, x, p, f0, dphi0, a_lo, f_lo, g_lo, dphi_lo,
           a_hi, f_hi, g_hi, dphi_hi, budget):
-    noise = 4.0 * _EPS * max(1.0, abs(f0))
+    noise = _FTOL * max(1.0, abs(f0))
     for _ in range(max(budget, 1)):
         # once every function difference in the bracket is below the
-        # floating-point noise of f0, Armijo comparisons carry no
-        # information; settle for the best point seen
+        # objective noise ftol * max(1, |f0|), Armijo comparisons carry
+        # no information; settle for the best point seen
         if abs(f_lo - f0) <= noise and abs(f_hi - f0) <= noise:
             break
         a = _cubic_min(a_lo, f_lo, dphi_lo, a_hi, f_hi, dphi_hi)
@@ -296,10 +262,10 @@ def _zoom(fg, x, p, f0, dphi0, c1, c2, a_lo, f_lo, g_lo, dphi_lo,
             a = 0.5 * (a_lo + a_hi)
         f_a, g_a = fg(x + a * p)
         dphi_a = g_a @ p
-        if f_a > f0 + c1 * a * dphi0 or f_a >= f_lo:
+        if f_a > f0 + _C1 * a * dphi0 or f_a >= f_lo:
             a_hi, f_hi, g_hi, dphi_hi = a, f_a, g_a, dphi_a
         else:
-            if abs(dphi_a) <= -c2 * dphi0:
+            if abs(dphi_a) <= -_C2 * dphi0:
                 return x + a * p, f_a, g_a, a
             if dphi_a * (a_hi - a_lo) >= 0.0:
                 a_hi, f_hi, g_hi, dphi_hi = a_lo, f_lo, g_lo, dphi_lo
@@ -307,6 +273,6 @@ def _zoom(fg, x, p, f0, dphi0, c1, c2, a_lo, f_lo, g_lo, dphi_lo,
         if abs(a_hi - a_lo) < 1e-14:
             break
     # fall back to the best Armijo point found
-    if a_lo > 0.0 and f_lo <= f0 + min(c1 * a_lo * dphi0 + noise, 0.0):
+    if a_lo > 0.0 and f_lo <= f0 + min(_C1 * a_lo * dphi0 + noise, 0.0):
         return x + a_lo * p, f_lo, g_lo, a_lo
     return None, None, None, None

@@ -32,7 +32,7 @@ from .bayes import (H_LOWER_BOUND, GaussianPrior, PosteriorSummary,
                     hessian_inverse, metrics)
 from .hermite import basis_derivatives, basis_matrix, gauss_hermite, multi_index_set
 from .integrator import simulate
-from .lbfgs import minimize
+from .lbfgs import at_roundoff_floor, minimize
 from .observation import observe
 
 _MULTISTART_SALT = 0x9E3779B97F4A7C15
@@ -331,11 +331,12 @@ def surrogate_map(surrogate: Surrogate, obs, noise, prior: GaussianPrior,
     for x0 in starts:
         res = minimize(objective, x0, lower=H_LOWER_BOUND, tol=tol,
                        max_iter=max_iter)
+        converged = res.converged or at_roundoff_floor(
+            res, objective.hessian(res.x))
         total_iters += res.iterations
-        if res.converged:
-            n_minima += 1
+        n_minima += converged
         if best is None or res.fun < best.fun:
-            best = res
+            best, best_converged = res, converged
 
     gpost = hessian_inverse(objective.hessian(best.x))
 
@@ -346,7 +347,7 @@ def surrogate_map(surrogate: Surrogate, obs, noise, prior: GaussianPrior,
         "iterations": total_iters,
         "forward_solves": surrogate.n_forward,
         "adjoint_solves": 0,
-        "converged": bool(best.converged),
+        "converged": bool(best_converged),
         "collocation_condition": surrogate.cond,
         "n_starts": int(starts.shape[0]),
         "n_converged_starts": n_minima,

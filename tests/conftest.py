@@ -4,7 +4,7 @@ import pytest
 
 from gridest.bayes import GaussianPrior, estimate_adjoint
 from gridest.integrator import simulate
-from gridest.ninebus import DisturbanceEvent, load_system
+from gridest.ninebus import N_BUS, DisturbanceEvent, load_system
 from gridest.observation import (NoiseModel, observation_times,
                                  synthesize_observations)
 
@@ -36,7 +36,7 @@ def make_scenario(system):
                 DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=load),)
             times = observation_times(t_f, dt_obs)
             traj = simulate(system, M_TRUE, t_f, dt, events=events)
-            noise = NoiseModel.iid(var, 18 * len(times))
+            noise = NoiseModel.iid(var, 2 * N_BUS * len(times))
             obs = synthesize_observations(traj, times, noise, seed)
             cache[key] = (obs, noise, events)
         return cache[key]

@@ -5,7 +5,7 @@ import pytest
 from gridest.adjoint import backward_sweep, misfit, misfit_state_gradients
 from gridest.bayes import GaussianPrior
 from gridest.integrator import simulate
-from gridest.ninebus import DisturbanceEvent
+from gridest.ninebus import N_BUS, DisturbanceEvent
 from gridest.observation import (NoiseModel, observation_times, observe,
                                  synthesize_observations)
 
@@ -17,7 +17,7 @@ EVENTS = (DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5),)
 def small_case(system):
     traj = simulate(system, system.h_ref, T_F, DT, events=EVENTS)
     times = observation_times(T_F, 0.1)
-    noise = NoiseModel.iid(1e-4, 2 * 9 * len(times))
+    noise = NoiseModel.iid(1e-4, 2 * N_BUS * len(times))
     obs = synthesize_observations(traj, times, noise, seed=1234)
     return obs, noise
 
@@ -68,9 +68,9 @@ def test_gradient_vanishes_on_noiseless_data_at_truth(system):
     m_true = system.h_ref
     traj = simulate(system, m_true, T_F, DT, events=EVENTS)
     times = observation_times(T_F, 0.1)
-    noise = NoiseModel.iid(1e-4, 2 * 9 * len(times))
+    noise = NoiseModel.iid(1e-4, 2 * N_BUS * len(times))
     from gridest.observation import ObservationSet
-    obs = ObservationSet(times=times, buses=np.arange(9),
+    obs = ObservationSet(times=times, buses=np.arange(N_BUS),
                          values=observe(traj, times))
     assert misfit(traj, obs, noise) == 0.0
     grad = backward_sweep(system, traj, m_true, obs, noise)
@@ -104,7 +104,7 @@ def test_misfit_state_gradients_placement(system, small_case):
 def test_misfit_state_gradients_polar(system):
     traj = simulate(system, system.h_ref, T_F, DT, events=EVENTS)
     times = observation_times(T_F, 0.25)
-    noise = NoiseModel.iid(1e-4, 2 * 9 * len(times))
+    noise = NoiseModel.iid(1e-4, 2 * N_BUS * len(times))
     obs = synthesize_observations(traj, times, noise, seed=7, coords="polar")
     ru = misfit_state_gradients(traj, obs, noise)
     node = 25

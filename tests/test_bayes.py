@@ -44,10 +44,10 @@ def test_conjugate_gaussian_fixed_case():
 
     fun = _quad_objective(a, d, noise_var, prior)
     res = map_estimate(fun, prior.mean.copy(), tol=1e-12)
-    assert res.converged
+    gpost, hess = laplace_covariance(res.x, lambda m: fun(m)[1])
+    assert res.converged or lbfgs.at_roundoff_floor(res, hess)
     assert np.allclose(res.x, m_post, atol=1e-9)
 
-    gpost, hess = laplace_covariance(res.x, lambda m: fun(m)[1])
     assert np.allclose(gpost, cov, rtol=1e-8)
     assert np.allclose(hess, np.linalg.inv(cov), rtol=1e-8)
 
@@ -64,11 +64,12 @@ def test_conjugate_gaussian_random_cases():
         m_post, cov = _linear_gaussian(a, d, noise_var, prior)
         fun = _quad_objective(a, d, noise_var, prior)
         res = lbfgs.minimize(fun, prior.mean.copy(), tol=1e-9, max_iter=200)
-        # a draw may stall at its roundoff floor before meeting tol; the
+        # a draw may stall near its roundoff floor before meeting tol; the
         # answer must be accurate and the report honest either way
         assert np.max(np.abs(res.x - m_post)) < 1e-6
         if not res.converged:
-            assert "stagnated" in res.message or "line search" in res.message
+            assert res.message in ("objective decrease below ftol",
+                                   "line search failed")
             assert res.grad_norm < 1e-6
         gpost, _ = laplace_covariance(res.x, lambda m: fun(m)[1])
         assert np.allclose(gpost, cov, rtol=1e-6, atol=1e-12)
@@ -178,3 +179,15 @@ def test_estimate_adjoint_small_scenario(system, prior, make_scenario):
     assert summary.err is not None and summary.err < 0.2
     assert 0.0 < summary.tau < 1.0
     assert np.all((summary.cns > 0) & (summary.cns < 1))
+
+
+@pytest.mark.parametrize("t_f, load", [(1.0, 7.0), (1.5, 5.5)])
+def test_estimate_adjoint_converges_at_roundoff_floor(system, prior,
+                                                      make_scenario, t_f, load):
+    # both stop above tol at the roundoff floor: the line search must give
+    # up within a few evaluations, and the Laplace Hessian certify the floor
+    obs, noise, events = make_scenario(t_f, 0.1, load=load)
+    summary = estimate_adjoint(system, obs, noise, prior, t_f, 0.01,
+                               events=events)
+    assert summary.stats["converged"]
+    assert summary.stats["n_evals"] <= 15

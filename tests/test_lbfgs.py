@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridest.lbfgs import OptimizeResult, minimize
+from gridest.lbfgs import OptimizeResult, at_roundoff_floor, minimize
+
+EARLY_STOPS = ("objective decrease below ftol", "line search failed")
 
 
 def _quad_factory(a):
@@ -14,6 +16,20 @@ def _quad_factory(a):
         return 0.5 * np.sum((x - a) ** 2), x - a
 
     return fun
+
+
+def _rosenbrock(x):
+    f = 100.0 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2
+    g = np.array([
+        -400.0 * x[0] * (x[1] - x[0] ** 2) - 2 * (1 - x[0]),
+        200.0 * (x[1] - x[0] ** 2),
+    ])
+    return f, g
+
+
+def _rosenbrock_hessian(x):
+    return np.array([[1200.0 * x[0] ** 2 - 400.0 * x[1] + 2.0, -400.0 * x[0]],
+                     [-400.0 * x[0], 200.0]])
 
 
 def test_identity_quadratic_exact_in_one_step():
@@ -42,15 +58,7 @@ def test_scaled_quadratic():
 
 
 def test_rosenbrock():
-    def fun(x):
-        f = 100.0 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2
-        g = np.array([
-            -400.0 * x[0] * (x[1] - x[0] ** 2) - 2 * (1 - x[0]),
-            200.0 * (x[1] - x[0] ** 2),
-        ])
-        return f, g
-
-    res = minimize(fun, np.array([-1.2, 1.0]), tol=1e-8, max_iter=100)
+    res = minimize(_rosenbrock, np.array([-1.2, 1.0]), tol=1e-8, max_iter=100)
     assert res.converged
     assert res.iterations <= 60
     assert np.allclose(res.x, [1.0, 1.0], atol=1e-6)
@@ -78,25 +86,29 @@ def test_infeasible_start_rejected():
 
 
 def test_roundoff_floor_counts_as_converged():
-    # huge constant offset: absolute decrease saturates double precision
+    # huge constant offset: absolute decrease saturates double precision;
+    # the optimizer stops short of tol and the exact Hessian certifies it
     def fun(x):
         return 1e8 + 0.5 * np.sum(x ** 2), x
 
     res = minimize(fun, np.full(3, 1e-4), tol=1e-16, max_iter=50)
-    assert res.converged
-    assert "floor" in res.message
+    assert at_roundoff_floor(res, np.eye(3))
+
+
+def test_roundoff_floor_refuses():
+    # far from the minimum: |g| is about 5.6, way above the floor
+    res = minimize(_rosenbrock, np.array([-1.2, 1.0]), tol=1e-12, max_iter=5)
+    assert res.grad_norm > 1.0
+    assert not at_roundoff_floor(res, _rosenbrock_hessian(res.x))
+    # no positive curvature certifies nothing, even at a zero gradient
+    res = minimize(_quad_factory([1.0, -2.0, 0.5]), np.zeros(3), tol=1e-10)
+    assert res.grad_norm == 0.0
+    assert not at_roundoff_floor(res, -np.eye(3))
+    assert not at_roundoff_floor(res, np.zeros((3, 3)))
 
 
 def test_max_iter_not_converged():
-    def fun(x):
-        f = 100.0 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2
-        g = np.array([
-            -400.0 * x[0] * (x[1] - x[0] ** 2) - 2 * (1 - x[0]),
-            200.0 * (x[1] - x[0] ** 2),
-        ])
-        return f, g
-
-    res = minimize(fun, np.array([-1.2, 1.0]), tol=1e-12, max_iter=5)
+    res = minimize(_rosenbrock, np.array([-1.2, 1.0]), tol=1e-12, max_iter=5)
     assert not res.converged
     assert res.message == "max_iter reached"
     assert res.iterations == 5
@@ -104,12 +116,10 @@ def test_max_iter_not_converged():
 
 def test_history_records():
     fun = _quad_factory([3.0, -1.0])
-    seen = []
-    res = minimize(fun, np.zeros(2), tol=1e-10, callback=seen.append)
+    res = minimize(fun, np.zeros(2), tol=1e-10)
     h = res.history
     assert h[0]["iter"] == 0
     assert [rec["iter"] for rec in h] == list(range(len(h)))
-    assert len(seen) == len(h)
     evals = [rec["evals"] for rec in h]
     assert evals == sorted(evals)
     funs = [rec["fun"] for rec in h]
@@ -118,7 +128,7 @@ def test_history_records():
 
 
 def test_result_invariant():
-    # converged implies the gradient test passed or a floor was certified
+    # converged means the gradient test passed, and nothing else
     cases = [
         (_quad_factory([1.0, 2.0]), np.zeros(2), 1e-10),
         (lambda x: (1e8 + 0.5 * np.sum(x ** 2), x), np.full(3, 1e-4), 1e-16),
@@ -127,7 +137,7 @@ def test_result_invariant():
         res = minimize(fun, x0, tol=tol, max_iter=50)
         assert isinstance(res, OptimizeResult)
         if res.converged:
-            assert res.grad_norm <= tol or "floor" in res.message
+            assert res.grad_norm <= tol
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -148,8 +158,10 @@ def test_random_convex_quadratics(center, seed):
 
     res = minimize(fun, np.zeros(n), tol=1e-9, max_iter=200)
     assert np.allclose(res.x, a, atol=1e-5)
-    # a draw may stall at its roundoff floor before the tight tol; the
-    # answer is still accurate and the report must say what happened
+    # a draw may stall near its roundoff floor before the tight tol; the
+    # answer is still accurate and the report names the early stop.  Not
+    # every such stop is at the floor: center (7.2e-7, 0) with seed 0
+    # stops at |g| = 3.1e-7 against a floor of 2.3e-7
     if not res.converged:
-        assert "stagnated" in res.message or "line search" in res.message
+        assert res.message in EARLY_STOPS
         assert res.grad_norm < 1e-4

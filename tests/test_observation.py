@@ -4,7 +4,7 @@ import pytest
 from scipy.special import ndtri
 
 from gridest.integrator import simulate
-from gridest.ninebus import DisturbanceEvent, ix_vre
+from gridest.ninebus import N_BUS, DisturbanceEvent, ix_vre
 from gridest.observation import (NoiseModel, ObservationSet, grid_indices,
                                  normal_stream, observation_times, observe,
                                  read_observations, synthesize,
@@ -38,12 +38,13 @@ def test_grid_indices():
 def test_observe_layout(short_traj):
     times = np.array([0.1, 0.2, 0.4])
     f = observe(short_traj, times)
-    assert f.shape == (2 * 9 * 3,)
+    assert f.shape == (2 * N_BUS * 3,)
     nodes = [10, 20, 40]
     for k, node in enumerate(nodes):
-        for b in range(9):
-            assert f[2 * 9 * k + 2 * b] == short_traj.states[node, ix_vre(b)]
-            assert f[2 * 9 * k + 2 * b + 1] == short_traj.states[node, ix_vre(b) + 1]
+        for b in range(N_BUS):
+            i = 2 * (N_BUS * k + b)
+            assert f[i] == short_traj.states[node, ix_vre(b)]
+            assert f[i + 1] == short_traj.states[node, ix_vre(b) + 1]
 
 
 def test_observe_polar_and_bus_subset(short_traj):
@@ -83,10 +84,10 @@ def test_synthesize_noise_scales_with_std():
 
 def test_synthesize_observations_metadata(short_traj):
     times = observation_times(0.4, 0.05)
-    noise = NoiseModel.iid(1e-4, 2 * 9 * len(times))
+    noise = NoiseModel.iid(1e-4, 2 * N_BUS * len(times))
     obs = synthesize_observations(short_traj, times, noise, seed=99,
                                   meta={"tag": "x"})
-    assert obs.size == 2 * 9 * 8
+    assert obs.size == 2 * N_BUS * 8
     assert obs.meta["seed"] == 99
     assert obs.meta["tag"] == "x"
     with pytest.raises(ValueError):
@@ -119,7 +120,7 @@ def test_observation_set_validation():
 
 def test_csv_round_trip(tmp_path, short_traj):
     times = observation_times(0.4, 0.1)
-    noise = NoiseModel.iid(1e-4, 2 * 9 * len(times))
+    noise = NoiseModel.iid(1e-4, 2 * N_BUS * len(times))
     obs = synthesize_observations(short_traj, times, noise, seed=1234,
                                   meta={"note": "rt"})
     path = tmp_path / "obs.csv"
@@ -139,7 +140,7 @@ def test_csv_round_trip(tmp_path, short_traj):
 def test_csv_round_trip_heteroscedastic(tmp_path, short_traj):
     times = observation_times(0.4, 0.2)
     rng = np.random.default_rng(3)
-    var = rng.uniform(1e-5, 1e-3, 2 * 9 * len(times))
+    var = rng.uniform(1e-5, 1e-3, 2 * N_BUS * len(times))
     noise = NoiseModel(var=var)
     obs = synthesize_observations(short_traj, times, noise, seed=5)
     path = tmp_path / "obs.csv"
@@ -150,7 +151,7 @@ def test_csv_round_trip_heteroscedastic(tmp_path, short_traj):
 
 def test_read_requires_sidecar(tmp_path, short_traj):
     times = observation_times(0.4, 0.2)
-    noise = NoiseModel.iid(1e-4, 2 * 9 * len(times))
+    noise = NoiseModel.iid(1e-4, 2 * N_BUS * len(times))
     obs = synthesize_observations(short_traj, times, noise, seed=5)
     path = tmp_path / "obs.csv"
     write_observations(obs, noise, path)
