@@ -24,7 +24,6 @@ the same number of linear solves as forward steps.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .integrator import Trajectory, newton_matrix
 from .ninebus import ix_vre
@@ -116,8 +115,7 @@ def backward_sweep(system, traj: Trajectory, m: np.ndarray,
         else:
             fu_next = system.jac_u(t_next, u_next, m, p, q)
             fm_next = system.jac_m(t_next, u_next, m, p, q)
-        amat = newton_matrix(system, fu_next, dt)
-        lam = lu_solve(lu_factor(amat), a, trans=1)
+        lam = np.linalg.solve(newton_matrix(system, fu_next, dt).T, a)
 
         fu_k = system.jac_u(t_k, u_k, m, p, q)
         fm_k = system.jac_m(t_k, u_k, m, p, q)

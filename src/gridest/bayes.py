@@ -58,7 +58,7 @@ class GaussianPrior:
 
 
 class AdjointObjective:
-    """Callable J(m) -> (value, gradient) with solve counting.
+    """Callable J(m) -> (value, gradient) with solve and Newton counting.
 
     One call costs one forward simulation plus one adjoint sweep.
     """
@@ -74,10 +74,13 @@ class AdjointObjective:
         self.events = tuple(events)
         self.n_forward = 0
         self.n_adjoint = 0
+        self.newton_iters = 0
 
     def simulate(self, m):
         self.n_forward += 1
-        return simulate(self.system, m, self.t_f, self.dt, self.events)
+        traj = simulate(self.system, m, self.t_f, self.dt, self.events)
+        self.newton_iters += traj.newton_iters
+        return traj
 
     def value(self, m: np.ndarray) -> float:
         traj = self.simulate(m)
@@ -223,6 +226,7 @@ def estimate_adjoint(system, obs: ObservationSet, noise: NoiseModel,
         "map_forward_solves": map_fwd,
         "map_adjoint_solves": map_adj,
         "hessian_forward_solves": objective.n_forward - map_fwd,
+        "newton_iters": objective.newton_iters,
         "skipped_updates": res.skipped_updates,
     }
     summary = PosteriorSummary(m_map=res.x, gamma_post=gpost,

@@ -9,7 +9,12 @@ which keeps every stored state consistent (no accumulation of
 algebraic residual) and is algebraically equivalent to applying the
 rule to M du/dt = F on consistent states.  Each step solves the
 nonlinear system with a full Newton iteration on the matrix
-M - dt/2 F_u (algebraic rows unscaled).
+M - dt/2 F_u (algebraic rows unscaled), started from the linear
+extrapolation 2 u_k - u_{k-1} (from u_k at the first step and at a
+projection node, where the algebraic states jump).  Once the residual
+meets NEWTON_TOL, one more update on the last Newton matrix takes it to
+roundoff.  The load-switch projection runs the same Newton loop on the
+algebraic block.
 
 Load-switch events must coincide with grid points.  At a switching
 instant the differential states are continuous while the algebraic
@@ -23,7 +28,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .ninebus import N_BUS, ix_vim, ix_vre
 
@@ -105,75 +109,80 @@ def newton_matrix(system, fu: np.ndarray, dt: float) -> np.ndarray:
     n_x = int(system.mass.sum())
     a = -fu
     a[:n_x] *= 0.5 * dt
-    a[np.arange(n_x), np.arange(n_x)] += 1.0
+    a.flat[:n_x * (a.shape[0] + 1):a.shape[0] + 1] += 1.0
     return a
+
+
+def _newton(residual, matrix, v: np.ndarray, where: str) -> int:
+    """Newton on residual(v) = 0, updating v in place; returns iterations.
+
+    Once the residual inf-norm meets NEWTON_TOL, one extra update on the
+    last matrix (at most a Newton step away) pushes it to roundoff,
+    removing termination noise from the objective's m-dependence; it is
+    skipped if the start was exact.
+    """
+    polished = False
+    for it in range(NEWTON_MAXIT + 2):
+        r = residual(v)
+        res = np.abs(r).max()
+        if res <= NEWTON_TOL:
+            if polished or it == 0:
+                return it
+            polished = True
+        elif it > NEWTON_MAXIT or not np.isfinite(res):
+            if res <= NEWTON_ACCEPT:
+                return it
+            raise StepFailure(
+                f"{where} stalled: residual {res:.3e} after {it} iterations")
+        else:
+            a = matrix(v)
+        try:
+            v -= np.linalg.solve(a, r)
+        except np.linalg.LinAlgError as exc:
+            raise StepFailure(f"{where}: singular matrix at residual "
+                              f"{res:.3e} after {it} iterations") from exc
 
 
 def step_trapezoidal(system, u_k: np.ndarray, t_k: float, dt: float,
                      m: np.ndarray, p_load: np.ndarray, q_load: np.ndarray,
-                     f_k: np.ndarray):
+                     f_k: np.ndarray, u_guess: np.ndarray):
     """One implicit step from (t_k, u_k); returns (u_{k+1}, newton_iters).
 
-    f_k is the caller's cached RHS at the departure state.  The
-    returned state satisfies the step equations with residual inf-norm
-    below NEWTON_ACCEPT (typically near machine precision).
+    f_k is the caller's cached RHS at the departure state and u_guess
+    the Newton start.  The returned state satisfies the step equations
+    with residual inf-norm below NEWTON_ACCEPT (typically near machine
+    precision).
     """
     n_x = int(system.mass.sum())
     t_next = t_k + dt
-    v = u_k.copy()
-    phi = np.empty_like(v)
-    polished = False
-    for it in range(NEWTON_MAXIT + 2):
+    phi = np.empty_like(u_k)
+
+    def residual(v):
         f_v = system.rhs(t_next, v, m, p_load, q_load)
         phi[:n_x] = (v[:n_x] - u_k[:n_x]) - 0.5 * dt * (f_k[:n_x] + f_v[:n_x])
         phi[n_x:] = -f_v[n_x:]
-        res = np.linalg.norm(phi, np.inf)
-        if res <= NEWTON_TOL:
-            # one extra (quadratic) iteration once converged pushes the
-            # residual to roundoff, removing termination noise from the
-            # objective's m-dependence; skip it if the start was exact
-            if polished or it == 0:
-                return v, it
-            polished = True
-        elif it > NEWTON_MAXIT or not np.isfinite(res):
-            if res <= NEWTON_ACCEPT:
-                return v, it
-            raise StepFailure(
-                f"Newton stalled at t={t_next:.6g}: residual {res:.3e} "
-                f"after {it} iterations")
-        a = newton_matrix(system, system.jac_u(t_next, v, m, p_load, q_load), dt)
-        v += lu_solve(lu_factor(a), -phi)
+        return phi
+
+    def matrix(v):
+        return newton_matrix(system, system.jac_u(t_next, v, m, p_load, q_load), dt)
+
+    v = u_guess.copy()
+    its = _newton(residual, matrix, v, f"Newton at t={t_next:.6g}")
+    return v, its
 
 
 def solve_algebraic(system, u: np.ndarray, t: float, m: np.ndarray,
                     p_load: np.ndarray, q_load: np.ndarray) -> np.ndarray:
     """Re-solve g(x, y) = 0 for y with the differential states frozen.
 
-    Used at load switches; Newton with step halving on residual growth.
+    Used at load switches; Newton on the algebraic block from u.
     """
     n_x = int(system.mass.sum())
     v = u.copy()
-    res_prev = np.inf
-    polished = False
-    for it in range(NEWTON_MAXIT + 2):
-        g = system.rhs(t, v, m, p_load, q_load)[n_x:]
-        res = np.linalg.norm(g, np.inf)
-        if res <= NEWTON_TOL:
-            if polished or it == 0:
-                return v
-            polished = True
-        elif it > NEWTON_MAXIT:
-            if res <= NEWTON_ACCEPT:
-                return v
-            raise StepFailure(
-                f"algebraic re-solve stalled at t={t:.6g}: residual {res:.3e}")
-        g_y = system.jac_u(t, v, m, p_load, q_load)[n_x:, n_x:]
-        dy = np.linalg.solve(g_y, -g)
-        scale = 1.0
-        if res > 4.0 * res_prev or not np.isfinite(res):
-            scale = 0.5
-        v[n_x:] += scale * dy
-        res_prev = res
+    _newton(lambda y: system.rhs(t, v, m, p_load, q_load)[n_x:],
+            lambda y: system.jac_u(t, v, m, p_load, q_load)[n_x:, n_x:],
+            v[n_x:], f"algebraic re-solve at t={t:.6g}")
+    return v
 
 
 def simulate(system, m: np.ndarray, t_f: float, dt: float,
@@ -206,7 +215,6 @@ def simulate(system, m: np.ndarray, t_f: float, dt: float,
         np.array_equal(p_loads[step_loads[0]], system.network.p_load)
         and np.array_equal(q_loads[step_loads[0]], system.network.q_load))
 
-    f_k = None
     for k in range(n):
         li = step_loads[k]
         p, q = p_loads[li], q_loads[li]
@@ -214,11 +222,15 @@ def simulate(system, m: np.ndarray, t_f: float, dt: float,
             # load switch at node k: project onto the new manifold
             pre_event[k] = states[k].copy()
             states[k] = solve_algebraic(system, states[k], times[k], m, p, q)
-            f_k = None
-        if f_k is None:
+        # f_k is kept from the last step and Newton starts from the linear
+        # extrapolation, except at the start and where y jumped
+        if k == 0 or k in pre_event:
             f_k = system.rhs(times[k], states[k], m, p, q)
+            guess = states[k]
+        else:
+            guess = 2.0 * states[k] - states[k - 1]
         states[k + 1], its = step_trapezoidal(
-            system, states[k], times[k], dt, m, p, q, f_k=f_k)
+            system, states[k], times[k], dt, m, p, q, f_k, guess)
         total_newton += its
         f_k = system.rhs(times[k + 1], states[k + 1], m, p, q)
 

@@ -30,6 +30,7 @@ transient reactances at any voltage.)
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -179,15 +180,6 @@ class NineBusSystem:
         self.mass = np.zeros(N_STATE)
         self.mass[:N_X] = 1.0
 
-        # real 18x18 expansion of Ybus acting on (Vre_1, Vim_1, ...)
-        g, b = network.ybus.real, network.ybus.imag
-        ynet = np.zeros((2 * N_BUS, 2 * N_BUS))
-        ynet[0::2, 0::2] = g
-        ynet[0::2, 1::2] = -b
-        ynet[1::2, 0::2] = b
-        ynet[1::2, 1::2] = g
-        self._ynet = ynet
-
         self._build_template()
 
         # filled by initialize()
@@ -201,12 +193,32 @@ class NineBusSystem:
     # construction helpers
 
     def _build_template(self):
-        """Constant part of F_u; state-dependent entries are written per call."""
+        """Constant part of F_u, and the positions rhs and jac_u write.
+
+        rhs_rows and entries follow the order in which rhs and jac_u
+        compute their per-machine terms.
+        """
         gens = self.gens
         j0 = np.zeros((N_STATE, N_STATE))
+        rhs_rows, entries = [], []
+        # per machine, the indices and constants rhs and jac_u read as floats
+        self._mach_consts = []
         for i in range(N_MACH):
             xo = 7 * i
             s0, s1 = ix_id(i), ix_iq(i)
+            bus = int(gens.bus[i])
+            rv, iv, om = ix_vre(bus), ix_vim(bus), xo + OMEGA
+            self._mach_consts.append((xo, s0, s1, rv, iv) + tuple(
+                float(c[i]) for c in (gens.d, gens.xqp - gens.xdp, gens.ke,
+                                      gens.te, gens.sat_a, gens.sat_b,
+                                      gens.ka / gens.ta)))
+            rhs_rows += [xo + DELTA, om, xo + EFD, xo + VR, s0, s1, rv, iv]
+            entries += [(om, om), (om, xo + EQP), (om, xo + EDP), (om, s0),
+                        (om, s1), (xo + EFD, xo + EFD), (xo + VR, rv),
+                        (xo + VR, iv), (s0, xo + DELTA), (s0, rv), (s0, iv),
+                        (s1, xo + DELTA), (s1, rv), (s1, iv), (rv, s0),
+                        (rv, s1), (rv, xo + DELTA), (iv, s0), (iv, s1),
+                        (iv, xo + DELTA)]
             j0[xo + DELTA, xo + OMEGA] = 1.0
             j0[xo + EQP, xo + EQP] = -1.0 / gens.td0p[i]
             j0[xo + EQP, s0] = -(gens.xd[i] - gens.xdp[i]) / gens.td0p[i]
@@ -226,8 +238,19 @@ class NineBusSystem:
             j0[s1, xo + EQP] = 1.0
             j0[s1, s0] = -gens.xdp[i]
             j0[s1, s1] = -gens.rs[i]
-        j0[N_X + 2 * N_MACH:, N_X + 2 * N_MACH:] = -self._ynet
+        # network rows: -Ybus V in real form, acting on (Vre_1, Vim_1, ...)
+        g, b = self.network.ybus.real, self.network.ybus.imag
+        j0[N_X + 2 * N_MACH::2, N_X + 2 * N_MACH::2] = -g
+        j0[N_X + 2 * N_MACH::2, N_X + 2 * N_MACH + 1::2] = b
+        j0[N_X + 2 * N_MACH + 1::2, N_X + 2 * N_MACH::2] = -b
+        j0[N_X + 2 * N_MACH + 1::2, N_X + 2 * N_MACH + 1::2] = -g
         self._jtemplate = j0
+        rv, iv = ix_vre(np.arange(N_BUS)), ix_vim(np.arange(N_BUS))
+        self._rhs_idx = np.array(rhs_rows)
+        self._jac_idx = np.ravel_multi_index(np.array(entries).T, j0.shape)
+        self._load_idx = np.ravel_multi_index(
+            (np.concatenate((rv, rv, iv, iv)), np.concatenate((rv, iv, rv, iv))),
+            j0.shape)
 
     def initialize(self) -> np.ndarray:
         """Solve the power flow and build the consistent equilibrium state.
@@ -312,126 +335,88 @@ class NineBusSystem:
 
     def rhs(self, t: float, u: np.ndarray, m: np.ndarray,
             p_load: np.ndarray, q_load: np.ndarray) -> np.ndarray:
-        """F(t, u; m) = (h, g): differential RHS rows plus algebraic residuals."""
-        self._check_ready()
-        gens = self.gens
-        ws = self.omega_s
+        """F(t, u; m) = (h, g): differential RHS rows plus algebraic residuals.
 
-        delta = u[DELTA:N_X:7]
-        omega = u[OMEGA:N_X:7]
-        eqp = u[EQP:N_X:7]
-        edp = u[EDP:N_X:7]
-        efd = u[EFD:N_X:7]
-        rf = u[RF:N_X:7]
-        vr = u[VR:N_X:7]
-        cur_d = u[N_X:N_X + 2 * N_MACH:2]
-        cur_q = u[N_X + 1:N_X + 2 * N_MACH:2]
+        The Jacobian template holds every constant-coefficient term of F.
+        F is the template times u plus, per machine on Python floats,
+        -omega_s in the angle row, the swing row, exciter saturation, the
+        terminal-voltage feedback, -v_d and -v_q in the stator rows and
+        the generator injection; then the load currents of all buses.
+        """
+        self._check_ready()
+        ws = self.omega_s
+        f = self._jtemplate @ u
+        uu = u.tolist()
+        vals = []
+        for (xo, s0, s1, rv, iv, d, xqd, ke, te, sat_a, sat_b, ka_ta), m_i, \
+                tm, vref in zip(self._mach_consts, m.tolist(),
+                                self.tm.tolist(), self.vref.tolist()):
+            sd, cd = math.sin(uu[xo + DELTA]), math.cos(uu[xo + DELTA])
+            efd = uu[xo + EFD]
+            cur_d, cur_q = uu[s0], uu[s1]
+            vre_g, vim_g = uu[rv], uu[iv]
+            torque = uu[xo + EDP] * cur_d + uu[xo + EQP] * cur_q \
+                + xqd * cur_d * cur_q
+            vals += (
+                -ws,
+                ws / (2.0 * m_i) * (tm - torque - d * (uu[xo + OMEGA] - ws) / ws),
+                -(ke + sat_a * math.exp(sat_b * efd)) * efd / te,
+                ka_ta * (vref - math.hypot(vre_g, vim_g)),
+                -(vre_g * sd - vim_g * cd), -(vre_g * cd + vim_g * sd),
+                cur_d * sd + cur_q * cd, cur_q * sd - cur_d * cd)
+        f[self._rhs_idx] += vals
+
+        # load currents Y_L V in the network rows, Y_L = (P - jQ) / |V0|^2
         vre = u[N_X + 2 * N_MACH::2]
         vim = u[N_X + 2 * N_MACH + 1::2]
-
-        sd, cd = np.sin(delta), np.cos(delta)
-        vre_g, vim_g = vre[gens.bus], vim[gens.bus]
-        vd = vre_g * sd - vim_g * cd
-        vq = vre_g * cd + vim_g * sd
-        vmag = np.hypot(vre_g, vim_g)
-
-        te = edp * cur_d + eqp * cur_q + (gens.xqp - gens.xdp) * cur_d * cur_q
-        se = gens.sat_a * np.exp(gens.sat_b * efd)
-
-        f = np.empty(N_STATE)
-        f[DELTA:N_X:7] = omega - ws
-        f[OMEGA:N_X:7] = ws / (2.0 * m) * (self.tm - te
-                                           - gens.d * (omega - ws) / ws)
-        f[EQP:N_X:7] = (-eqp - (gens.xd - gens.xdp) * cur_d + efd) / gens.td0p
-        f[EDP:N_X:7] = (-edp + (gens.xq - gens.xqp) * cur_q) / gens.tq0p
-        f[EFD:N_X:7] = (-(gens.ke + se) * efd + vr) / gens.te
-        f[RF:N_X:7] = (-rf + gens.kf / gens.tf * efd) / gens.tf
-        f[VR:N_X:7] = (-vr + gens.ka * rf - gens.ka * gens.kf / gens.tf * efd
-                       + gens.ka * (self.vref - vmag)) / gens.ta
-
-        # stator algebraic rows
-        f[N_X:N_X + 2 * N_MACH:2] = edp - vd - gens.rs * cur_d + gens.xqp * cur_q
-        f[N_X + 1:N_X + 2 * N_MACH:2] = eqp - vq - gens.rs * cur_q - gens.xdp * cur_d
-
-        # network current balance: I_gen - I_load - Ybus V = 0 with the
-        # load current Y_L V, Y_L = (P - jQ) / |V0|^2
         gl = p_load * self._inv_v0_sq
         bl = -q_load * self._inv_v0_sq
-        il_r = gl * vre - bl * vim
-        il_i = bl * vre + gl * vim
-        inet = self._ynet @ u[N_X + 2 * N_MACH:]
-        net_r = -inet[0::2] - il_r
-        net_i = -inet[1::2] - il_i
-        np.add.at(net_r, gens.bus, cur_d * sd + cur_q * cd)
-        np.add.at(net_i, gens.bus, -cur_d * cd + cur_q * sd)
-        f[N_X + 2 * N_MACH::2] = net_r
-        f[N_X + 2 * N_MACH + 1::2] = net_i
+        f[N_X + 2 * N_MACH::2] -= gl * vre - bl * vim
+        f[N_X + 2 * N_MACH + 1::2] -= bl * vre + gl * vim
         return f
 
     def jac_u(self, t: float, u: np.ndarray, m: np.ndarray,
               p_load: np.ndarray, q_load: np.ndarray) -> np.ndarray:
-        """dF/du as a dense (45, 45) array."""
+        """dF/du as a dense (45, 45) array.
+
+        The template plus 20 state-dependent entries per machine, computed
+        on Python floats and written at the flat positions listed in
+        _build_template, minus the load admittances of all buses.
+        """
         self._check_ready()
-        gens = self.gens
         ws = self.omega_s
+        uu = u.tolist()
+        vals = []
+        for (xo, s0, s1, rv, iv, d, xqd, ke, te, sat_a, sat_b,
+             ka_ta), m_i in zip(self._mach_consts, m.tolist()):
+            delta, efd = uu[xo + DELTA], uu[xo + EFD]
+            cur_d, cur_q = uu[s0], uu[s1]
+            vre_g, vim_g = uu[rv], uu[iv]
+            sd, cd = math.sin(delta), math.cos(delta)
+            vmag = math.hypot(vre_g, vim_g)
+            c = ws / (2.0 * m_i)
+            se_slope = sat_a * math.exp(sat_b * efd) * (1.0 + sat_b * efd)
+            vals += (
+                # swing row (depends on m)
+                -c * d / ws, -c * cur_q, -c * cur_d,
+                -c * (uu[xo + EDP] + xqd * cur_q),
+                -c * (uu[xo + EQP] + xqd * cur_d),
+                # exciter saturation, terminal-voltage feedback
+                -(ke + se_slope) / te, -ka_ta * vre_g / vmag,
+                -ka_ta * vim_g / vmag,
+                # stator rows: -d(v_d, v_q)/d(delta, Vre, Vim)
+                -(vre_g * cd + vim_g * sd), -sd, cd,
+                vre_g * sd - vim_g * cd, -cd, -sd,
+                # generator current injection into the network rows
+                sd, cd, cur_d * cd - cur_q * sd,
+                -cd, sd, cur_d * sd + cur_q * cd)
         jac = self._jtemplate.copy()
-
-        vre = u[N_X + 2 * N_MACH::2]
-        vim = u[N_X + 2 * N_MACH + 1::2]
-
-        for i in range(N_MACH):
-            xo = 7 * i
-            s0, s1 = ix_id(i), ix_iq(i)
-            delta = u[xo + DELTA]
-            efd = u[xo + EFD]
-            cur_d, cur_q = u[s0], u[s1]
-            bus = gens.bus[i]
-            rv, iv = ix_vre(bus), ix_vim(bus)
-            vre_g, vim_g = u[rv], u[iv]
-            sd, cd = np.sin(delta), np.cos(delta)
-            vd = vre_g * sd - vim_g * cd
-            vq = vre_g * cd + vim_g * sd
-            vmag = np.hypot(vre_g, vim_g)
-            c = ws / (2.0 * m[i])
-
-            # swing row (depends on m)
-            jac[xo + OMEGA, xo + OMEGA] = -c * gens.d[i] / ws
-            jac[xo + OMEGA, xo + EQP] = -c * cur_q
-            jac[xo + OMEGA, xo + EDP] = -c * cur_d
-            jac[xo + OMEGA, s0] = -c * (u[xo + EDP] + (gens.xqp[i] - gens.xdp[i]) * cur_q)
-            jac[xo + OMEGA, s1] = -c * (u[xo + EQP] + (gens.xqp[i] - gens.xdp[i]) * cur_d)
-            # exciter saturation
-            se_slope = gens.sat_a[i] * np.exp(gens.sat_b[i] * efd) \
-                * (1.0 + gens.sat_b[i] * efd)
-            jac[xo + EFD, xo + EFD] = -(gens.ke[i] + se_slope) / gens.te[i]
-            # terminal-voltage feedback
-            jac[xo + VR, rv] = -gens.ka[i] / gens.ta[i] * vre_g / vmag
-            jac[xo + VR, iv] = -gens.ka[i] / gens.ta[i] * vim_g / vmag
-            # stator rows, state-dependent part
-            jac[s0, xo + DELTA] = -vq
-            jac[s0, rv] = -sd
-            jac[s0, iv] = cd
-            jac[s1, xo + DELTA] = vd
-            jac[s1, rv] = -cd
-            jac[s1, iv] = -sd
-            # generator current injection into the network rows
-            nr, ni = ix_vre(bus), ix_vim(bus)
-            jac[nr, s0] = sd
-            jac[nr, s1] = cd
-            jac[nr, xo + DELTA] = cur_d * cd - cur_q * sd
-            jac[ni, s0] = -cd
-            jac[ni, s1] = sd
-            jac[ni, xo + DELTA] = cur_d * sd + cur_q * cd
-
-        # constant-admittance load currents
-        for bus in np.flatnonzero((p_load != 0.0) | (q_load != 0.0)):
-            gl = p_load[bus] * self._inv_v0_sq[bus]
-            bl = -q_load[bus] * self._inv_v0_sq[bus]
-            rv, iv = ix_vre(bus), ix_vim(bus)
-            jac[rv, rv] -= gl
-            jac[rv, iv] -= -bl
-            jac[iv, rv] -= bl
-            jac[iv, iv] -= gl
+        flat = jac.reshape(-1)
+        flat[self._jac_idx] = vals
+        # constant-admittance load currents; a zero load subtracts 0
+        gl = p_load * self._inv_v0_sq
+        bl = q_load * self._inv_v0_sq
+        flat[self._load_idx] -= np.concatenate((gl, bl, -bl, gl))
         return jac
 
     def jac_m(self, t: float, u: np.ndarray, m: np.ndarray,

@@ -6,8 +6,8 @@ from gridest.adjoint import backward_sweep, misfit, misfit_state_gradients
 from gridest.bayes import GaussianPrior
 from gridest.integrator import simulate
 from gridest.ninebus import N_BUS, DisturbanceEvent
-from gridest.observation import (NoiseModel, observation_times, observe,
-                                 synthesize_observations)
+from gridest.observation import (POLAR, RECT, NoiseModel, observation_times,
+                                 observe, synthesize_observations)
 
 T_F, DT = 0.5, 0.01
 EVENTS = (DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5),)
@@ -22,12 +22,25 @@ def small_case(system):
     return obs, noise
 
 
-def _objective(system, m, obs, noise, prior=None):
-    traj = simulate(system, m, T_F, DT, events=EVENTS)
+def _objective(system, m, obs, noise, prior=None, events=EVENTS):
+    traj = simulate(system, m, T_F, DT, events=events)
     j = misfit(traj, obs, noise)
     if prior is not None:
         j += prior.neg_log(m)
     return j, traj
+
+
+def _assert_gradient_matches_fd(system, m, obs, noise, events=EVENTS):
+    traj = simulate(system, m, T_F, DT, events=events)
+    grad = backward_sweep(system, traj, m, obs, noise)
+    for j in range(3):
+        h = 1e-6 * m[j]
+        e = np.zeros(3)
+        e[j] = h
+        jp, _ = _objective(system, m + e, obs, noise, events=events)
+        jm, _ = _objective(system, m - e, obs, noise, events=events)
+        fd = (jp - jm) / (2 * h)
+        assert abs(grad[j] - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
 def test_misfit_hand_oracle(system, small_case):
@@ -41,16 +54,33 @@ def test_misfit_hand_oracle(system, small_case):
 def test_gradient_matches_finite_differences(system, small_case):
     obs, noise = small_case
     for m in (np.array([24.0, 6.0, 3.1]), np.array([20.0, 7.0, 2.5])):
-        traj = simulate(system, m, T_F, DT, events=EVENTS)
-        grad = backward_sweep(system, traj, m, obs, noise)
-        for j in range(3):
-            h = 1e-6 * m[j]
-            e = np.zeros(3)
-            e[j] = h
-            jp, _ = _objective(system, m + e, obs, noise)
-            jm, _ = _objective(system, m - e, obs, noise)
-            fd = (jp - jm) / (2 * h)
-            assert abs(grad[j] - fd) <= 1e-5 * max(1.0, abs(fd))
+        _assert_gradient_matches_fd(system, m, obs, noise)
+
+
+# paths where the forward solve starts Newton from u_k instead of the
+# extrapolated state: a projection at node 0, several projection nodes
+BRANCH_CASES = {
+    "polar": (POLAR, EVENTS),
+    "event-at-t0": (RECT, (DisturbanceEvent(bus=5, start=0.0, duration=0.2,
+                                            load=5.5),)),
+    "two-events": (RECT, (DisturbanceEvent(bus=5, start=0.1, duration=0.1,
+                                           load=5.5),
+                          DisturbanceEvent(bus=8, start=0.3, duration=0.1,
+                                           load=3.0))),
+}
+
+
+@pytest.mark.parametrize("coords, events", BRANCH_CASES.values(),
+                         ids=BRANCH_CASES.keys())
+def test_gradient_matches_finite_differences_on_branch_paths(system, coords,
+                                                             events):
+    traj = simulate(system, system.h_ref, T_F, DT, events=events)
+    times = observation_times(T_F, 0.1)
+    noise = NoiseModel.iid(1e-4, 2 * N_BUS * len(times))
+    obs = synthesize_observations(traj, times, noise, seed=1234,
+                                  coords=coords)
+    _assert_gradient_matches_fd(system, np.array([24.0, 6.0, 3.1]), obs,
+                                noise, events)
 
 
 def test_prior_term_is_exactly_additive(system, small_case):

@@ -181,6 +181,16 @@ def test_estimate_adjoint_small_scenario(system, prior, make_scenario):
     assert np.all((summary.cns > 0) & (summary.cns < 1))
 
 
+def test_estimate_adjoint_reports_newton_iterations(system, prior,
+                                                    make_scenario):
+    obs, noise, events = make_scenario(0.5, dt_obs=0.1)
+    counts = [estimate_adjoint(system, obs, noise, prior, 0.5, 0.01,
+                               events=events).stats["newton_iters"]
+              for _ in range(2)]
+    assert counts[0] > 0
+    assert counts[1] == counts[0]
+
+
 @pytest.mark.parametrize("t_f, load", [(1.0, 7.0), (1.5, 5.5)])
 def test_estimate_adjoint_converges_at_roundoff_floor(system, prior,
                                                       make_scenario, t_f, load):

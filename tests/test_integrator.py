@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from gridest.integrator import (StepFailure, Trajectory, build_load_schedule,
-                                simulate, solve_algebraic, write_trajectory_csv)
+                                simulate, solve_algebraic, step_trapezoidal,
+                                write_trajectory_csv)
 from gridest.ninebus import DisturbanceEvent, state_names
 
 
@@ -174,6 +175,52 @@ def test_newton_failure_is_reported():
     bad._u0 = np.array([1.0, 2.0])
     with pytest.raises(StepFailure):
         simulate(bad, np.array([1.0]), 1.0, 0.5)
+
+
+class SingularToy(ToyDAE):
+    """jac_u with a zero algebraic row: every Newton matrix is singular."""
+
+    def jac_u(self, t, u, m, p, q):
+        return np.array([[0.0, m[0]], [0.0, 0.0]])
+
+
+def test_singular_newton_matrix_is_a_step_failure():
+    with pytest.raises(StepFailure,
+                       match=r"t=0\.05: singular matrix at residual \d"):
+        simulate(SingularToy(c=-0.5), np.array([1.0]), 1.0, 0.05)
+
+
+def test_singular_algebraic_jacobian_is_a_step_failure():
+    toy = SingularToy(c=-0.5)
+    with pytest.raises(StepFailure,
+                       match=r"t=0\.25: singular matrix at residual \d"):
+        solve_algebraic(toy, toy.steady_state(), 0.25, np.array([1.0]),
+                        np.array([-1.5]), np.zeros(1))
+
+
+def test_nine_bus_newton_iteration_count(system):
+    # 755 iterations when every step starts from u_k and the polish
+    # re-evaluates the Jacobian; the extrapolated start saves about one
+    # iteration per step
+    ev = DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5)
+    traj = simulate(system, system.h_ref, 2.0, 0.01, events=(ev,))
+    assert traj.newton_iters <= 600
+
+
+def test_extrapolated_start_reaches_the_same_state(system):
+    ev = DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5)
+    m = system.h_ref
+    traj = simulate(system, m, 0.5, 0.01, events=(ev,))
+    for k in (11, 20, 31, 45):
+        p, q = traj.p_loads[traj.step_loads[k]], traj.q_loads[traj.step_loads[k]]
+        u_k = traj.states[k]
+        f_k = system.rhs(traj.times[k], u_k, m, p, q)
+        args = (system, u_k, traj.times[k], traj.dt, m, p, q, f_k)
+        from_uk, its_uk = step_trapezoidal(*args, u_k)
+        extrap, its = step_trapezoidal(*args, 2.0 * u_k - traj.states[k - 1])
+        assert np.max(np.abs(extrap - from_uk)) <= 1e-13
+        assert np.array_equal(extrap, traj.states[k + 1])
+        assert its < its_uk
 
 
 def test_trajectory_csv_round_trip(tmp_path, system):

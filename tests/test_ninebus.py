@@ -51,20 +51,91 @@ def test_ybus_structure(system):
     assert np.all(off[np.abs(off) > 0].imag > 0)
 
 
+# nominal loads, and the event set with 5.5 pu at bus 5
+LOAD_SETS = {
+    "nominal": lambda system: system.loads_at(0.0),
+    "event": lambda system: system.loads_at(0.15, (DisturbanceEvent(
+        bus=5, start=0.1, duration=0.2, load=5.5),)),
+}
+
+
+def _reference_rhs(system, u, m, p_load, q_load):
+    """F(u; m) written term by term from the model equations."""
+    gens = system.gens
+    ws = system.omega_s
+    delta = u[0:N_X:7]
+    omega = u[1:N_X:7]
+    eqp = u[2:N_X:7]
+    edp = u[3:N_X:7]
+    efd = u[4:N_X:7]
+    rf = u[5:N_X:7]
+    vr = u[6:N_X:7]
+    cur_d = u[N_X:N_X + 2 * N_MACH:2]
+    cur_q = u[N_X + 1:N_X + 2 * N_MACH:2]
+    vre = u[N_X + 2 * N_MACH::2]
+    vim = u[N_X + 2 * N_MACH + 1::2]
+
+    sd, cd = np.sin(delta), np.cos(delta)
+    vre_g, vim_g = vre[gens.bus], vim[gens.bus]
+    vd = vre_g * sd - vim_g * cd
+    vq = vre_g * cd + vim_g * sd
+    vmag = np.hypot(vre_g, vim_g)
+
+    te = edp * cur_d + eqp * cur_q + (gens.xqp - gens.xdp) * cur_d * cur_q
+    se = gens.sat_a * np.exp(gens.sat_b * efd)
+
+    f = np.empty(N_STATE)
+    f[0:N_X:7] = omega - ws
+    f[1:N_X:7] = ws / (2.0 * m) * (system.tm - te - gens.d * (omega - ws) / ws)
+    f[2:N_X:7] = (-eqp - (gens.xd - gens.xdp) * cur_d + efd) / gens.td0p
+    f[3:N_X:7] = (-edp + (gens.xq - gens.xqp) * cur_q) / gens.tq0p
+    f[4:N_X:7] = (-(gens.ke + se) * efd + vr) / gens.te
+    f[5:N_X:7] = (-rf + gens.kf / gens.tf * efd) / gens.tf
+    f[6:N_X:7] = (-vr + gens.ka * rf - gens.ka * gens.kf / gens.tf * efd
+                  + gens.ka * (system.vref - vmag)) / gens.ta
+
+    f[N_X:N_X + 2 * N_MACH:2] = edp - vd - gens.rs * cur_d + gens.xqp * cur_q
+    f[N_X + 1:N_X + 2 * N_MACH:2] = eqp - vq - gens.rs * cur_q - gens.xdp * cur_d
+
+    ybus = system.network.ybus
+    v = vre + 1j * vim
+    y_load = (p_load - 1j * q_load) / np.abs(system.pf_voltages) ** 2
+    i_net = -ybus @ v - y_load * v
+    for i, b in enumerate(gens.bus):
+        i_net[b] += (cur_d[i] * sd[i] + cur_q[i] * cd[i]) \
+            + 1j * (-cur_d[i] * cd[i] + cur_q[i] * sd[i])
+    f[N_X + 2 * N_MACH::2] = i_net.real
+    f[N_X + 2 * N_MACH + 1::2] = i_net.imag
+    return f
+
+
+@pytest.mark.parametrize("loads", LOAD_SETS.values(), ids=LOAD_SETS.keys())
+def test_rhs_matches_reference(system, loads):
+    rng = np.random.default_rng(13)
+    p, q = loads(system)
+    for _ in range(5):
+        u = system.steady_state() + 1e-2 * rng.standard_normal(N_STATE)
+        m = rng.uniform(1.0, 30.0, N_MACH)
+        ref = _reference_rhs(system, u, m, p, q)
+        f = system.rhs(0.0, u, m, p, q)
+        assert np.max(np.abs(f - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_jac_u_matches_finite_differences(system):
     rng = np.random.default_rng(11)
     u = system.steady_state() + 1e-2 * rng.standard_normal(N_STATE)
     m = system.h_ref
-    p, q = system.network.p_load, system.network.q_load
-    jac = system.jac_u(0.0, u, m, p, q)
-    h = 1e-7
-    cols = rng.choice(N_STATE, size=12, replace=False)
-    for j in cols:
-        e = np.zeros(N_STATE)
-        e[j] = h
-        fd = (system.rhs(0.0, u + e, m, p, q)
-              - system.rhs(0.0, u - e, m, p, q)) / (2 * h)
-        assert np.max(np.abs(jac[:, j] - fd)) < 1e-5
+    for loads in LOAD_SETS.values():
+        p, q = loads(system)
+        jac = system.jac_u(0.0, u, m, p, q)
+        h = 1e-7
+        cols = rng.choice(N_STATE, size=12, replace=False)
+        for j in cols:
+            e = np.zeros(N_STATE)
+            e[j] = h
+            fd = (system.rhs(0.0, u + e, m, p, q)
+                  - system.rhs(0.0, u - e, m, p, q)) / (2 * h)
+            assert np.max(np.abs(jac[:, j] - fd)) < 1e-5
 
 
 def test_jac_m_matches_finite_differences(system):
