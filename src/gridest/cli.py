@@ -24,8 +24,8 @@ from .ninebus import N_BUS, DisturbanceEvent, load_system, state_names
 from .observation import (ObservationSet, observe, read_observations,
                           synthesize_observations, write_observation_csv,
                           write_observations)
-from .pce import estimate_pce
-from .scenario import METHODS, PCE_RULES, ScenarioConfig
+from .pce import PCE_RULES, estimate_pce
+from .scenario import METHODS, ScenarioConfig
 
 FMT = "{:.17g}"
 
@@ -101,8 +101,7 @@ def cmd_synth_data(args) -> int:
     return 0
 
 
-def run_estimate(cfg: ScenarioConfig, system, obs, noise,
-                 jobs: int = 1) -> PosteriorSummary:
+def run_estimate(cfg: ScenarioConfig, system, obs, noise) -> PosteriorSummary:
     """MAP point and Laplace posterior with the back end cfg.method names."""
     m_true = np.array(cfg.m_true)
     if cfg.method == "adjoint":
@@ -110,8 +109,7 @@ def run_estimate(cfg: ScenarioConfig, system, obs, noise,
                                 cfg.dt, cfg.events(), m_true=m_true)
     summary, _ = estimate_pce(system, obs, noise, cfg.prior(), cfg.t_f, cfg.dt,
                               cfg.events(), order=cfg.pce_order,
-                              rule=cfg.pce_rule, m_true=m_true, seed=cfg.seed,
-                              jobs=jobs)
+                              rule=cfg.pce_rule, m_true=m_true, seed=cfg.seed)
     return summary
 
 
@@ -134,7 +132,7 @@ def cmd_estimate(args) -> int:
     cfg = _load_config(args)
     system = load_system()
     obs, noise = read_observations(args.data)
-    summary = run_estimate(cfg, system, obs, noise, jobs=args.jobs)
+    summary = run_estimate(cfg, system, obs, noise)
     summary.to_json(args.out, extra={"config": cfg.to_dict(),
                                      "version": __version__})
     print(_report(summary))
@@ -277,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     _scenario_flags(p)
     p.add_argument("--data", required=True, help="observations CSV")
     p.add_argument("--out", default="posterior.json")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("sweep", help="grid of scenarios, long-format CSV")

@@ -53,7 +53,7 @@ class NoiseModel:
 class ObservationSet:
     """Measured (or extracted) observables with their layout metadata."""
     times: np.ndarray              # strictly increasing, > 0
-    buses: np.ndarray              # 0-based bus indices, ordered
+    buses: np.ndarray              # 0-based bus indices, strictly increasing
     values: np.ndarray             # flat, time-major
     coords: str = RECT
     meta: dict = field(default_factory=dict)
@@ -68,6 +68,11 @@ class ObservationSet:
             raise ValueError("observation times must be positive")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("observation times must be strictly increasing")
+        if np.any((self.buses < 0) | (self.buses >= N_BUS)):
+            raise ValueError(f"bus indices must lie in 0..{N_BUS - 1}, "
+                             f"got {self.buses.tolist()}")
+        if np.any(np.diff(self.buses) <= 0):
+            raise ValueError("bus indices must be strictly increasing")
         q = 2 * len(self.buses) * len(self.times)
         if self.values.shape != (q,):
             raise ValueError(f"expected {q} values, got {self.values.shape}")
@@ -190,7 +195,10 @@ def read_observations(path) -> tuple[ObservationSet, NoiseModel]:
     with open(path) as fh:
         rdr = csv.reader(line for line in fh if not line.startswith("#"))
         header = next(rdr)
-        coords = RECT if header[2] == "v_re" else POLAR
+        coords = next((c for c, comps in _COMPONENTS.items()
+                       if header[2:] == list(comps)), None)
+        if coords is None:
+            raise ValueError(f"{path}: unknown value columns {header[2:]}")
         for row in rdr:
             rows.append((float(row[0]), int(row[1]), float(row[2]), float(row[3])))
     times = sorted({r[0] for r in rows})
@@ -210,6 +218,9 @@ def read_observations(path) -> tuple[ObservationSet, NoiseModel]:
     noise_var = None
     if meta_path.exists():
         sidecar = json.loads(meta_path.read_text())
+        if sidecar.get("coords", coords) != coords:
+            raise ValueError(f"{path}: columns {header[2:]} disagree with "
+                             f"the sidecar's coords {sidecar['coords']!r}")
         meta = sidecar.get("meta", {})
         nv = sidecar.get("noise_var")
         if isinstance(nv, dict):

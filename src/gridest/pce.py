@@ -3,13 +3,15 @@
 The expensive trajectory observables f(m) are replaced by a truncated
 expansion f_hat(m) = sum_{|alpha| <= p} c_alpha Psi_alpha(xi(m)) in
 orthonormal Hermite polynomials of the prior-standardized parameters
-xi_i = (m_i - mpr_i)/sqrt(Gpr_ii).  Coefficients come from
+xi_i = (m_i - mpr_i)/sqrt(Gpr_ii).  The rule name, one of PCE_RULES,
+picks both the nodes and the fit of the coefficients:
 
-* projection: c_alpha = sum_i w_i Psi_alpha(xi_i) f(m_i) over a tensor
-  or Smolyak sparse Gauss quadrature rule, or
-* interpolation (stochastic testing): collocation on K well-conditioned
-  nodes subselected from the tensor candidates by column-pivoted QR,
-  solving V C = F.
+* "tensor" and "sparse": projection, c_alpha = sum_i w_i Psi_alpha(xi_i)
+  f(m_i), over the order-p tensor or the level-(p+1) Smolyak sparse
+  Gauss quadrature rule;
+* "stochastic-testing": interpolation, collocation on K well-conditioned
+  nodes subselected from the order-p tensor candidates by column-pivoted
+  QR, solving V C = F.
 
 Each quadrature/collocation node costs exactly one forward simulation;
 the count is recorded on the surrogate.  The induced negative log
@@ -19,8 +21,6 @@ is the analytic Hessian inverse.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import product
 from math import comb
@@ -34,6 +34,8 @@ from .hermite import basis_derivatives, basis_matrix, gauss_hermite, multi_index
 from .integrator import simulate
 from .lbfgs import at_roundoff_floor, minimize
 from .observation import observe
+
+PCE_RULES = ("stochastic-testing", "tensor", "sparse")
 
 _MULTISTART_SALT = 0x9E3779B97F4A7C15
 _COND_LIMIT = 1e12
@@ -157,104 +159,59 @@ class Surrogate:
     """Truncated expansion of the observable map around the prior."""
     indices: np.ndarray          # (K, n) multi-indices
     coeffs: np.ndarray           # (K, q) one row per basis function
-    prior_mean: np.ndarray
-    prior_var: np.ndarray
+    prior: GaussianPrior         # standardizes m to xi
     order: int
-    method: str                  # "projection" | "interpolation"
-    rule_kind: str
+    rule: str                    # one of PCE_RULES
     n_forward: int               # forward simulations spent building it
-    cond: float = 0.0            # collocation conditioning (interpolation)
-
-    @property
-    def prior(self) -> GaussianPrior:
-        return GaussianPrior(self.prior_mean, self.prior_var)
+    cond: float = 0.0            # collocation cond(V), stochastic-testing
 
     def evaluate(self, m) -> np.ndarray:
         """Surrogate observables at one parameter point, shape (q,)."""
         xi = standardize(m, self.prior)
         return basis_matrix(self.indices, xi[None, :])[0] @ self.coeffs
 
-    def save(self, path) -> None:
-        np.savez(path, indices=self.indices, coeffs=self.coeffs,
-                 prior_mean=self.prior_mean, prior_var=self.prior_var,
-                 order=self.order, method=self.method,
-                 rule_kind=self.rule_kind, n_forward=self.n_forward,
-                 cond=self.cond)
 
-    @classmethod
-    def load(cls, path) -> "Surrogate":
-        with np.load(path, allow_pickle=False) as z:
-            return cls(indices=z["indices"], coeffs=z["coeffs"],
-                       prior_mean=z["prior_mean"], prior_var=z["prior_var"],
-                       order=int(z["order"]), method=str(z["method"]),
-                       rule_kind=str(z["rule_kind"]),
-                       n_forward=int(z["n_forward"]), cond=float(z["cond"]))
-
-
-class _TrajectoryObservables:
-    """Picklable forward map m -> observable vector for one scenario."""
-
-    def __init__(self, system, t_f, dt, events, times, buses, coords):
-        self.system = system
-        self.t_f = t_f
-        self.dt = dt
-        self.events = tuple(events)
-        self.times = times
-        self.buses = buses
-        self.coords = coords
-
-    def __call__(self, m) -> np.ndarray:
-        traj = simulate(self.system, m, self.t_f, self.dt, self.events)
-        return observe(traj, self.times, self.buses, self.coords)
-
-
-def _evaluate_forward(forward, nodes_m, jobs: int) -> np.ndarray:
-    """Forward map at every node: in-process for jobs == 1, else a pool."""
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    with pool or nullcontext():
-        results = pool.map(forward, nodes_m) if pool else map(forward, nodes_m)
-        rows = []
-        for i, m in enumerate(nodes_m):
-            try:
-                rows.append(next(results))
-            except Exception as exc:
-                raise RuntimeError(
-                    f"forward simulation failed at node {i}, m = {m}") from exc
+def _evaluate_forward(forward, nodes_m) -> np.ndarray:
+    """Forward map at every node, one row per node."""
+    rows = []
+    for i, m in enumerate(nodes_m):
+        try:
+            rows.append(forward(m))
+        except Exception as exc:
+            raise RuntimeError(
+                f"forward simulation failed at node {i}, m = {m}") from exc
     return np.array(rows)
 
 
-def build_surrogate(method: str, rule: QuadratureRule, order: int,
-                    forward, prior: GaussianPrior, jobs: int = 1) -> Surrogate:
-    """Fit the expansion coefficients from forward runs at the nodes.
+def build_surrogate(rule: str, order: int, forward,
+                    prior: GaussianPrior) -> Surrogate:
+    """Fit the order-p expansion coefficients from forward runs at the nodes.
 
-    method "projection" computes the discrete orthogonal projection
-    with the rule's weights (all nodes evaluated); "interpolation"
-    subselects K stochastic-testing nodes from the rule's nodes as
-    candidates and solves the square collocation system.
+    "tensor" and "sparse" evaluate every node of the order-p tensor or
+    level-(p+1) Smolyak rule and compute the discrete orthogonal
+    projection with its weights; "stochastic-testing" subselects K
+    nodes from the order-p tensor candidates and solves the square
+    collocation system.
     """
-    n = rule.xi.shape[1]
+    if rule not in PCE_RULES:
+        raise ValueError(f"unknown rule: {rule!r}")
+    n = prior.mean.size
     indices = multi_index_set(n, order)
+    nodes = sparse_rule(n, order + 1) if rule == "sparse" \
+        else tensor_rule(n, order)
     cond = 0.0
-    if method == "projection":
-        if rule.weights is None:
-            raise ValueError("projection needs a weighted quadrature rule")
-        nodes = rule
-        f_rows = _evaluate_forward(forward, nodes.physical(prior), jobs)
-        psi = basis_matrix(indices, nodes.xi)
-        coeffs = psi.T @ (rule.weights[:, None] * f_rows)
-    elif method == "interpolation":
-        nodes, v_sel, cond = stochastic_testing_select(rule, indices)
-        f_rows = _evaluate_forward(forward, nodes.physical(prior), jobs)
+    if rule == "stochastic-testing":
+        nodes, v_sel, cond = stochastic_testing_select(nodes, indices)
+        f_rows = _evaluate_forward(forward, nodes.physical(prior))
         coeffs = np.linalg.solve(v_sel, f_rows)
     else:
-        raise ValueError(f"unknown surrogate method: {method!r}")
+        f_rows = _evaluate_forward(forward, nodes.physical(prior))
+        psi = basis_matrix(indices, nodes.xi)
+        coeffs = psi.T @ (nodes.weights[:, None] * f_rows)
     if not np.all(np.isfinite(coeffs)):
         raise RuntimeError("surrogate coefficients are not finite")
-    return Surrogate(indices=indices, coeffs=coeffs,
-                     prior_mean=np.asarray(prior.mean, dtype=float),
-                     prior_var=np.asarray(prior.var, dtype=float),
-                     order=order, method=method, rule_kind=nodes.kind,
-                     n_forward=nodes.n_nodes, cond=cond)
+    return Surrogate(indices=indices, coeffs=coeffs, prior=prior, order=order,
+                     rule=rule, n_forward=nodes.n_nodes, cond=cond)
 
 
 class SurrogateObjective:
@@ -270,7 +227,7 @@ class SurrogateObjective:
         self.data = obs.values
         self.noise_var = noise.var
         self.prior = prior
-        self.sigma = np.sqrt(surrogate.prior_var)
+        self.sigma = np.sqrt(surrogate.prior.var)
         if surrogate.coeffs.shape[1] != self.data.shape[0]:
             raise ValueError("surrogate output dimension does not match data")
 
@@ -342,7 +299,7 @@ def surrogate_map(surrogate: Surrogate, obs, noise, prior: GaussianPrior,
 
     stats = {
         "method": "pce",
-        "rule": surrogate.rule_kind,
+        "rule": surrogate.rule,
         "order": surrogate.order,
         "iterations": total_iters,
         "forward_solves": surrogate.n_forward,
@@ -367,28 +324,17 @@ def surrogate_map(surrogate: Surrogate, obs, noise, prior: GaussianPrior,
 def estimate_pce(system, obs, noise, prior: GaussianPrior, t_f: float,
                  dt: float, events=(), order: int = 2,
                  rule: str = "stochastic-testing", m_true=None,
-                 seed: int = 0, jobs: int = 1):
+                 seed: int = 0):
     """Full surrogate pipeline: build from simulations, then MAP.
 
-    rule selects the node set: "stochastic-testing" interpolates on K
-    nodes subselected from the order-p tensor candidates; "tensor" and
-    "sparse" project on the corresponding quadrature rule.  Returns
+    rule is one of PCE_RULES (see build_surrogate).  Returns
     (PosteriorSummary, Surrogate).
     """
-    n = prior.mean.size
-    forward = _TrajectoryObservables(system, t_f, dt, events,
-                                     obs.times, obs.buses, obs.coords)
-    if rule == "stochastic-testing":
-        surrogate = build_surrogate("interpolation", tensor_rule(n, order),
-                                    order, forward, prior, jobs)
-    elif rule == "tensor":
-        surrogate = build_surrogate("projection", tensor_rule(n, order),
-                                    order, forward, prior, jobs)
-    elif rule == "sparse":
-        surrogate = build_surrogate("projection", sparse_rule(n, order + 1),
-                                    order, forward, prior, jobs)
-    else:
-        raise ValueError(f"unknown rule: {rule!r}")
+    def forward(m):
+        traj = simulate(system, m, t_f, dt, events)
+        return observe(traj, obs.times, obs.buses, obs.coords)
+
+    surrogate = build_surrogate(rule, order, forward, prior)
     summary = surrogate_map(surrogate, obs, noise, prior, m_true=m_true,
                             seed=seed)
     return summary, surrogate

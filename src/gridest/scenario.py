@@ -16,9 +16,9 @@ import yaml
 from .bayes import GaussianPrior
 from .ninebus import DisturbanceEvent
 from .observation import NoiseModel, observation_times
+from .pce import PCE_RULES
 
 METHODS = ("adjoint", "pce")
-PCE_RULES = ("stochastic-testing", "tensor", "sparse")
 
 DEFAULT_PRIOR_MEAN = (24.0, 6.0, 3.1)
 DEFAULT_PRIOR_VAR = (5.76, 0.36, 0.09)

@@ -182,8 +182,9 @@ def test_sweep_csv(tmp_path, method, rule):
     # per-row seeds are derived, distinct, and stable across reruns
     seeds = [int(r["seed"]) for r in rows]
     assert len(set(seeds)) == 2
+    # a rerun across two worker processes writes the same bytes
     out2 = tmp_path / "sweep2.csv"
-    _run([*argv, "--out", out2])
+    _run([*argv, "--jobs", "2", "--out", out2])
     assert out.read_bytes() == out2.read_bytes()
 
 
@@ -209,3 +210,10 @@ def test_version_flag(capsys):
         _run(["--version"])
     assert exc.value.code == 0
     assert "gridest" in capsys.readouterr().out
+
+
+def test_estimate_has_no_jobs_flag():
+    # only sweep runs in parallel, across its independent rows
+    with pytest.raises(SystemExit) as exc:
+        _run(["estimate", "--data", "obs.csv", "--jobs", "2"])
+    assert exc.value.code == 2

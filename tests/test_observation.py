@@ -1,4 +1,6 @@
 """Observation extraction, noise synthesis, and the CSV data format."""
+import json
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -116,6 +118,9 @@ def test_observation_set_validation():
     with pytest.raises(ValueError):
         ObservationSet(times=[0.1, 0.2], buses=[0, 1], values=np.zeros(8),
                        coords="spherical")
+    for buses in ([-1, 0], [0, N_BUS], [1, 0], [1, 1]):
+        with pytest.raises(ValueError, match="bus"):
+            ObservationSet(times=[0.1, 0.2], buses=buses, values=np.zeros(8))
 
 
 def test_csv_round_trip(tmp_path, short_traj):
@@ -156,5 +161,41 @@ def test_read_requires_sidecar(tmp_path, short_traj):
     path = tmp_path / "obs.csv"
     write_observations(obs, noise, path)
     path.with_suffix(".csv.meta.json").unlink()
+    with pytest.raises(ValueError, match="sidecar"):
+        read_observations(path)
+
+
+def _write_one_row(path, columns, bus, coords):
+    """A one-row observations CSV and its sidecar, written by hand."""
+    path.write_text(f"time,bus,{columns}\n0.1,{bus},1.0,0.0\n")
+    path.with_suffix(".csv.meta.json").write_text(json.dumps(
+        {"coords": coords, "noise_var": {"iid": 1e-4}, "meta": {}}))
+
+
+def test_read_rejects_bus_outside_network(tmp_path):
+    path = tmp_path / "obs.csv"
+    _write_one_row(path, "v_re,v_im", 1, "rect")
+    assert read_observations(path)[0].buses.tolist() == [0]
+    for bus in (0, N_BUS + 1):
+        _write_one_row(path, "v_re,v_im", bus, "rect")
+        with pytest.raises(ValueError, match="bus"):
+            read_observations(path)
+
+
+def test_read_rejects_unknown_columns(tmp_path):
+    path = tmp_path / "obs.csv"
+    _write_one_row(path, "v_mag,v_ang", 1, "polar")
+    assert read_observations(path)[0].coords == "polar"
+    _write_one_row(path, "volts,angle", 1, "polar")
+    with pytest.raises(ValueError, match="columns"):
+        read_observations(path)
+
+
+def test_read_rejects_columns_that_disagree_with_sidecar(tmp_path):
+    path = tmp_path / "obs.csv"
+    _write_one_row(path, "v_re,v_im", 1, "polar")
+    with pytest.raises(ValueError, match="sidecar"):
+        read_observations(path)
+    _write_one_row(path, "v_mag,v_ang", 1, "rect")
     with pytest.raises(ValueError, match="sidecar"):
         read_observations(path)

@@ -6,10 +6,9 @@ from gridest.bayes import GaussianPrior
 from gridest.hermite import basis_matrix, multi_index_set, n_basis
 from gridest.integrator import simulate
 from gridest.observation import NoiseModel, observe
-from gridest.pce import (QuadratureRule, Surrogate, SurrogateObjective,
-                         build_surrogate, estimate_pce, sparse_rule,
-                         standardize, stochastic_testing_select, surrogate_map,
-                         tensor_rule, unstandardize)
+from gridest.pce import (SurrogateObjective, build_surrogate, estimate_pce,
+                         sparse_rule, standardize, stochastic_testing_select,
+                         surrogate_map, tensor_rule, unstandardize)
 
 SQ3 = np.sqrt(3.0)
 
@@ -79,10 +78,10 @@ def test_projection_coefficients_closed_form():
     def forward(m):
         return np.array([m[0] ** 2])
 
-    s = build_surrogate("projection", tensor_rule(1, 2), 2, forward, prior)
+    s = build_surrogate("tensor", 2, forward, prior)
     assert np.allclose(s.coeffs[:, 0], [1.0, 0.0, np.sqrt(2.0)], atol=1e-13)
     assert s.n_forward == 3
-    assert s.method == "projection"
+    assert s.rule == "tensor"
     # and the surrogate reproduces the parabola everywhere
     for x in (-1.7, 0.3, 2.2):
         assert s.evaluate(np.array([x]))[0] == pytest.approx(x ** 2, abs=1e-12)
@@ -97,7 +96,7 @@ def test_interpolation_reproduces_node_values():
         return np.array([np.sin(xi[0]) + xi[1] * xi[2],
                          np.exp(0.1 * xi[1])])
 
-    s = build_surrogate("interpolation", tensor_rule(3, 2), 2, forward, prior)
+    s = build_surrogate("stochastic-testing", 2, forward, prior)
     assert s.n_forward == 10
     assert s.cond > 1.0
     rule, _, _ = stochastic_testing_select(tensor_rule(3, 2),
@@ -109,34 +108,22 @@ def test_interpolation_reproduces_node_values():
 
 def test_build_surrogate_validation():
     prior = GaussianPrior(mean=np.zeros(1), var=np.ones(1))
-    unweighted = QuadratureRule(xi=np.linspace(-1, 1, 5)[:, None],
-                                weights=None, kind="tensor")
     with pytest.raises(ValueError):
-        build_surrogate("projection", unweighted, 2, lambda m: m, prior)
-    with pytest.raises(ValueError):
-        build_surrogate("kriging", tensor_rule(1, 2), 2, lambda m: m, prior)
+        build_surrogate("kriging", 2, lambda m: m, prior)
 
 
-class _FailAt:
-    """Picklable forward map: the identity, except that it raises at one point."""
+def test_forward_failure_names_its_node():
+    prior = GaussianPrior(mean=np.array([24.0, 6.0, 3.1]),
+                          var=np.array([5.76, 0.36, 0.09]))
+    bad = tensor_rule(3, 1).physical(prior)[5]
 
-    def __init__(self, bad):
-        self.bad = bad
-
-    def __call__(self, m):
-        if np.array_equal(m, self.bad):
+    def forward(m):
+        if np.array_equal(m, bad):
             raise ValueError("injected forward failure")
         return np.asarray(m, dtype=float)
 
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_forward_failure_names_its_node(jobs):
-    prior = GaussianPrior(mean=np.array([24.0, 6.0, 3.1]),
-                          var=np.array([5.76, 0.36, 0.09]))
-    rule = tensor_rule(3, 1)
-    forward = _FailAt(rule.physical(prior)[5])
     with pytest.raises(RuntimeError, match="failed at node 5, m = "):
-        build_surrogate("projection", rule, 1, forward, prior, jobs=jobs)
+        build_surrogate("tensor", 1, forward, prior)
 
 
 def test_standardize_round_trip():
@@ -145,26 +132,6 @@ def test_standardize_round_trip():
     m = np.array([22.0, 6.3, 2.8])
     assert np.allclose(unstandardize(standardize(m, prior), prior), m)
     assert np.allclose(standardize(prior.mean, prior), 0.0)
-
-
-def test_surrogate_npz_round_trip(tmp_path):
-    prior = GaussianPrior(mean=np.zeros(3), var=np.ones(3))
-
-    def forward(m):
-        return np.array([m[0] + m[1] ** 2, m[2], 1.0])
-
-    s = build_surrogate("projection", sparse_rule(3, 3), 2, forward, prior)
-    path = tmp_path / "surrogate.npz"
-    s.save(path)
-    back = Surrogate.load(path)
-    assert np.array_equal(back.coeffs, s.coeffs)
-    assert np.array_equal(back.indices, s.indices)
-    assert back.order == s.order
-    assert back.method == s.method
-    assert back.rule_kind == s.rule_kind
-    assert back.n_forward == s.n_forward
-    x = np.array([0.3, -0.2, 1.4])
-    assert np.array_equal(back.evaluate(x), s.evaluate(x))
 
 
 def test_surrogate_objective_derivatives():
@@ -178,7 +145,7 @@ def test_surrogate_objective_derivatives():
                          0.2 * xi[2] ** 2 - xi[0],
                          np.cos(xi[1])])
 
-    s = build_surrogate("projection", tensor_rule(3, 3), 3, forward, prior)
+    s = build_surrogate("tensor", 3, forward, prior)
     data = forward(np.array([23.0, 6.4, 3.0])) + 0.01 * rng.standard_normal(3)
     noise = NoiseModel.iid(1e-3, 3)
     obj = SurrogateObjective(s, _FakeObs(data), noise, prior)
@@ -205,8 +172,7 @@ class _FakeObs:
 
 def test_surrogate_objective_dimension_check():
     prior = GaussianPrior(mean=np.zeros(1), var=np.ones(1))
-    s = build_surrogate("projection", tensor_rule(1, 2), 2,
-                        lambda m: np.array([m[0]]), prior)
+    s = build_surrogate("tensor", 2, lambda m: np.array([m[0]]), prior)
     with pytest.raises(ValueError):
         SurrogateObjective(s, _FakeObs(np.zeros(2)), NoiseModel.iid(1e-4, 2),
                            prior)
@@ -221,7 +187,7 @@ def test_surrogate_map_deterministic_and_seed_stable():
         return np.array([xi[0] + 0.1 * xi[1], xi[1] - 0.2 * xi[2], xi[2],
                          0.5 * xi[0] * xi[2]])
 
-    s = build_surrogate("projection", tensor_rule(3, 2), 2, forward, prior)
+    s = build_surrogate("tensor", 2, forward, prior)
     data = forward(np.array([23.0, 6.2, 3.0]))
     noise = NoiseModel.iid(1e-4, 4)
     a = surrogate_map(s, _FakeObs(data), noise, prior, seed=1234)
