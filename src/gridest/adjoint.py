@@ -26,8 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 from .integrator import Trajectory, newton_matrix
-from .ninebus import ix_vre
-from .observation import NoiseModel, ObservationSet, POLAR, RECT, grid_indices, observe
+from .ninebus import ix_vim, ix_vre
+from .observation import NoiseModel, ObservationSet, POLAR, grid_indices, observe
 
 
 def misfit(traj: Trajectory, obs: ObservationSet, noise: NoiseModel) -> float:
@@ -44,30 +44,23 @@ def misfit_state_gradients(traj: Trajectory, obs: ObservationSet,
     Returns {node index: dJ_misfit/du} with entries only in the voltage
     slots (possibly chain-ruled through magnitude/angle).
     """
-    n_state = traj.states.shape[1]
     nodes = grid_indices(obs.times, traj.dt)
     f = observe(traj, obs.times, obs.buses, obs.coords)
-    w = (f - obs.values) / noise.var
-    nb = len(obs.buses)
+    w = ((f - obs.values) / noise.var).reshape(len(nodes), len(obs.buses), 2)
+    rv, iv = ix_vre(obs.buses), ix_vim(obs.buses)
+    w0, w1 = w[:, :, 0], w[:, :, 1]
+    if obs.coords == POLAR:
+        vre = traj.states[nodes[:, None], rv]
+        vim = traj.states[nodes[:, None], iv]
+        v2 = vre * vre + vim * vim
+        vm = np.sqrt(v2)
+        w0, w1 = w0 * vre / vm - w1 * vim / v2, w0 * vim / vm + w1 * vre / v2
 
     out: dict[int, np.ndarray] = {}
-    for k, node in enumerate(nodes):
-        ru = out.setdefault(int(node), np.zeros(n_state))
-        for j, b in enumerate(obs.buses):
-            col = ix_vre(int(b))
-            w0 = w[2 * nb * k + 2 * j]
-            w1 = w[2 * nb * k + 2 * j + 1]
-            if obs.coords == RECT:
-                ru[col] += w0
-                ru[col + 1] += w1
-            elif obs.coords == POLAR:
-                vre, vim = traj.states[node, col], traj.states[node, col + 1]
-                v2 = vre * vre + vim * vim
-                vm = np.sqrt(v2)
-                ru[col] += w0 * vre / vm - w1 * vim / v2
-                ru[col + 1] += w0 * vim / vm + w1 * vre / v2
-            else:
-                raise ValueError(f"unknown coords {obs.coords!r}")
+    for node, g0, g1 in zip(nodes.tolist(), w0, w1):
+        ru = out.setdefault(node, np.zeros(traj.states.shape[1]))
+        ru[rv] += g0
+        ru[iv] += g1
     return out
 
 
@@ -97,11 +90,9 @@ def backward_sweep(system, traj: Trajectory, m: np.ndarray,
 
     mu = np.zeros(system.n_param)
     a = ru.get(n, np.zeros_like(traj.states[0])).copy()
-
-    # cache of (fu, fm) at the departure node of the step just processed;
-    # valid for the next (earlier) step when no event separates them
-    cache_node = -1
-    cache_fu = cache_fm = None
+    # (fu, fm) at the arrival node of the step, carried from the later
+    # step unless that node is a projection node (its loads differ)
+    fu_next = None
 
     for k in range(n - 1, -1, -1):
         li = traj.step_loads[k]
@@ -110,16 +101,13 @@ def backward_sweep(system, traj: Trajectory, m: np.ndarray,
         u_next = traj.pre_event.get(k + 1, traj.states[k + 1])
         u_k = traj.states[k]
 
-        if cache_node == k + 1 and (k + 1) not in traj.pre_event:
-            fu_next, fm_next = cache_fu, cache_fm
-        else:
+        if fu_next is None:
             fu_next = system.jac_u(t_next, u_next, m, p, q)
             fm_next = system.jac_m(t_next, u_next, m, p, q)
         lam = np.linalg.solve(newton_matrix(system, fu_next, dt).T, a)
 
         fu_k = system.jac_u(t_k, u_k, m, p, q)
         fm_k = system.jac_m(t_k, u_k, m, p, q)
-        cache_node, cache_fu, cache_fm = k, fu_k, fm_k
 
         mu += 0.5 * dt * (fm_k[:n_x] + fm_next[:n_x]).T @ lam[:n_x]
 
@@ -131,6 +119,9 @@ def backward_sweep(system, traj: Trajectory, m: np.ndarray,
             # fu_k is evaluated at the post-switch state under the new
             # loads, exactly the blocks the projection used
             a = _project_transpose(system, fu_k, a)
+            fu_next = None
+        else:
+            fu_next, fm_next = fu_k, fm_k
 
     grad = mu
     if prior is not None:

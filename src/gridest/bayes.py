@@ -165,8 +165,10 @@ def metrics(m_map: np.ndarray, gpost: np.ndarray, m_true: np.ndarray):
 class PosteriorSummary:
     """MAP point, Laplace covariance, metrics, and cost counters.
 
-    Both back ends put iterations, forward_solves, adjoint_solves and
-    converged into stats; the other keys are back-end specific.
+    Given m_true, construction computes the metrics err, tau and cns.
+    Both back ends put iterations, forward_solves, adjoint_solves,
+    newton_iters and converged into stats; the other keys are back-end
+    specific.
     converged means the MAP optimizer met its gradient tolerance, or
     stopped with its gradient at the roundoff floor certified by the
     Hessian at the MAP (lbfgs.at_roundoff_floor).
@@ -174,11 +176,17 @@ class PosteriorSummary:
     m_map: np.ndarray
     gamma_post: np.ndarray
     method: str
-    err: float | None = None
-    tau: float | None = None
-    cns: np.ndarray | None = None
     m_true: np.ndarray | None = None
     stats: dict = field(default_factory=dict)
+    err: float | None = field(default=None, init=False)
+    tau: float | None = field(default=None, init=False)
+    cns: np.ndarray | None = field(default=None, init=False)
+
+    def __post_init__(self):
+        if self.m_true is not None:
+            self.m_true = np.asarray(self.m_true, float)
+            self.err, self.tau, self.cns = metrics(self.m_map, self.gamma_post,
+                                                   self.m_true)
 
     def to_dict(self) -> dict:
         out = {
@@ -204,12 +212,10 @@ class PosteriorSummary:
 
 def estimate_adjoint(system, obs: ObservationSet, noise: NoiseModel,
                      prior: GaussianPrior, t_f: float, dt: float, events=(),
-                     m_true=None, tol: float = 1e-6,
-                     max_iter: int = 50) -> PosteriorSummary:
+                     m_true=None) -> PosteriorSummary:
     """Full adjoint-based pipeline: MAP point then Laplace covariance."""
     objective = AdjointObjective(system, obs, noise, prior, t_f, dt, events)
-    res = map_estimate(objective, prior.mean.copy(), tol=tol,
-                       max_iter=max_iter)
+    res = map_estimate(objective, prior.mean.copy())
     map_fwd, map_adj = objective.n_forward, objective.n_adjoint
 
     gpost, hess = laplace_covariance(res.x, objective.gradient)
@@ -229,9 +235,5 @@ def estimate_adjoint(system, obs: ObservationSet, noise: NoiseModel,
         "newton_iters": objective.newton_iters,
         "skipped_updates": res.skipped_updates,
     }
-    summary = PosteriorSummary(m_map=res.x, gamma_post=gpost,
-                               method="adjoint", stats=stats)
-    if m_true is not None:
-        summary.m_true = np.asarray(m_true, float)
-        summary.err, summary.tau, summary.cns = metrics(res.x, gpost, m_true)
-    return summary
+    return PosteriorSummary(m_map=res.x, gamma_post=gpost, method="adjoint",
+                            m_true=m_true, stats=stats)

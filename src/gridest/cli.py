@@ -20,12 +20,12 @@ import numpy as np
 from . import __version__
 from .bayes import AdjointObjective, PosteriorSummary, estimate_adjoint
 from .integrator import simulate, write_trajectory_csv
-from .ninebus import N_BUS, DisturbanceEvent, load_system, state_names
+from .ninebus import N_BUS, N_MACH, load_system, state_names
 from .observation import (ObservationSet, observe, read_observations,
                           synthesize_observations, write_observation_csv,
                           write_observations)
 from .pce import PCE_RULES, estimate_pce
-from .scenario import METHODS, ScenarioConfig
+from .scenario import DEFAULT_DISTURBANCE, METHODS, ScenarioConfig
 
 FMT = "{:.17g}"
 
@@ -46,18 +46,14 @@ def _load_config(args) -> ScenarioConfig:
         t_f=args.t_f, dt=args.dt, dt_obs=args.dt_obs,
         noise_var=args.noise_var, seed=args.seed, method=args.method,
         pce_order=args.pce_order, pce_rule=args.pce_rule)
-    if getattr(args, "no_disturbance", False):
+    event = {"bus": args.bus, "start": args.event_start,
+             "duration": args.event_duration, "load": args.load}
+    event = {k: v for k, v in event.items() if v is not None}
+    if args.no_disturbance:
         cfg = replace(cfg, disturbance=None)
-    elif any(getattr(args, k) is not None
-             for k in ("bus", "event_start", "event_duration", "load")):
-        base = cfg.disturbance or DisturbanceEvent(bus=5, start=0.1,
-                                                   duration=0.2, load=5.5)
-        cfg = replace(cfg, disturbance=DisturbanceEvent(
-            bus=base.bus if args.bus is None else args.bus,
-            start=base.start if args.event_start is None else args.event_start,
-            duration=(base.duration if args.event_duration is None
-                      else args.event_duration),
-            load=base.load if args.load is None else args.load))
+    elif event:
+        cfg = replace(cfg, disturbance=replace(
+            cfg.disturbance or DEFAULT_DISTURBANCE, **event))
     return cfg
 
 
@@ -141,8 +137,9 @@ def cmd_estimate(args) -> int:
 
 
 _SWEEP_FIELDS = ["index", "t_f", "dt", "dt_obs", "load", "noise_var", "seed",
-                 "method", "m_map_1", "m_map_2", "m_map_3",
-                 "trace_gamma_post", "err", "tau", "cns_1", "cns_2", "cns_3",
+                 "method", *(f"m_map_{i + 1}" for i in range(N_MACH)),
+                 "trace_gamma_post", "err", "tau",
+                 *(f"cns_{i + 1}" for i in range(N_MACH)),
                  "iterations", "forward_solves", "adjoint_solves",
                  "converged"]
 
@@ -160,10 +157,9 @@ def _sweep_one(packed):
     st = s.stats
     load = cfg.disturbance.load if cfg.disturbance is not None else 0.0
     return [index, _fmt(cfg.t_f), _fmt(cfg.dt), _fmt(cfg.dt_obs), _fmt(load),
-            _fmt(cfg.noise_var), cfg.seed, cfg.method,
-            _fmt(s.m_map[0]), _fmt(s.m_map[1]), _fmt(s.m_map[2]),
+            _fmt(cfg.noise_var), cfg.seed, cfg.method, *map(_fmt, s.m_map),
             _fmt(np.trace(s.gamma_post)), _fmt(s.err), _fmt(s.tau),
-            _fmt(s.cns[0]), _fmt(s.cns[1]), _fmt(s.cns[2]),
+            *map(_fmt, s.cns),
             st["iterations"], st["forward_solves"], st["adjoint_solves"],
             int(st["converged"])]
 
@@ -184,8 +180,7 @@ def cmd_sweep(args) -> int:
         if load is not None:
             if dist is None:
                 raise SystemExit("--load-list requires a disturbance")
-            dist = DisturbanceEvent(bus=dist.bus, start=dist.start,
-                                    duration=dist.duration, load=load)
+            dist = replace(dist, load=load)
         scenarios.append((i, cfg.with_overrides(
             t_f=t_f, dt_obs=dt_obs, noise_var=nv, disturbance=dist,
             seed=_derived_seed(cfg.seed, i))))
@@ -211,9 +206,9 @@ def cmd_gradient_check(args) -> int:
     objective = AdjointObjective(system, obs, noise, cfg.prior(), cfg.t_f,
                                  cfg.dt, cfg.events())
     rng = np.random.default_rng(cfg.seed)
-    points = [np.array(cfg.prior_mean)]
-    for _ in range(args.n_random):
-        points.append(points[0] * (1.0 + 0.2 * rng.uniform(-1, 1, 3)))
+    m0 = np.array(cfg.prior_mean)
+    points = [m0] + [m0 * (1.0 + 0.2 * rng.uniform(-1, 1, m0.size))
+                     for _ in range(args.n_random)]
     worst = 0.0
     print("  point                          max rel err")
     for m in points:
@@ -226,7 +221,7 @@ def cmd_gradient_check(args) -> int:
             g_fd[i] = (objective.value(m + e) - objective.value(m - e)) / (2 * h)
         rel = np.max(np.abs(g_adj - g_fd) / np.maximum(np.abs(g_fd), 1e-30))
         worst = max(worst, rel)
-        print(f"  [{m[0]:8.4f} {m[1]:7.4f} {m[2]:7.4f}]   {rel:.3e}")
+        print(f"  [{''.join(f'{x:8.4f}' for x in m)}]   {rel:.3e}")
     ok = worst <= args.tol
     print(f"worst relative error {worst:.3e} "
           f"({'<=' if ok else '>'} tol {args.tol:.1e})")

@@ -211,9 +211,9 @@ def simulate(system, m: np.ndarray, t_f: float, dt: float,
 
     # the equilibrium belongs to the nominal loads; an event active from
     # t=0 switches the manifold before the first step
-    switched_first = not (
-        np.array_equal(p_loads[step_loads[0]], system.network.p_load)
-        and np.array_equal(q_loads[step_loads[0]], system.network.q_load))
+    p_nom, q_nom = system.loads_at(0.0)
+    switched_first = not (np.array_equal(p_loads[step_loads[0]], p_nom)
+                          and np.array_equal(q_loads[step_loads[0]], q_nom))
 
     for k in range(n):
         li = step_loads[k]

@@ -48,7 +48,6 @@ _LS_EVALS = 25         # evaluations per line search
 class OptimizeResult:
     x: np.ndarray
     fun: float
-    grad: np.ndarray
     grad_norm: float
     iterations: int
     n_evals: int
@@ -190,7 +189,7 @@ def minimize(fun, x0, lower=None, tol=1e-6, max_iter=100) -> OptimizeResult:
         alpha = float(alpha)
         it += 1
 
-    return OptimizeResult(x=x, fun=f, grad=g, grad_norm=float(gnorm),
+    return OptimizeResult(x=x, fun=f, grad_norm=float(gnorm),
                           iterations=it, n_evals=evals, converged=converged,
                           message=message, history=history,
                           skipped_updates=skipped)

@@ -162,11 +162,14 @@ def _build_ybus(branches) -> np.ndarray:
 
 
 class NineBusSystem:
-    """Immutable-after-init model object.
+    """Model object, built at its equilibrium in one step.
 
-    All evaluation methods (rhs, jac_u, jac_m) are pure functions of
-    their arguments once `initialize` has run, so a single instance can
-    be shared across threads/processes.
+    The constructor solves the initial power flow and sets the
+    mechanical torques, exciter references and load admittances, so the
+    object is ready on return and never changes afterwards.  All
+    evaluation methods (rhs, jac_u, jac_m) are pure functions of their
+    arguments, so a single instance can be shared across
+    threads/processes.
     """
 
     def __init__(self, network: NetworkData, gens: GeneratorParams,
@@ -181,13 +184,7 @@ class NineBusSystem:
         self.mass[:N_X] = 1.0
 
         self._build_template()
-
-        # filled by initialize()
-        self.tm: np.ndarray | None = None
-        self.vref: np.ndarray | None = None
-        self._u0: np.ndarray | None = None
-        self.pf_voltages: np.ndarray | None = None
-        self._inv_v0_sq: np.ndarray | None = None
+        self._build_equilibrium()
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -252,12 +249,12 @@ class NineBusSystem:
             (np.concatenate((rv, rv, iv, iv)), np.concatenate((rv, iv, rv, iv))),
             j0.shape)
 
-    def initialize(self) -> np.ndarray:
+    def _build_equilibrium(self):
         """Solve the power flow and build the consistent equilibrium state.
 
         Sets the mechanical torques and exciter references so that the
-        returned state is a fixed point of the DAE for any inertia
-        vector (the equilibrium does not involve H).  Returns u0.
+        stored state is a fixed point of the DAE for any inertia vector
+        (the equilibrium does not involve H).
         """
         nw = self.network
         gens = self.gens
@@ -307,11 +304,8 @@ class NineBusSystem:
         u0[ix_vre(0)::2][:N_BUS] = vc.real
         u0[ix_vim(0)::2][:N_BUS] = vc.imag
         self._u0 = u0
-        return u0.copy()
 
     def steady_state(self) -> np.ndarray:
-        if self._u0 is None:
-            raise RuntimeError("system not initialized")
         return self._u0.copy()
 
     # ------------------------------------------------------------------
@@ -329,10 +323,6 @@ class NineBusSystem:
     # ------------------------------------------------------------------
     # DAE right-hand side and Jacobians (F convention: M du/dt = F)
 
-    def _check_ready(self):
-        if self.tm is None:
-            raise RuntimeError("system not initialized; call initialize()")
-
     def rhs(self, t: float, u: np.ndarray, m: np.ndarray,
             p_load: np.ndarray, q_load: np.ndarray) -> np.ndarray:
         """F(t, u; m) = (h, g): differential RHS rows plus algebraic residuals.
@@ -343,7 +333,6 @@ class NineBusSystem:
         terminal-voltage feedback, -v_d and -v_q in the stator rows and
         the generator injection; then the load currents of all buses.
         """
-        self._check_ready()
         ws = self.omega_s
         f = self._jtemplate @ u
         uu = u.tolist()
@@ -383,7 +372,6 @@ class NineBusSystem:
         on Python floats and written at the flat positions listed in
         _build_template, minus the load admittances of all buses.
         """
-        self._check_ready()
         ws = self.omega_s
         uu = u.tolist()
         vals = []
@@ -422,7 +410,6 @@ class NineBusSystem:
     def jac_m(self, t: float, u: np.ndarray, m: np.ndarray,
               p_load: np.ndarray, q_load: np.ndarray) -> np.ndarray:
         """dF/dm, nonzero only in the three swing rows."""
-        self._check_ready()
         gens = self.gens
         ws = self.omega_s
         omega = u[OMEGA:N_X:7]
@@ -442,7 +429,7 @@ class NineBusSystem:
 
 
 def load_system(path: str | Path | None = None) -> NineBusSystem:
-    """Load the data file, solve the initial power flow, return the model.
+    """Load the data file and return the model built at its equilibrium.
 
     With no argument the packaged WSCC 9-bus data set is used.
     """
@@ -502,6 +489,4 @@ def load_system(path: str | Path | None = None) -> NineBusSystem:
         p_gen_set=p_gen_set, p_load=p_load, q_load=q_load,
     )
     omega_s = 2.0 * np.pi * raw["system"]["f_hz"]
-    system = NineBusSystem(network, gens, omega_s)
-    system.initialize()
-    return system
+    return NineBusSystem(network, gens, omega_s)

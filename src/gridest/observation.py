@@ -32,6 +32,15 @@ RECT, POLAR = "rect", "polar"
 _COMPONENTS = {RECT: ("v_re", "v_im"), POLAR: ("v_mag", "v_ang")}
 
 
+def _bus_indices(buses) -> np.ndarray:
+    """0-based bus indices as an int array; each must name a network bus."""
+    buses = np.asarray(buses, dtype=int)
+    if np.any((buses < 0) | (buses >= N_BUS)):
+        raise ValueError(f"bus indices must lie in 0..{N_BUS - 1}, "
+                         f"got {buses.tolist()}")
+    return buses
+
+
 @dataclass
 class NoiseModel:
     """Independent Gaussian noise; variance per observation entry."""
@@ -60,7 +69,7 @@ class ObservationSet:
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        self.buses = np.asarray(self.buses, dtype=int)
+        self.buses = _bus_indices(self.buses)
         self.values = np.asarray(self.values, dtype=float)
         if self.coords not in _COMPONENTS:
             raise ValueError(f"unknown coords {self.coords!r}")
@@ -68,9 +77,6 @@ class ObservationSet:
             raise ValueError("observation times must be positive")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("observation times must be strictly increasing")
-        if np.any((self.buses < 0) | (self.buses >= N_BUS)):
-            raise ValueError(f"bus indices must lie in 0..{N_BUS - 1}, "
-                             f"got {self.buses.tolist()}")
         if np.any(np.diff(self.buses) <= 0):
             raise ValueError("bus indices must be strictly increasing")
         q = 2 * len(self.buses) * len(self.times)
@@ -100,9 +106,7 @@ def grid_indices(times: np.ndarray, dt: float) -> np.ndarray:
 
 def observe(traj, times: np.ndarray, buses=None, coords: str = RECT) -> np.ndarray:
     """Extract noiseless observables f from a trajectory (time-major flat)."""
-    if buses is None:
-        buses = np.arange(N_BUS)
-    buses = np.asarray(buses, dtype=int)
+    buses = np.arange(N_BUS) if buses is None else _bus_indices(buses)
     nodes = grid_indices(times, traj.dt)
     if nodes.max() > traj.n_steps:
         raise ValueError("observation time beyond the trajectory")

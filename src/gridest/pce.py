@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import qr
 
 from .bayes import (H_LOWER_BOUND, GaussianPrior, PosteriorSummary,
-                    hessian_inverse, metrics)
+                    hessian_inverse)
 from .hermite import basis_derivatives, basis_matrix, gauss_hermite, multi_index_set
 from .integrator import simulate
 from .lbfgs import at_roundoff_floor, minimize
@@ -38,6 +38,9 @@ from .observation import observe
 PCE_RULES = ("stochastic-testing", "tensor", "sparse")
 
 _MULTISTART_SALT = 0x9E3779B97F4A7C15
+_N_STARTS = 16            # prior draws besides the prior mean
+_MAP_TOL = 1e-8
+_MAP_MAX_ITER = 200
 _COND_LIMIT = 1e12
 
 
@@ -267,18 +270,17 @@ class SurrogateObjective:
 
 
 def surrogate_map(surrogate: Surrogate, obs, noise, prior: GaussianPrior,
-                  m_true=None, n_starts: int = 16, seed: int = 0,
-                  tol: float = 1e-8, max_iter: int = 200) -> PosteriorSummary:
+                  m_true=None, seed: int = 0) -> PosteriorSummary:
     """Multi-start quasi-Newton MAP on the polynomial posterior.
 
-    Starts at the prior mean plus n_starts prior draws; the best local
+    Starts at the prior mean plus _N_STARTS prior draws; the best local
     minimum wins.  The posterior covariance is the analytic Hessian
     inverse at that point.
     """
     objective = SurrogateObjective(surrogate, obs, noise, prior)
     rng = np.random.default_rng(np.uint64(seed) ^ np.uint64(_MULTISTART_SALT))
     draws = prior.mean + np.sqrt(prior.var) * rng.standard_normal(
-        (n_starts, prior.mean.size))
+        (_N_STARTS, prior.mean.size))
     starts = np.vstack([prior.mean[None, :], draws])
     starts = np.maximum(starts, H_LOWER_BOUND + 1e-6)
 
@@ -286,8 +288,8 @@ def surrogate_map(surrogate: Surrogate, obs, noise, prior: GaussianPrior,
     total_iters = 0
     n_minima = 0
     for x0 in starts:
-        res = minimize(objective, x0, lower=H_LOWER_BOUND, tol=tol,
-                       max_iter=max_iter)
+        res = minimize(objective, x0, lower=H_LOWER_BOUND, tol=_MAP_TOL,
+                       max_iter=_MAP_MAX_ITER)
         converged = res.converged or at_roundoff_floor(
             res, objective.hessian(res.x))
         total_iters += res.iterations
@@ -311,14 +313,8 @@ def surrogate_map(surrogate: Surrogate, obs, noise, prior: GaussianPrior,
         "objective": best.fun,
         "final_grad_norm": best.grad_norm,
     }
-    if m_true is not None:
-        err, tau, cns = metrics(best.x, gpost, m_true)
-    else:
-        err = tau = cns = None
     return PosteriorSummary(m_map=best.x, gamma_post=gpost, method="pce",
-                            err=err, tau=tau, cns=cns,
-                            m_true=None if m_true is None else np.asarray(m_true, float),
-                            stats=stats)
+                            m_true=m_true, stats=stats)
 
 
 def estimate_pce(system, obs, noise, prior: GaussianPrior, t_f: float,
@@ -330,11 +326,16 @@ def estimate_pce(system, obs, noise, prior: GaussianPrior, t_f: float,
     rule is one of PCE_RULES (see build_surrogate).  Returns
     (PosteriorSummary, Surrogate).
     """
+    newton_iters = 0
+
     def forward(m):
+        nonlocal newton_iters
         traj = simulate(system, m, t_f, dt, events)
+        newton_iters += traj.newton_iters
         return observe(traj, obs.times, obs.buses, obs.coords)
 
     surrogate = build_surrogate(rule, order, forward, prior)
     summary = surrogate_map(surrogate, obs, noise, prior, m_true=m_true,
                             seed=seed)
+    summary.stats["newton_iters"] = newton_iters
     return summary, surrogate

@@ -7,7 +7,7 @@ override individual fields with flags.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,7 @@ METHODS = ("adjoint", "pce")
 DEFAULT_PRIOR_MEAN = (24.0, 6.0, 3.1)
 DEFAULT_PRIOR_VAR = (5.76, 0.36, 0.09)
 DEFAULT_M_TRUE = (23.64, 6.40, 3.01)
+DEFAULT_DISTURBANCE = DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5)
 
 
 @dataclass
@@ -36,9 +37,7 @@ class ScenarioConfig:
     t_f: float = 5.0
     dt: float = 0.01
     dt_obs: float = 0.05
-    disturbance: DisturbanceEvent | None = field(
-        default_factory=lambda: DisturbanceEvent(bus=5, start=0.1,
-                                                 duration=0.2, load=5.5))
+    disturbance: DisturbanceEvent | None = DEFAULT_DISTURBANCE
     noise_var: float = 1e-4
     prior_mean: tuple = DEFAULT_PRIOR_MEAN
     prior_var: tuple = DEFAULT_PRIOR_VAR
@@ -92,16 +91,7 @@ class ScenarioConfig:
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> dict:
-        d = asdict(self)
-        if self.disturbance is not None:
-            d["disturbance"] = {"bus": self.disturbance.bus,
-                                "start": self.disturbance.start,
-                                "duration": self.disturbance.duration,
-                                "load": self.disturbance.load}
-        d["prior_mean"] = list(self.prior_mean)
-        d["prior_var"] = list(self.prior_var)
-        d["m_true"] = list(self.m_true)
-        return d
+        return asdict(self)
 
     def save(self, path) -> None:
         Path(path).write_text(yaml.safe_dump(self.to_dict(), sort_keys=True))

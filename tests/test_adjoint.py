@@ -6,8 +6,9 @@ from gridest.adjoint import backward_sweep, misfit, misfit_state_gradients
 from gridest.bayes import GaussianPrior
 from gridest.integrator import simulate
 from gridest.ninebus import N_BUS, DisturbanceEvent
-from gridest.observation import (POLAR, RECT, NoiseModel, observation_times,
-                                 observe, synthesize_observations)
+from gridest.observation import (POLAR, RECT, NoiseModel, ObservationSet,
+                                 observation_times, observe,
+                                 synthesize_observations)
 
 T_F, DT = 0.5, 0.01
 EVENTS = (DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5),)
@@ -129,6 +130,16 @@ def test_misfit_state_gradients_placement(system, small_case):
         fd = (up - dn) / (2 * h)
         assert g[col] == pytest.approx(fd, rel=1e-6, abs=1e-6)
         traj.states[:] = states
+    # two observation times that fall on one node add their rows
+    q = 2 * N_BUS
+    one = ObservationSet([0.3], obs.buses, obs.values[2 * q:3 * q])
+    twin = ObservationSet([0.3, 0.3 + 1e-10], obs.buses,
+                          np.tile(one.values, 2))
+    ru_one = misfit_state_gradients(traj, one, NoiseModel.iid(1e-4, q))
+    ru_twin = misfit_state_gradients(traj, twin, NoiseModel.iid(1e-4, 2 * q))
+    assert set(ru_twin) == {30}
+    assert np.array_equal(ru_twin[30], 2.0 * ru_one[30])
+    assert np.array_equal(ru_one[30], g)
 
 
 def test_misfit_state_gradients_polar(system):

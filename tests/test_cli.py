@@ -1,13 +1,14 @@
 """Command-line interface: every subcommand end to end in-process."""
 import csv
 import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from gridest.cli import main
 from gridest.observation import read_observations
-from gridest.scenario import ScenarioConfig
+from gridest.scenario import DEFAULT_DISTURBANCE, ScenarioConfig
 
 FAST = ["--t-f", "0.5", "--dt-obs", "0.1"]
 
@@ -20,6 +21,13 @@ METHOD_CASES = [pytest.param("adjoint", None, id="adjoint")] + [
 
 def _run(argv):
     return main([str(a) for a in argv])
+
+
+def _header_config(path):
+    """The resolved config in an output file's reproducibility header."""
+    with open(path) as fh:
+        line = next(r for r in fh if r.startswith("# config "))
+    return json.loads(line[len("# config "):])
 
 
 def test_simulate_writes_trajectory_and_observables(tmp_path):
@@ -108,6 +116,7 @@ def test_estimate_pce_json(tmp_path, method, rule):
     st = doc["stats"]
     _assert_shared_cost(rule, st["iterations"], st["forward_solves"],
                         st["adjoint_solves"], st["converged"])
+    assert st["newton_iters"] > 0
 
 
 def test_estimate_matches_library(tmp_path, system, prior):
@@ -140,6 +149,21 @@ def test_config_file_with_flag_overrides(tmp_path):
     _run(["synth-data", "--config", cfg_path, "--seed", "99", "--out", b])
     obs, _ = read_observations(b)
     assert obs.meta["seed"] == 99
+    # every disturbance flag reaches the resolved config
+    c = tmp_path / "c.csv"
+    _run(["synth-data", "--config", cfg_path, "--bus", "7",
+          "--event-start", "0.2", "--event-duration", "0.1", "--load", "6.5",
+          "--out", c])
+    assert _header_config(c)["disturbance"] == {
+        "bus": 7, "start": 0.2, "duration": 0.1, "load": 6.5}
+    # a file without a disturbance starts the flags from the default event
+    none_path = tmp_path / "none.yaml"
+    ScenarioConfig(t_f=0.5, dt_obs=0.1, disturbance=None).save(none_path)
+    assert "disturbance: null" in none_path.read_text()
+    d = tmp_path / "d.csv"
+    _run(["synth-data", "--config", none_path, "--load", "7.0", "--out", d])
+    assert _header_config(d)["disturbance"] == asdict(
+        replace(DEFAULT_DISTURBANCE, load=7.0))
 
 
 def test_no_disturbance_flag(tmp_path):
@@ -191,6 +215,10 @@ def test_sweep_csv(tmp_path, method, rule):
 def test_sweep_empty_grid_fails(tmp_path):
     with pytest.raises(SystemExit):
         _run(["sweep", "--t-f-list", "--out", tmp_path / "x.csv"])
+    # a load axis needs an event whose load it can set
+    with pytest.raises(SystemExit, match="requires a disturbance"):
+        _run(["sweep", "--no-disturbance", "--load-list", "5.5",
+              "--out", tmp_path / "y.csv"])
 
 
 def test_gradient_check_passes(capsys):

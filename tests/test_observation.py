@@ -61,6 +61,10 @@ def test_observe_polar_and_bus_subset(short_traj):
 def test_observe_rejects_times_beyond_run(short_traj):
     with pytest.raises(ValueError):
         observe(short_traj, np.array([0.5]))
+    # bus -1 would read machine 3's stator currents, bus N_BUS past the state
+    for buses in ([-1], [N_BUS]):
+        with pytest.raises(ValueError, match="bus"):
+            observe(short_traj, np.array([0.1]), buses=buses)
 
 
 def test_normal_stream_documented_construction():
