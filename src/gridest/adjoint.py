@@ -20,6 +20,21 @@ Jacobian blocks (g_x, g_y) at the post-switch state,
 
 Cost: one gradient = one forward trajectory + one backward sweep with
 the same number of linear solves as forward steps.
+
+The tangent-linear pass is the same linearization run forward and
+untransposed.  It carries S_k = du_k/dm (S_0 = 0: the equilibrium does
+not depend on the inertias) through
+
+    A_{k+1} S_{k+1} = (M + dt/2 h_u(u_k)) S_k + dt/2 (F_m(u_k) + F_m(u_{k+1}))
+
+on the differential rows, with F_m(u_{k+1}) on the algebraic rows and
+A_{k+1} the Newton matrix at the (pre-switch) arrival state.  At a
+load-switch node S_y = -g_y^{-1} (g_x S_x + g_m), with the blocks at the
+post-switch state.  The observed rows of S at the observation nodes give
+the Jacobian J = df/dm (q x n_param); J^T Gn^-1 (f - d) is the gradient
+above.  Its cost is about one adjoint sweep: a 3-column solve per step.
+Tangent-linear and adjoint DAE sensitivities are derived together in
+Cao, Li, Petzold & Serban (SIAM J. Sci. Comput. 24, 2003).
 """
 from __future__ import annotations
 
@@ -30,11 +45,25 @@ from .ninebus import ix_vim, ix_vre
 from .observation import NoiseModel, ObservationSet, POLAR, grid_indices, observe
 
 
+def residual(traj: Trajectory, obs: ObservationSet) -> np.ndarray:
+    """f - d: the trajectory's observables minus the data."""
+    return observe(traj, obs.times, obs.buses, obs.coords) - obs.values
+
+
 def misfit(traj: Trajectory, obs: ObservationSet, noise: NoiseModel) -> float:
     """1/2 sum (f_i - d_i)^2 / var_i over all observation entries."""
-    f = observe(traj, obs.times, obs.buses, obs.coords)
-    r = f - obs.values
+    r = residual(traj, obs)
     return 0.5 * float(r @ (r / noise.var))
+
+
+def _polar_partials(traj: Trajectory, nodes: np.ndarray, rv, iv):
+    """d(|V|, angle)/d(v_re, v_im) at the observed nodes and buses, as
+    the rows ((d|V|/dv_re, d|V|/dv_im), (dang/dv_re, dang/dv_im))."""
+    vre = traj.states[nodes[:, None], rv]
+    vim = traj.states[nodes[:, None], iv]
+    v2 = vre * vre + vim * vim
+    vm = np.sqrt(v2)
+    return (vre / vm, vim / vm), (-vim / v2, vre / v2)
 
 
 def misfit_state_gradients(traj: Trajectory, obs: ObservationSet,
@@ -45,16 +74,12 @@ def misfit_state_gradients(traj: Trajectory, obs: ObservationSet,
     slots (possibly chain-ruled through magnitude/angle).
     """
     nodes = grid_indices(obs.times, traj.dt)
-    f = observe(traj, obs.times, obs.buses, obs.coords)
-    w = ((f - obs.values) / noise.var).reshape(len(nodes), len(obs.buses), 2)
+    w = (residual(traj, obs) / noise.var).reshape(len(nodes), len(obs.buses), 2)
     rv, iv = ix_vre(obs.buses), ix_vim(obs.buses)
     w0, w1 = w[:, :, 0], w[:, :, 1]
     if obs.coords == POLAR:
-        vre = traj.states[nodes[:, None], rv]
-        vim = traj.states[nodes[:, None], iv]
-        v2 = vre * vre + vim * vim
-        vm = np.sqrt(v2)
-        w0, w1 = w0 * vre / vm - w1 * vim / v2, w0 * vim / vm + w1 * vre / v2
+        (m_rr, m_ri), (a_rr, a_ri) = _polar_partials(traj, nodes, rv, iv)
+        w0, w1 = w0 * m_rr + w1 * a_rr, w0 * m_ri + w1 * a_ri
 
     out: dict[int, np.ndarray] = {}
     for node, g0, g1 in zip(nodes.tolist(), w0, w1):
@@ -127,3 +152,61 @@ def backward_sweep(system, traj: Trajectory, m: np.ndarray,
     if prior is not None:
         grad = grad + (m - np.asarray(prior.mean)) / np.asarray(prior.var)
     return grad
+
+
+def _project(fu_post: np.ndarray, fm_post: np.ndarray, s: np.ndarray,
+             n_x: int) -> np.ndarray:
+    """Carry a sensitivity through the algebraic re-solve."""
+    out = s.copy()
+    out[n_x:] = -np.linalg.solve(fu_post[n_x:, n_x:],
+                                 fu_post[n_x:, :n_x] @ s[:n_x] + fm_post[n_x:])
+    return out
+
+
+def tangent_linear(system, traj: Trajectory, m: np.ndarray,
+                   obs: ObservationSet) -> np.ndarray:
+    """Jacobian df/dm of the observables (q x n_param) by one forward
+    sensitivity pass along the stored trajectory."""
+    n_x = int(system.mass.sum())
+    dt = traj.dt
+    nodes = grid_indices(obs.times, dt)
+    observed = set(nodes.tolist())
+    sens = {}
+    s = np.zeros((traj.states.shape[1], system.n_param))
+    # (fu, fm) at the departure node of the step, carried from the earlier
+    # step unless that node is a projection node (its loads differ)
+    fu = None
+
+    for k in range(traj.n_steps):
+        li = traj.step_loads[k]
+        p, q = traj.p_loads[li], traj.q_loads[li]
+        if fu is None:
+            fu = system.jac_u(traj.times[k], traj.states[k], m, p, q)
+            fm = system.jac_m(traj.times[k], traj.states[k], m, p, q)
+        if k in traj.pre_event:
+            s = _project(fu, fm, s, n_x)
+        if k in observed:
+            sens[k] = s
+
+        t_next = traj.times[k + 1]
+        u_next = traj.pre_event.get(k + 1, traj.states[k + 1])
+        fu_next = system.jac_u(t_next, u_next, m, p, q)
+        fm_next = system.jac_m(t_next, u_next, m, p, q)
+        rhs = np.empty_like(s)
+        rhs[:n_x] = s[:n_x] + 0.5 * dt * (fu[:n_x] @ s + fm[:n_x] + fm_next[:n_x])
+        rhs[n_x:] = fm_next[n_x:]
+        s = np.linalg.solve(newton_matrix(system, fu_next, dt), rhs)
+        if k + 1 in traj.pre_event:
+            fu = None
+        else:
+            fu, fm = fu_next, fm_next
+    sens[traj.n_steps] = s
+
+    s_obs = np.stack([sens[k] for k in nodes.tolist()])
+    rv, iv = ix_vre(obs.buses), ix_vim(obs.buses)
+    d0, d1 = s_obs[:, rv], s_obs[:, iv]
+    if obs.coords == POLAR:
+        (m_rr, m_ri), (a_rr, a_ri) = _polar_partials(traj, nodes, rv, iv)
+        d0, d1 = (m_rr[..., None] * d0 + m_ri[..., None] * d1,
+                  a_rr[..., None] * d0 + a_ri[..., None] * d1)
+    return np.stack([d0, d1], axis=2).reshape(-1, system.n_param)

@@ -39,6 +39,10 @@ def _header_lines(cfg: ScenarioConfig) -> list[str]:
             "config " + json.dumps(cfg.to_dict(), sort_keys=True)]
 
 
+_EVENT_FLAGS = {"bus": "--bus", "start": "--event-start",
+                "duration": "--event-duration", "load": "--load"}
+
+
 def _load_config(args) -> ScenarioConfig:
     cfg = (ScenarioConfig.from_file(args.config) if args.config
            else ScenarioConfig())
@@ -50,6 +54,9 @@ def _load_config(args) -> ScenarioConfig:
              "duration": args.event_duration, "load": args.load}
     event = {k: v for k, v in event.items() if v is not None}
     if args.no_disturbance:
+        if event:
+            raise SystemExit("--no-disturbance conflicts with "
+                             + ", ".join(_EVENT_FLAGS[k] for k in event))
         cfg = replace(cfg, disturbance=None)
     elif event:
         cfg = replace(cfg, disturbance=replace(
@@ -118,8 +125,9 @@ def _report(summary) -> str:
     lines.append(f"  Err = {summary.err:.4e}   tau = {summary.tau:.4e}")
     st = summary.stats
     lines.append(f"  cost: {st['iterations']} iterations, "
-                 f"{st['forward_solves']} forward + "
+                 f"{st['forward_solves']} forward solves, "
                  f"{st['adjoint_solves']} adjoint solves, "
+                 f"{st['tangent_solves']} tangent-linear solves, "
                  f"converged: {st['converged']}")
     return "\n".join(lines)
 
@@ -141,7 +149,7 @@ _SWEEP_FIELDS = ["index", "t_f", "dt", "dt_obs", "load", "noise_var", "seed",
                  "trace_gamma_post", "err", "tau",
                  *(f"cns_{i + 1}" for i in range(N_MACH)),
                  "iterations", "forward_solves", "adjoint_solves",
-                 "converged"]
+                 "tangent_solves", "converged"]
 
 
 def _derived_seed(master: int, index: int) -> int:
@@ -161,7 +169,7 @@ def _sweep_one(packed):
             _fmt(np.trace(s.gamma_post)), _fmt(s.err), _fmt(s.tau),
             *map(_fmt, s.cns),
             st["iterations"], st["forward_solves"], st["adjoint_solves"],
-            int(st["converged"])]
+            st["tangent_solves"], int(st["converged"])]
 
 
 def cmd_sweep(args) -> int:

@@ -1,8 +1,9 @@
 """Limited-memory BFGS with a strong-Wolfe line search and lower bounds.
 
-Small hand-rolled quasi-Newton loop tailored to low-dimensional MAP
-problems where each objective/gradient evaluation is an expensive
-simulation:
+Small hand-rolled quasi-Newton loop for the surrogate MAP, a
+low-dimensional problem with cheap exact derivatives, run from several
+starts (the adjoint back end's MAP is bayes.map_estimate's Gauss-Newton
+loop, which shares OptimizeResult and at_roundoff_floor):
 
 * two-loop recursion with memory 10 and gamma := s.y/y.y scaling;
 * strong Wolfe conditions (c1 = 1e-4, c2 = 0.9) enforced by a

@@ -306,6 +306,7 @@ def surrogate_map(surrogate: Surrogate, obs, noise, prior: GaussianPrior,
         "iterations": total_iters,
         "forward_solves": surrogate.n_forward,
         "adjoint_solves": 0,
+        "tangent_solves": 0,
         "converged": bool(best_converged),
         "collocation_condition": surrogate.cond,
         "n_starts": int(starts.shape[0]),

@@ -102,8 +102,16 @@ class ScenarioConfig:
         unknown = set(d) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        dist = d.get("disturbance", "missing")
+        dist = d.get("disturbance")
         if isinstance(dist, dict):
+            fields = set(DisturbanceEvent.__dataclass_fields__)
+            unknown, missing = set(dist) - fields, fields - set(dist)
+            if unknown:
+                raise ValueError(
+                    f"unknown disturbance fields: {sorted(unknown)}")
+            if missing:
+                raise ValueError(
+                    f"missing disturbance fields: {sorted(missing)}")
             d["disturbance"] = DisturbanceEvent(**dist)
         return cls(**d)
 

@@ -255,7 +255,8 @@ def test_criterion_10_cost_envelope(system, prior, make_scenario,
     worst_it, worst_solves = 0, 0
     for summary in regime_summaries.values():
         st = summary.stats
-        solves = st["map_forward_solves"] + st["map_adjoint_solves"]
+        solves = (st["map_forward_solves"] + st["map_adjoint_solves"]
+                  + st["map_tangent_solves"])
         worst_it = max(worst_it, st["iterations"])
         worst_solves = max(worst_solves, solves)
         ok &= st["iterations"] <= 50 and solves <= 60 and st["converged"]
@@ -265,11 +266,13 @@ def test_criterion_10_cost_envelope(system, prior, make_scenario,
                                 rule="stochastic-testing", seed=1234)
     ok &= surrogate.n_forward <= 15
     print(f"criterion 10: worst MAP iterations {worst_it} (tol 50), worst "
-          f"forward+adjoint solves {worst_solves} (tol 60), surrogate sims "
-          f"{surrogate.n_forward} (tol 15) -> {'PASS' if ok else 'FAIL'}")
+          f"forward+adjoint+tangent solves {worst_solves} (tol 60), "
+          f"surrogate sims {surrogate.n_forward} (tol 15) -> "
+          f"{'PASS' if ok else 'FAIL'}")
     for summary in regime_summaries.values():
         st = summary.stats
         assert st["converged"]
         assert st["iterations"] <= 50
-        assert st["map_forward_solves"] + st["map_adjoint_solves"] <= 60
+        assert (st["map_forward_solves"] + st["map_adjoint_solves"]
+                + st["map_tangent_solves"]) <= 60
     assert surrogate.n_forward <= 15

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from gridest.adjoint import backward_sweep, misfit, misfit_state_gradients
+from gridest.adjoint import (backward_sweep, misfit, misfit_state_gradients,
+                             residual, tangent_linear)
 from gridest.bayes import GaussianPrior
 from gridest.integrator import simulate
 from gridest.ninebus import N_BUS, DisturbanceEvent
@@ -159,3 +160,65 @@ def test_misfit_state_gradients_polar(system):
         dn = misfit(traj2, obs, noise)
         fd = (up - dn) / (2 * h)
         assert g[col] == pytest.approx(fd, rel=1e-5, abs=1e-6)
+
+
+PRIOR = GaussianPrior(mean=np.array([24.0, 6.0, 3.1]),
+                      var=np.array([5.76, 0.36, 0.09]))
+
+
+def _observed_case(system, coords, events):
+    traj = simulate(system, system.h_ref, T_F, DT, events=events)
+    times = observation_times(T_F, 0.1)
+    noise = NoiseModel.iid(1e-4, 2 * N_BUS * len(times))
+    obs = synthesize_observations(traj, times, noise, seed=1234,
+                                  coords=coords)
+    return obs, noise
+
+
+TANGENT_CASES = {"rect": (RECT, EVENTS), **BRANCH_CASES}
+
+
+@pytest.mark.parametrize("coords, events", TANGENT_CASES.values(),
+                         ids=TANGENT_CASES.keys())
+def test_tangent_linear_gradient_matches_adjoint(system, coords, events):
+    # J^T Gn^-1 r + Gpr^-1 (m - m_pr) is the adjoint gradient to roundoff
+    obs, noise = _observed_case(system, coords, events)
+    rng = np.random.default_rng(11)
+    points = [PRIOR.mean] + [PRIOR.mean * (1.0 + 0.2 * rng.uniform(-1, 1, 3))
+                             for _ in range(2)]
+    for m in points:
+        traj = simulate(system, m, T_F, DT, events=events)
+        jac = tangent_linear(system, traj, m, obs)
+        assert jac.shape == (obs.size, 3)
+        g_tl = jac.T @ (residual(traj, obs) / noise.var) \
+            + (m - PRIOR.mean) / PRIOR.var
+        g_adj = backward_sweep(system, traj, m, obs, noise, prior=PRIOR)
+        assert np.max(np.abs(g_tl - g_adj)) <= 1e-10 * np.max(np.abs(g_adj))
+
+
+@pytest.mark.parametrize("coords, events", TANGENT_CASES.values(),
+                         ids=TANGENT_CASES.keys())
+def test_tangent_linear_matches_finite_differences(system, coords, events):
+    obs, _ = _observed_case(system, coords, events)
+    m = np.array([22.0, 6.5, 2.9])
+
+    def f(x):
+        traj = simulate(system, x, T_F, DT, events=events)
+        return observe(traj, obs.times, obs.buses, obs.coords)
+    fd = np.empty((obs.size, 3))
+    for j in range(3):
+        e = np.zeros(3)
+        e[j] = 1e-6 * m[j]
+        fd[:, j] = (f(m + e) - f(m - e)) / (2.0 * e[j])
+    jac = tangent_linear(system, simulate(system, m, T_F, DT, events=events),
+                         m, obs)
+    assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_tangent_linear_vanishes_without_disturbance(system):
+    # the trajectory stays at the equilibrium, which no inertia moves
+    obs, _ = _observed_case(system, RECT, ())
+    m = np.array([22.0, 6.5, 2.9])
+    jac = tangent_linear(system, simulate(system, m, T_F, DT), m, obs)
+    assert jac.shape == (obs.size, 3)
+    assert np.max(np.abs(jac)) <= 1e-14

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridest import lbfgs
-from gridest.bayes import (GaussianPrior, PosteriorSummary, estimate_adjoint,
-                           laplace_covariance, map_estimate, metrics,
-                           neg_log_posterior)
+from gridest.bayes import (H_LOWER_BOUND, GaussianPrior, PosteriorSummary,
+                           estimate_adjoint, laplace_covariance, map_estimate,
+                           metrics, neg_log_posterior)
+from gridest.integrator import StepFailure
 from gridest.ninebus import DisturbanceEvent
 from gridest.observation import NoiseModel
 
@@ -33,23 +34,94 @@ def _quad_objective(a, d, noise_var, prior):
     return fun
 
 
-def test_conjugate_gaussian_fixed_case():
+class _Linearized:
+    """J = misfit(Am - d) + prior through the Gauss-Newton driver's
+    value/linearize interface.  It records every point it is asked about,
+    and with fail_trials > 0 the first that many trial points fail like a
+    forward solve that does not converge."""
+
+    def __init__(self, a, d, noise_var, prior, fail_trials=0):
+        self.fun = _quad_objective(a, d, noise_var, prior)
+        self.hess = a.T @ (a / noise_var[:, None]) + np.diag(1.0 / prior.var)
+        self.fail_trials = fail_trials
+        self.points = []
+
+    def value(self, m):
+        self.points.append(m.copy())
+        if self.fail_trials > 0:
+            self.fail_trials -= 1
+            raise StepFailure("Newton at t=0.1 stalled")
+        return self.fun(m)[0]
+
+    def linearize(self, m):
+        self.points.append(m.copy())
+        return (*self.fun(m), self.hess)
+
+
+def _fixed_case():
     a = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]])
     d = np.array([3.1, 4.2])
     noise_var = np.array([0.1, 0.2])
     prior = GaussianPrior(mean=np.array([1.0, 1.0, 1.0]),
                           var=np.array([1.0, 2.0, 0.5]))
+    return a, d, noise_var, prior
+
+
+def test_conjugate_gaussian_fixed_case():
+    a, d, noise_var, prior = _fixed_case()
     m_post, cov = _linear_gaussian(a, d, noise_var, prior)
     assert np.all(m_post > 0.15)  # keep clear of the physical lower bound
 
-    fun = _quad_objective(a, d, noise_var, prior)
-    res = map_estimate(fun, prior.mean.copy(), tol=1e-12)
-    gpost, hess = laplace_covariance(res.x, lambda m: fun(m)[1])
+    objective = _Linearized(a, d, noise_var, prior)
+    res = map_estimate(objective, prior.mean.copy(), tol=1e-12)
+    gpost, hess = laplace_covariance(res.x, lambda m: objective.fun(m)[1])
     assert res.converged or lbfgs.at_roundoff_floor(res, hess)
     assert np.allclose(res.x, m_post, atol=1e-9)
+    # on a quadratic one full Gauss-Newton step is exact
+    assert res.iterations == 1 and res.n_evals == 2
+    assert res.history[1]["step"] == 1.0
 
     assert np.allclose(gpost, cov, rtol=1e-8)
     assert np.allclose(hess, np.linalg.inv(cov), rtol=1e-8)
+
+
+def test_failed_trial_solve_is_backtracked():
+    # a trial whose forward solve fails counts as no decrease: the step is
+    # halved, not the estimate abandoned
+    a, d, noise_var, prior = _fixed_case()
+    m_post, _ = _linear_gaussian(a, d, noise_var, prior)
+    objective = _Linearized(a, d, noise_var, prior, fail_trials=1)
+    res = map_estimate(objective, prior.mean.copy(), tol=1e-10)
+    assert res.history[1]["step"] == 0.5
+    assert res.converged
+    assert np.allclose(res.x, m_post, atol=1e-9)
+
+
+def test_gauss_newton_stays_above_the_lower_bound():
+    # the unconstrained posterior mean has m_1 < H_LOWER_BOUND; the MAP
+    # rests on the bound with the gradient pointing out of the box
+    a = np.array([[1.0, 0.5], [0.3, 1.0], [1.0, 1.0]])
+    d = np.array([-1.0, 2.0, 1.0])
+    noise_var = np.full(3, 0.1)
+    prior = GaussianPrior(mean=np.array([1.0, 1.0]), var=np.array([1.0, 1.0]))
+    m_free, _ = _linear_gaussian(a, d, noise_var, prior)
+    assert m_free[0] < H_LOWER_BOUND
+
+    objective = _Linearized(a, d, noise_var, prior)
+    res = map_estimate(objective, prior.mean.copy(), tol=1e-10)
+    assert res.converged
+    assert min(float(np.min(m)) for m in objective.points) >= H_LOWER_BOUND
+    assert res.x[0] == H_LOWER_BOUND
+    # closed form with m_1 held: H_22 m_2 = b_2 - H_21 m_1
+    h = objective.hess
+    b = a.T @ (d / noise_var) + prior.mean / prior.var
+    m_2 = (b[1] - h[1, 0] * H_LOWER_BOUND) / h[1, 1]
+    assert res.x[1] == pytest.approx(m_2, rel=1e-10)
+    _, g = objective.fun(res.x)
+    assert g[0] > 0.0
+
+
+SHIFT = 5.0
 
 
 def test_conjugate_gaussian_random_cases():
@@ -72,6 +144,20 @@ def test_conjugate_gaussian_random_cases():
                                    "line search failed")
             assert res.grad_norm < 1e-6
         gpost, _ = laplace_covariance(res.x, lambda m: fun(m)[1])
+        assert np.allclose(gpost, cov, rtol=1e-6, atol=1e-12)
+
+        # the same draw through the Gauss-Newton driver, translated by
+        # SHIFT so that the means lie above its lower bound
+        shifted = GaussianPrior(mean=prior.mean + SHIFT, var=prior.var)
+        d_shift = d + a @ np.full(n_par, SHIFT)
+        assert np.all(m_post + SHIFT > 0.15)
+        objective = _Linearized(a, d_shift, noise_var, shifted)
+        res = map_estimate(objective, shifted.mean.copy(), tol=1e-9)
+        assert res.iterations == 1
+        assert np.max(np.abs(res.x - SHIFT - m_post)) < 1e-6
+        gpost, hess = laplace_covariance(res.x,
+                                         lambda m: objective.fun(m)[1])
+        assert res.converged or lbfgs.at_roundoff_floor(res, hess)
         assert np.allclose(gpost, cov, rtol=1e-6, atol=1e-12)
 
 
@@ -169,9 +255,14 @@ def test_estimate_adjoint_small_scenario(system, prior, make_scenario):
                                events=events, m_true=[23.64, 6.40, 3.01])
     st = summary.stats
     assert st["converged"]
+    # the MAP: a forward solve per point tried, a tangent-linear pass per
+    # iterate and no adjoint; the Laplace step: six gradients
     assert st["map_forward_solves"] == st["n_evals"]
-    assert st["map_adjoint_solves"] == st["n_evals"]
+    assert st["map_adjoint_solves"] == 0
+    assert st["map_tangent_solves"] == st["iterations"] + 1
+    assert st["tangent_solves"] == st["map_tangent_solves"]
     assert st["hessian_forward_solves"] == 6
+    assert st["adjoint_solves"] == 6
     assert summary.m_map.shape == (3,)
     assert np.all(summary.m_map > 0)
     eig = np.linalg.eigvalsh(summary.gamma_post)
@@ -194,10 +285,20 @@ def test_estimate_adjoint_reports_newton_iterations(system, prior,
 @pytest.mark.parametrize("t_f, load", [(1.0, 7.0), (1.5, 5.5)])
 def test_estimate_adjoint_converges_at_roundoff_floor(system, prior,
                                                       make_scenario, t_f, load):
-    # both stop above tol at the roundoff floor: the line search must give
-    # up within a few evaluations, and the Laplace Hessian certify the floor
+    # both stop above tol at the roundoff floor within a few evaluations,
+    # and the Laplace Hessian certifies the floor
     obs, noise, events = make_scenario(t_f, 0.1, load=load)
     summary = estimate_adjoint(system, obs, noise, prior, t_f, 0.01,
                                events=events)
     assert summary.stats["converged"]
     assert summary.stats["n_evals"] <= 15
+
+
+def test_map_forward_solves_at_regime_points(regime_summaries):
+    # Gauss-Newton reaches each criterion-4 regime MAP in a few iterates;
+    # L-BFGS spent 11-25 forward and as many adjoint solves there
+    for summary in regime_summaries.values():
+        st = summary.stats
+        assert st["converged"]
+        assert st["map_forward_solves"] <= 10
+        assert st["map_adjoint_solves"] == 0

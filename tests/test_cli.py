@@ -85,21 +85,26 @@ def test_estimate_adjoint_json(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "Err" in text and "tau" in text
     assert "adjoint solves" in text
+    assert "tangent-linear solves" in text
 
 
 def _method_flags(method, rule):
     return ["--method", method] + ([] if rule is None else ["--pce-rule", rule])
 
 
-def _assert_shared_cost(rule, iterations, forward, adjoint, converged):
+def _assert_shared_cost(rule, iterations, forward, adjoint, tangent,
+                        converged):
     """The cost keys every back end reports; rule is None for adjoint."""
     assert iterations > 0
     assert converged
     if rule is None:
         assert forward > 0 and adjoint > 0
+        # one tangent-linear pass per Gauss-Newton iterate
+        assert tangent == iterations + 1
     else:
         assert forward == PCE_NODES[rule]
         assert adjoint == 0
+        assert tangent == 0
 
 
 @pytest.mark.parametrize("method, rule", METHOD_CASES)
@@ -115,7 +120,8 @@ def test_estimate_pce_json(tmp_path, method, rule):
     assert doc["config"]["method"] == method
     st = doc["stats"]
     _assert_shared_cost(rule, st["iterations"], st["forward_solves"],
-                        st["adjoint_solves"], st["converged"])
+                        st["adjoint_solves"], st["tangent_solves"],
+                        st["converged"])
     assert st["newton_iters"] > 0
 
 
@@ -182,6 +188,18 @@ def test_no_disturbance_flag(tmp_path):
     assert np.max(np.ptp(dvals, axis=0)) > 0.1
 
 
+def test_no_disturbance_conflicts_with_event_flags(tmp_path):
+    # an event flag cannot be dropped in silence: the error names each one
+    with pytest.raises(SystemExit, match="--no-disturbance conflicts with "
+                                         "--bus, --load"):
+        _run(["synth-data", *FAST, "--no-disturbance", "--bus", "7",
+              "--load", "6.0", "--out", tmp_path / "a.csv"])
+    with pytest.raises(SystemExit, match="--event-start, --event-duration"):
+        _run(["estimate", *FAST, "--no-disturbance", "--event-start", "0.2",
+              "--event-duration", "0.1", "--data", tmp_path / "a.csv"])
+    assert not (tmp_path / "a.csv").exists()
+
+
 @pytest.mark.parametrize("method, rule", METHOD_CASES)
 def test_sweep_csv(tmp_path, method, rule):
     argv = ["sweep", "--t-f", "0.5", "--dt-obs", "0.1",
@@ -202,7 +220,7 @@ def test_sweep_csv(tmp_path, method, rule):
         assert float(r["err"]) < 0.5
         _assert_shared_cost(rule, int(r["iterations"]),
                             int(r["forward_solves"]), int(r["adjoint_solves"]),
-                            r["converged"] == "1")
+                            int(r["tangent_solves"]), r["converged"] == "1")
     # per-row seeds are derived, distinct, and stable across reruns
     seeds = [int(r["seed"]) for r in rows]
     assert len(set(seeds)) == 2

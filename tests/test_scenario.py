@@ -91,6 +91,20 @@ def test_from_dict_rejects_unknown_fields():
         ScenarioConfig.from_dict({"t_f": 1.0, "volume": 11})
 
 
+def test_from_dict_names_bad_disturbance_keys():
+    event = {"bus": 5, "start": 0.1, "duration": 0.2, "load": 5.5}
+    misspelt = {**{k: v for k, v in event.items() if k != "load"},
+                "lood": 5.5}
+    with pytest.raises(ValueError, match=r"unknown disturbance fields: \['lood'\]"):
+        ScenarioConfig.from_dict({"disturbance": misspelt})
+    missing = {k: v for k, v in event.items() if k != "duration"}
+    with pytest.raises(ValueError,
+                       match=r"missing disturbance fields: \['duration'\]"):
+        ScenarioConfig.from_dict({"disturbance": missing})
+    assert ScenarioConfig.from_dict({"disturbance": event}).disturbance == \
+        DisturbanceEvent(**event)
+
+
 def test_to_dict_structure():
     cfg = ScenarioConfig()
     d = cfg.to_dict()
