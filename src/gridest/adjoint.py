@@ -35,8 +35,14 @@ the Jacobian J = df/dm (q x n_param); J^T Gn^-1 (f - d) is the gradient
 above.  Its cost is about one adjoint sweep: a 3-column solve per step.
 Tangent-linear and adjoint DAE sensitivities are derived together in
 Cao, Li, Petzold & Serban (SIAM J. Sci. Comput. 24, 2003).
+
+The pass keeps S at every node (post-switch, with the pre-switch S at
+each projection node) in a Sensitivity.  It predicts the trajectory at
+a nearby m as u_k + S_k (m - m_0), with an error of O(|m - m_0|^2).
 """
 from __future__ import annotations
+
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -163,16 +169,39 @@ def _project(fu_post: np.ndarray, fm_post: np.ndarray, s: np.ndarray,
     return out
 
 
+@dataclass(frozen=True)
+class Sensitivity:
+    """S_k = du_k/dm along the trajectory traj solved at m.
+
+    states[k] (n_state x n_param) belongs to traj.states[k] and
+    pre_event[k] to traj.pre_event[k].
+    """
+    m: np.ndarray
+    traj: Trajectory
+    states: np.ndarray
+    pre_event: dict[int, np.ndarray]
+
+    def predict(self, m: np.ndarray) -> Trajectory:
+        """The first-order trajectory at m: u_k + S_k (m - self.m)."""
+        dm = np.asarray(m, dtype=float) - self.m
+        traj = self.traj
+        return replace(traj, states=traj.states + self.states @ dm,
+                       pre_event={k: u + self.pre_event[k] @ dm
+                                  for k, u in traj.pre_event.items()},
+                       newton_iters=0)
+
+
 def tangent_linear(system, traj: Trajectory, m: np.ndarray,
-                   obs: ObservationSet) -> np.ndarray:
-    """Jacobian df/dm of the observables (q x n_param) by one forward
-    sensitivity pass along the stored trajectory."""
+                   obs: ObservationSet):
+    """(J, Sensitivity): the Jacobian df/dm of the observables
+    (q x n_param) and S at every node, by one forward sensitivity pass
+    along the stored trajectory."""
     n_x = int(system.mass.sum())
     dt = traj.dt
     nodes = grid_indices(obs.times, dt)
-    observed = set(nodes.tolist())
-    sens = {}
-    s = np.zeros((traj.states.shape[1], system.n_param))
+    sens = np.empty(traj.states.shape + (system.n_param,))
+    pre_sens = {}
+    s = np.zeros(sens.shape[1:])
     # (fu, fm) at the departure node of the step, carried from the earlier
     # step unless that node is a projection node (its loads differ)
     fu = None
@@ -184,9 +213,9 @@ def tangent_linear(system, traj: Trajectory, m: np.ndarray,
             fu = system.jac_u(traj.times[k], traj.states[k], m, p, q)
             fm = system.jac_m(traj.times[k], traj.states[k], m, p, q)
         if k in traj.pre_event:
+            pre_sens[k] = s
             s = _project(fu, fm, s, n_x)
-        if k in observed:
-            sens[k] = s
+        sens[k] = s
 
         t_next = traj.times[k + 1]
         u_next = traj.pre_event.get(k + 1, traj.states[k + 1])
@@ -202,11 +231,12 @@ def tangent_linear(system, traj: Trajectory, m: np.ndarray,
             fu, fm = fu_next, fm_next
     sens[traj.n_steps] = s
 
-    s_obs = np.stack([sens[k] for k in nodes.tolist()])
+    s_obs = sens[nodes]
     rv, iv = ix_vre(obs.buses), ix_vim(obs.buses)
     d0, d1 = s_obs[:, rv], s_obs[:, iv]
     if obs.coords == POLAR:
         (m_rr, m_ri), (a_rr, a_ri) = _polar_partials(traj, nodes, rv, iv)
         d0, d1 = (m_rr[..., None] * d0 + m_ri[..., None] * d1,
                   a_rr[..., None] * d0 + a_ri[..., None] * d1)
-    return np.stack([d0, d1], axis=2).reshape(-1, system.n_param)
+    jac = np.stack([d0, d1], axis=2).reshape(-1, system.n_param)
+    return jac, Sensitivity(np.array(m, dtype=float), traj, sens, pre_sens)

@@ -9,12 +9,20 @@ which keeps every stored state consistent (no accumulation of
 algebraic residual) and is algebraically equivalent to applying the
 rule to M du/dt = F on consistent states.  Each step solves the
 nonlinear system with a full Newton iteration on the matrix
-M - dt/2 F_u (algebraic rows unscaled), started from the linear
-extrapolation 2 u_k - u_{k-1} (from u_k at the first step and at a
-projection node, where the algebraic states jump).  Once the residual
-meets NEWTON_TOL, one more update on the last Newton matrix takes it to
-roundoff.  The load-switch projection runs the same Newton loop on the
-algebraic block.
+M - dt/2 F_u (algebraic rows unscaled).  Newton starts from a predicted
+trajectory T~ plus the linear extrapolation of the solve's distance to
+it, d_k = u_k - T~_k:
+
+    u_{k+1}^0 = T~_{k+1} + 2 d_k - d_{k-1},
+
+or T~_{k+1} + d_k at the first step and at a projection node, where the
+algebraic states jump (T~_{k+1} is the arrival state, pre-switch at a
+projection node).  Without a prediction T~ = 0, which is the plain
+extrapolation 2 u_k - u_{k-1}; a prediction good to O(|dm|^2), such as
+the tangent-linear one of adjoint.Sensitivity, leaves Newton far less
+to do.  Once the residual meets NEWTON_TOL, one more update on the last
+Newton matrix takes it to roundoff.  The load-switch projection runs the
+same Newton loop on the algebraic block.
 
 Load-switch events must coincide with grid points.  At a switching
 instant the differential states are continuous while the algebraic
@@ -186,12 +194,14 @@ def solve_algebraic(system, u: np.ndarray, t: float, m: np.ndarray,
 
 
 def simulate(system, m: np.ndarray, t_f: float, dt: float,
-             events=()) -> Trajectory:
+             events=(), predicted: Trajectory | None = None) -> Trajectory:
     """Forward solve from the stored equilibrium over [0, t_f].
 
     The initial state is the steady state, so the trajectory departs
     from equilibrium only through the events.  Cost: n_steps Newton
-    solves plus one algebraic projection per load switch.
+    solves plus one algebraic projection per load switch.  `predicted`,
+    a trajectory on the same grid and load schedule, only moves the
+    Newton starts (see the module docstring).
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (system.n_param,):
@@ -208,6 +218,16 @@ def simulate(system, m: np.ndarray, t_f: float, dt: float,
     states[0] = system.steady_state()
     pre_event: dict[int, np.ndarray] = {}
     total_newton = 0
+    # the prediction T~: post-switch states, and pre-switch arrival states
+    base, arrive = np.zeros_like(states), {}
+    if predicted is not None:
+        if not (np.array_equal(predicted.times, times)
+                and np.array_equal(predicted.step_loads, step_loads)
+                and np.array_equal(predicted.p_loads, p_loads)
+                and np.array_equal(predicted.q_loads, q_loads)):
+            raise ValueError("predicted trajectory has another grid or "
+                             "load schedule than the solve")
+        base, arrive = predicted.states, predicted.pre_event
 
     # the equilibrium belongs to the nominal loads; an event active from
     # t=0 switches the manifold before the first step
@@ -223,12 +243,14 @@ def simulate(system, m: np.ndarray, t_f: float, dt: float,
             pre_event[k] = states[k].copy()
             states[k] = solve_algebraic(system, states[k], times[k], m, p, q)
         # f_k is kept from the last step and Newton starts from the linear
-        # extrapolation, except at the start and where y jumped
+        # extrapolation of the distance to the prediction, except at the
+        # start and where y jumped
+        d_k = states[k] - base[k]
         if k == 0 or k in pre_event:
             f_k = system.rhs(times[k], states[k], m, p, q)
-            guess = states[k]
         else:
-            guess = 2.0 * states[k] - states[k - 1]
+            d_k = 2.0 * d_k - (states[k - 1] - base[k - 1])
+        guess = arrive.get(k + 1, base[k + 1]) + d_k
         states[k + 1], its = step_trapezoidal(
             system, states[k], times[k], dt, m, p, q, f_k, guess)
         total_newton += its

@@ -55,7 +55,6 @@ class OptimizeResult:
     converged: bool
     message: str
     history: list[dict] = field(default_factory=list)
-    skipped_updates: int = 0
 
 
 def _projected_grad_norm(x, g, lower):
@@ -125,7 +124,6 @@ def minimize(fun, x0, lower=None, tol=1e-6, max_iter=100) -> OptimizeResult:
     s_mem: list[np.ndarray] = []
     y_mem: list[np.ndarray] = []
     rho_mem: list[float] = []
-    skipped = 0
     message = "max_iter reached"
     converged = stalled = False
     alpha = None
@@ -182,8 +180,6 @@ def minimize(fun, x0, lower=None, tol=1e-6, max_iter=100) -> OptimizeResult:
                 s_mem.pop(0)
                 y_mem.pop(0)
                 rho_mem.pop(0)
-        else:
-            skipped += 1
 
         stalled = f - f_new <= _FTOL * max(abs(f), abs(f_new), 1.0)
         x, f, g = x_new, f_new, g_new
@@ -192,8 +188,7 @@ def minimize(fun, x0, lower=None, tol=1e-6, max_iter=100) -> OptimizeResult:
 
     return OptimizeResult(x=x, fun=f, grad_norm=float(gnorm),
                           iterations=it, n_evals=evals, converged=converged,
-                          message=message, history=history,
-                          skipped_updates=skipped)
+                          message=message, history=history)
 
 
 def at_roundoff_floor(res: OptimizeResult, hess: np.ndarray) -> bool:

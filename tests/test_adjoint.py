@@ -4,7 +4,8 @@ import pytest
 
 from gridest.adjoint import (backward_sweep, misfit, misfit_state_gradients,
                              residual, tangent_linear)
-from gridest.bayes import GaussianPrior
+from gridest.bayes import (AdjointObjective, GaussianPrior,
+                           laplace_covariance, map_estimate)
 from gridest.integrator import simulate
 from gridest.ninebus import N_BUS, DisturbanceEvent
 from gridest.observation import (POLAR, RECT, NoiseModel, ObservationSet,
@@ -188,7 +189,7 @@ def test_tangent_linear_gradient_matches_adjoint(system, coords, events):
                              for _ in range(2)]
     for m in points:
         traj = simulate(system, m, T_F, DT, events=events)
-        jac = tangent_linear(system, traj, m, obs)
+        jac, _ = tangent_linear(system, traj, m, obs)
         assert jac.shape == (obs.size, 3)
         g_tl = jac.T @ (residual(traj, obs) / noise.var) \
             + (m - PRIOR.mean) / PRIOR.var
@@ -210,8 +211,8 @@ def test_tangent_linear_matches_finite_differences(system, coords, events):
         e = np.zeros(3)
         e[j] = 1e-6 * m[j]
         fd[:, j] = (f(m + e) - f(m - e)) / (2.0 * e[j])
-    jac = tangent_linear(system, simulate(system, m, T_F, DT, events=events),
-                         m, obs)
+    jac, _ = tangent_linear(
+        system, simulate(system, m, T_F, DT, events=events), m, obs)
     assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
@@ -219,6 +220,56 @@ def test_tangent_linear_vanishes_without_disturbance(system):
     # the trajectory stays at the equilibrium, which no inertia moves
     obs, _ = _observed_case(system, RECT, ())
     m = np.array([22.0, 6.5, 2.9])
-    jac = tangent_linear(system, simulate(system, m, T_F, DT), m, obs)
+    jac, _ = tangent_linear(system, simulate(system, m, T_F, DT), m, obs)
     assert jac.shape == (obs.size, 3)
     assert np.max(np.abs(jac)) <= 1e-14
+
+
+def _map_objective(system, coords, events):
+    """An AdjointObjective on the case's data, linearized at its MAP."""
+    obs, noise = _observed_case(system, coords, events)
+    objective = AdjointObjective(system, obs, noise, PRIOR, T_F, DT, events)
+    res = map_estimate(objective, PRIOR.mean.copy())
+    assert np.array_equal(objective.anchor.m, res.x)
+    return objective, res.x
+
+
+@pytest.mark.parametrize("coords, events", TANGENT_CASES.values(),
+                         ids=TANGENT_CASES.keys())
+def test_predicted_laplace_hessian_matches_adjoint_fd(system, coords, events):
+    # central differences of the gradient on the predicted trajectory
+    # against central differences of the adjoint gradient of full solves
+    objective, m_map = _map_objective(system, coords, events)
+    n_fwd, n_tan = objective.n_forward, objective.n_tangent
+    _, hess = laplace_covariance(m_map, objective.predicted_gradient)
+    assert (objective.n_forward, objective.n_adjoint) == (n_fwd, 0)
+    assert objective.n_tangent == n_tan + 6
+    _, hess_adj = laplace_covariance(m_map, objective.gradient)
+    assert np.max(np.abs(hess - hess_adj)) <= 1e-6 * np.max(np.abs(hess_adj))
+
+
+def test_predicted_laplace_hessian_without_disturbance(system):
+    # the trajectory does not depend on m: only the prior curves J
+    objective, m_map = _map_objective(system, RECT, ())
+    _, hess = laplace_covariance(m_map, objective.predicted_gradient)
+    assert np.allclose(hess, np.diag(1.0 / PRIOR.var), rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("coords, events", BRANCH_CASES.values(),
+                         ids=BRANCH_CASES.keys())
+def test_prediction_error_is_second_order(system, coords, events):
+    m0 = np.array([22.0, 6.5, 2.9])
+    obs, _ = _observed_case(system, coords, events)
+    _, sens = tangent_linear(system, simulate(system, m0, T_F, DT, events),
+                             m0, obs)
+    dm = 0.02 * m0 * np.array([1.0, -1.0, 1.0])
+    errs = []
+    for scale in (1.0, 0.5):
+        m = m0 + scale * dm
+        exact = simulate(system, m, T_F, DT, events)
+        predicted = sens.predict(m)
+        assert set(predicted.pre_event) == set(exact.pre_event)
+        errs.append(max([np.max(np.abs(predicted.states - exact.states))]
+                        + [np.max(np.abs(predicted.pre_event[k] - u))
+                           for k, u in exact.pre_event.items()]))
+    assert 3.5 < errs[0] / errs[1] < 4.5

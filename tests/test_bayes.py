@@ -256,13 +256,15 @@ def test_estimate_adjoint_small_scenario(system, prior, make_scenario):
     st = summary.stats
     assert st["converged"]
     # the MAP: a forward solve per point tried, a tangent-linear pass per
-    # iterate and no adjoint; the Laplace step: six gradients
+    # iterate and no adjoint; the Laplace step: six tangent-linear passes
+    # along the predicted trajectory, no forward or adjoint solve
     assert st["map_forward_solves"] == st["n_evals"]
     assert st["map_adjoint_solves"] == 0
     assert st["map_tangent_solves"] == st["iterations"] + 1
-    assert st["tangent_solves"] == st["map_tangent_solves"]
-    assert st["hessian_forward_solves"] == 6
-    assert st["adjoint_solves"] == 6
+    assert st["forward_solves"] == st["map_forward_solves"]
+    assert st["adjoint_solves"] == 0
+    assert st["hessian_tangent_solves"] == 6
+    assert st["tangent_solves"] == st["iterations"] + 7
     assert summary.m_map.shape == (3,)
     assert np.all(summary.m_map > 0)
     eig = np.linalg.eigvalsh(summary.gamma_post)

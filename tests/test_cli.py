@@ -98,9 +98,10 @@ def _assert_shared_cost(rule, iterations, forward, adjoint, tangent,
     assert iterations > 0
     assert converged
     if rule is None:
-        assert forward > 0 and adjoint > 0
-        # one tangent-linear pass per Gauss-Newton iterate
-        assert tangent == iterations + 1
+        assert forward > 0 and adjoint == 0
+        # one tangent-linear pass per Gauss-Newton iterate, six for the
+        # Laplace step
+        assert tangent == iterations + 7
     else:
         assert forward == PCE_NODES[rule]
         assert adjoint == 0
@@ -122,6 +123,9 @@ def test_estimate_pce_json(tmp_path, method, rule):
     _assert_shared_cost(rule, st["iterations"], st["forward_solves"],
                         st["adjoint_solves"], st["tangent_solves"],
                         st["converged"])
+    if rule is None:
+        # the Laplace step makes no forward solve
+        assert st["forward_solves"] == st["map_forward_solves"]
     assert st["newton_iters"] > 0
 
 

@@ -5,10 +5,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from gridest.adjoint import tangent_linear
 from gridest.integrator import (StepFailure, Trajectory, build_load_schedule,
                                 simulate, solve_algebraic, step_trapezoidal,
                                 write_trajectory_csv)
-from gridest.ninebus import DisturbanceEvent, state_names
+from gridest.ninebus import N_BUS, DisturbanceEvent, state_names
+from gridest.observation import ObservationSet, observation_times
 
 
 class ToyDAE:
@@ -221,6 +223,58 @@ def test_extrapolated_start_reaches_the_same_state(system):
         assert np.max(np.abs(extrap - from_uk)) <= 1e-13
         assert np.array_equal(extrap, traj.states[k + 1])
         assert its < its_uk
+
+
+EVENT_CASES = {
+    "one-event": (DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5),),
+    "event-at-t0": (DisturbanceEvent(bus=5, start=0.0, duration=0.2,
+                                     load=5.5),),
+    "two-events": (DisturbanceEvent(bus=5, start=0.1, duration=0.1, load=5.5),
+                   DisturbanceEvent(bus=8, start=0.3, duration=0.1, load=3.0)),
+}
+M0 = np.array([24.0, 6.0, 3.1])
+
+
+def _sensitivity(system, events, t_f=0.5, dt=0.01):
+    """The tangent-linear sensitivity of the trajectory at M0."""
+    times = observation_times(t_f, 0.1)
+    obs = ObservationSet(times=times, buses=np.arange(N_BUS),
+                         values=np.zeros(2 * N_BUS * len(times)))
+    traj = simulate(system, M0, t_f, dt, events=events)
+    return tangent_linear(system, traj, M0, obs)[1]
+
+
+@pytest.mark.parametrize("events", EVENT_CASES.values(), ids=EVENT_CASES.keys())
+@pytest.mark.parametrize("move", [1e-4, 0.3])
+def test_predicted_start_reaches_the_cold_state(system, events, move):
+    # a start from the tangent-linear prediction solves the same steps,
+    # with no more Newton iterations, for small and large moves of m
+    sens = _sensitivity(system, events)
+    m = M0 * (1.0 + move * np.array([1.0, -1.0, 1.0]))
+    cold = simulate(system, m, 0.5, 0.01, events=events)
+    warm = simulate(system, m, 0.5, 0.01, events=events,
+                    predicted=sens.predict(m))
+    scale = np.max(np.abs(cold.states))
+    assert np.max(np.abs(warm.states - cold.states)) <= 1e-10 * scale
+    assert set(warm.pre_event) == set(cold.pre_event)
+    for k, u in cold.pre_event.items():
+        assert np.max(np.abs(warm.pre_event[k] - u)) <= 1e-10 * scale
+    assert warm.newton_iters <= cold.newton_iters
+
+
+def test_prediction_on_another_grid_is_rejected(system):
+    events = EVENT_CASES["one-event"]
+    predicted = _sensitivity(system, events).predict(M0)
+    with pytest.raises(ValueError, match="grid or load schedule"):
+        simulate(system, M0, 0.6, 0.01, events=events, predicted=predicted)
+    with pytest.raises(ValueError, match="grid or load schedule"):
+        simulate(system, M0, 0.5, 0.005, events=events, predicted=predicted)
+    with pytest.raises(ValueError, match="grid or load schedule"):
+        simulate(system, M0, 0.5, 0.01, events=EVENT_CASES["event-at-t0"],
+                 predicted=predicted)
+    other_load = (DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=6.0),)
+    with pytest.raises(ValueError, match="grid or load schedule"):
+        simulate(system, M0, 0.5, 0.01, events=other_load, predicted=predicted)
 
 
 def test_trajectory_csv_round_trip(tmp_path, system):
