@@ -5,7 +5,8 @@ The negative log posterior of m given voltage data d is
     J(m) = 1/2 ||f(m) - d||^2_{Gn^-1} + 1/2 ||m - m_pr||^2_{Gpr^-1}
 
 with independent Gaussian noise and prior.  The MAP point minimizes J
-by bounded Gauss-Newton: the objective linearizes f with a
+by bounded Gauss-Newton (map_estimate, the MAP driver lbfgs.minimize
+that the surrogate MAP shares): the objective linearizes f with a
 tangent-linear pass, giving the gradient J_f^T Gn^-1 (f - d) +
 Gpr^-1 (m - m_pr) and the model Hessian J_f^T Gn^-1 J_f + Gpr^-1 (the
 Gauss-Newton Hessian of Bui-Thanh, Ghattas, Martin & Stadler, SIAM J.
@@ -46,14 +47,12 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import ndtr
 
-from . import lbfgs
 from .adjoint import backward_sweep, misfit, residual, tangent_linear
-from .integrator import StepFailure, simulate
+from .integrator import simulate
+from .lbfgs import at_roundoff_floor
+from .lbfgs import minimize as map_estimate
 from .observation import NoiseModel, ObservationSet
 
-H_LOWER_BOUND = 0.1    # physical safety net for the optimizer (seconds)
-ARMIJO_C1 = 1e-4       # sufficient decrease of a Gauss-Newton step
-BACKTRACKS = 10        # trial points per Gauss-Newton step
 FD_REL_STEP = 1e-4     # relative central-difference step, Laplace Hessian
 FD_SYM_TOL = 1e-3      # largest relative asymmetry of that Hessian
 
@@ -80,10 +79,10 @@ class GaussianPrior:
 class AdjointObjective:
     """The negative log posterior J(m), with solve and Newton counting.
 
-    A call gives (value, gradient) for one forward simulation plus one
-    adjoint sweep; value(m) costs one forward simulation; linearize(m)
-    costs one tangent-linear pass, plus a forward simulation unless m is
-    the point of the latest one, and makes that pass the anchor.  Every
+    gradient(m) costs one forward simulation plus one adjoint sweep;
+    value(m) costs one forward simulation; linearize(m) costs one
+    tangent-linear pass, plus a forward simulation unless m is the point
+    of the latest one, and makes that pass the anchor.  Every
     forward solve after the first starts Newton from the anchor's
     prediction; predicted_gradient(m) costs one tangent-linear pass
     along it.
@@ -118,16 +117,11 @@ class AdjointObjective:
         traj = self.simulate(m)
         return misfit(traj, self.obs, self.noise) + self.prior.neg_log(m)
 
-    def __call__(self, m: np.ndarray):
-        traj = self.simulate(m)
-        j = misfit(traj, self.obs, self.noise) + self.prior.neg_log(m)
-        self.n_adjoint += 1
-        g = backward_sweep(self.system, traj, m, self.obs, self.noise,
-                           prior=self.prior)
-        return j, g
-
     def gradient(self, m: np.ndarray) -> np.ndarray:
-        return self(m)[1]
+        traj = self.simulate(m)
+        self.n_adjoint += 1
+        return backward_sweep(self.system, traj, m, self.obs, self.noise,
+                              prior=self.prior)
 
     def _tangent(self, traj, m):
         """One tangent-linear pass: (Jacobian, sensitivity, residual,
@@ -161,75 +155,6 @@ def neg_log_posterior(system, m, obs, noise, prior, t_f, dt, events=()):
     """Convenience single evaluation of J(m)."""
     traj = simulate(system, m, t_f, dt, events)
     return misfit(traj, obs, noise) + prior.neg_log(m)
-
-
-def map_estimate(objective, m0: np.ndarray, tol: float = 1e-6,
-                 max_iter: int = 50) -> lbfgs.OptimizeResult:
-    """Minimize the negative log posterior from m0 (usually the prior mean)
-    by Gauss-Newton steps kept above H_LOWER_BOUND.
-
-    objective.linearize(m) gives (J, gradient, model Hessian) at an
-    iterate and objective.value(m) gives J at a trial point; a trial
-    whose forward solve fails counts as no decrease.  The step -H^-1 g
-    is taken over the variables not held at the bound, capped where it
-    first reaches the bound, and halved until it meets the Armijo
-    condition.  Only a projected gradient at tol is converged; the loop
-    also stops, not converged, with its gradient at the model Hessian's
-    roundoff floor (lbfgs.at_roundoff_floor), when backtracking finds no
-    decrease, or at max_iter.  n_evals counts the points at which J was
-    computed.
-    """
-    x = np.array(m0, dtype=float)
-    if np.any(x < H_LOWER_BOUND):
-        raise ValueError(f"initial point below the bound {H_LOWER_BOUND}")
-    f, g, hess = objective.linearize(x)
-    res = lbfgs.OptimizeResult(x=x, fun=f, grad_norm=np.inf, iterations=0,
-                               n_evals=1, converged=False,
-                               message="max_iter reached")
-    alpha = None
-    while True:
-        at_bound = x <= H_LOWER_BOUND + 1e-12
-        held = at_bound & (g >= 0.0)
-        res.x, res.fun = x, f
-        res.grad_norm = float(np.linalg.norm(np.where(held, 0.0, g), np.inf))
-        res.history.append({"iter": res.iterations, "fun": f,
-                            "grad_norm": res.grad_norm, "step": alpha,
-                            "evals": res.n_evals})
-        if res.grad_norm <= tol:
-            res.converged = True
-            res.message = "projected gradient below tolerance"
-            return res
-        if lbfgs.at_roundoff_floor(res, hess):
-            res.message = "gradient at the roundoff floor"
-            return res
-        if res.iterations >= max_iter:
-            return res
-
-        free = ~held
-        p = np.zeros_like(x)
-        p[free] = -np.linalg.solve(hess[np.ix_(free, free)], g[free])
-        p[at_bound & (p < 0.0)] = 0.0
-        into = p < 0.0
-        alpha = 1.0
-        if np.any(into):
-            alpha = min(1.0, float(np.min((H_LOWER_BOUND - x[into]) / p[into])))
-        slope = float(g @ p)
-        for _ in range(BACKTRACKS):
-            x_new = np.maximum(x + alpha * p, H_LOWER_BOUND)
-            res.n_evals += 1
-            try:
-                f_new = objective.value(x_new)
-            except StepFailure:
-                f_new = np.inf
-            if f_new <= f + ARMIJO_C1 * alpha * slope:
-                break
-            alpha *= 0.5
-        else:
-            res.message = "backtracking found no decrease"
-            return res
-        x = x_new
-        f, g, hess = objective.linearize(x)
-        res.iterations += 1
 
 
 def laplace_covariance(m_map: np.ndarray, grad_fn):
@@ -292,7 +217,7 @@ class PosteriorSummary:
     keys are back-end specific.
     converged means the MAP optimizer met its gradient tolerance, or
     stopped with its gradient at the roundoff floor certified by the
-    Hessian at the MAP (lbfgs.at_roundoff_floor).
+    Hessian at the MAP (at_roundoff_floor).
     """
     m_map: np.ndarray
     gamma_post: np.ndarray
@@ -343,7 +268,7 @@ def estimate_adjoint(system, obs: ObservationSet, noise: NoiseModel,
     # map_estimate returns the last point it linearized
     assert np.array_equal(objective.anchor.m, res.x)
     gpost, hess = laplace_covariance(res.x, objective.predicted_gradient)
-    converged = res.converged or lbfgs.at_roundoff_floor(res, hess)
+    converged = res.converged or at_roundoff_floor(res, hess)
     stats = {
         "iterations": res.iterations,
         "n_evals": res.n_evals,

@@ -17,7 +17,8 @@ Each quadrature/collocation node costs exactly one forward simulation;
 the count is recorded on the surrogate.  The induced negative log
 posterior is a polynomial with closed-form gradient and Hessian, so the
 surrogate MAP needs no further simulations and its Laplace covariance
-is the analytic Hessian inverse.
+is the analytic Hessian inverse.  The MAP runs on the bounded
+Gauss-Newton driver of the adjoint back end (lbfgs.minimize).
 """
 from __future__ import annotations
 
@@ -28,11 +29,10 @@ from math import comb
 import numpy as np
 from scipy.linalg import qr
 
-from .bayes import (H_LOWER_BOUND, GaussianPrior, PosteriorSummary,
-                    hessian_inverse)
+from .bayes import GaussianPrior, PosteriorSummary, hessian_inverse
 from .hermite import basis_derivatives, basis_matrix, gauss_hermite, multi_index_set
 from .integrator import simulate
-from .lbfgs import at_roundoff_floor, minimize
+from .lbfgs import H_LOWER_BOUND, at_roundoff_floor, minimize
 from .observation import observe
 
 PCE_RULES = ("stochastic-testing", "tensor", "sparse")
@@ -220,9 +220,13 @@ def build_surrogate(rule: str, order: int, forward,
 class SurrogateObjective:
     """Negative log posterior with the surrogate in place of the model.
 
-    A polynomial of degree 2p in m: value, gradient, and Hessian are
-    closed-form contractions of the basis derivative tables, so calls
-    cost no simulations.
+    A polynomial of degree 2p in m: value, gradient, Jacobian and
+    Hessian are closed-form contractions of the basis derivative tables,
+    so calls cost no simulations.  linearize(m) and value(m) serve the
+    MAP driver (lbfgs.minimize); both form J and its gradient in
+    value_grad.  The basis tables of the latest point are kept: the
+    driver linearizes at the trial point it has just accepted, and
+    surrogate_map takes the Hessian at the point it linearized last.
     """
 
     def __init__(self, surrogate: Surrogate, obs, noise, prior: GaussianPrior):
@@ -231,16 +235,19 @@ class SurrogateObjective:
         self.noise_var = noise.var
         self.prior = prior
         self.sigma = np.sqrt(surrogate.prior.var)
+        self._latest = None    # (m, basis tables) of the latest point
         if surrogate.coeffs.shape[1] != self.data.shape[0]:
             raise ValueError("surrogate output dimension does not match data")
 
     def _parts(self, m):
-        xi = standardize(m, self.surrogate.prior)
-        psi, dpsi, d2psi = basis_derivatives(self.surrogate.indices, xi)
-        # chain rule to physical coordinates
-        dpsi = dpsi / self.sigma
-        d2psi = d2psi / (self.sigma[:, None] * self.sigma[None, :])
-        return psi, dpsi, d2psi
+        if self._latest is None or not np.array_equal(self._latest[0], m):
+            xi = standardize(m, self.surrogate.prior)
+            psi, dpsi, d2psi = basis_derivatives(self.surrogate.indices, xi)
+            # chain rule to physical coordinates
+            dpsi = dpsi / self.sigma
+            d2psi = d2psi / (self.sigma[:, None] * self.sigma[None, :])
+            self._latest = (m.copy(), (psi, dpsi, d2psi))
+        return self._latest[1]
 
     def value_grad(self, m):
         m = np.asarray(m, dtype=float)
@@ -253,29 +260,38 @@ class SurrogateObjective:
         grad = dpsi.T @ v + (m - self.prior.mean) / self.prior.var
         return float(jval), grad
 
-    def __call__(self, m):
-        return self.value_grad(m)
+    def value(self, m) -> float:
+        return self.value_grad(m)[0]
+
+    def jacobian(self, m) -> np.ndarray:
+        """Jacobian c^T dPsi of the surrogate observables, shape (q, n)."""
+        return self.surrogate.coeffs.T @ self._parts(np.asarray(m, dtype=float))[1]
+
+    def _model_hessian(self, jac):
+        return jac.T @ (jac / self.noise_var[:, None]) \
+            + np.diag(1.0 / self.prior.var)
+
+    def linearize(self, m):
+        """(J(m), gradient, J_f^T Gn^-1 J_f + Gpr^-1) with J_f the surrogate
+        Jacobian."""
+        return (*self.value_grad(m), self._model_hessian(self.jacobian(m)))
 
     def hessian(self, m) -> np.ndarray:
-        m = np.asarray(m, dtype=float)
-        psi, dpsi, d2psi = self._parts(m)
+        """The full Hessian: linearize's plus the residual curvature."""
+        psi, dpsi, d2psi = self._parts(np.asarray(m, dtype=float))
         c = self.surrogate.coeffs
-        r = psi @ c - self.data
-        wr = r / self.noise_var
-        jac = c.T @ dpsi                # (q, n) surrogate Jacobian
-        gn = jac.T @ (jac / self.noise_var[:, None])
-        v = c @ wr
-        curv = np.einsum("k,kij->ij", v, d2psi)
-        return gn + curv + np.diag(1.0 / self.prior.var)
+        v = c @ ((psi @ c - self.data) / self.noise_var)
+        return self._model_hessian(c.T @ dpsi) + np.einsum("k,kij->ij", v, d2psi)
 
 
 def surrogate_map(surrogate: Surrogate, obs, noise, prior: GaussianPrior,
                   m_true=None, seed: int = 0) -> PosteriorSummary:
-    """Multi-start quasi-Newton MAP on the polynomial posterior.
+    """Multi-start Gauss-Newton MAP on the polynomial posterior.
 
-    Starts at the prior mean plus _N_STARTS prior draws; the best local
-    minimum wins.  The posterior covariance is the analytic Hessian
-    inverse at that point.
+    Each start runs the MAP driver (lbfgs.minimize) that the adjoint
+    back end uses.  Starts at the prior mean plus _N_STARTS prior draws;
+    the best local minimum wins.  The posterior covariance is the
+    analytic Hessian inverse at that point.
     """
     objective = SurrogateObjective(surrogate, obs, noise, prior)
     rng = np.random.default_rng(np.uint64(seed) ^ np.uint64(_MULTISTART_SALT))
@@ -288,8 +304,7 @@ def surrogate_map(surrogate: Surrogate, obs, noise, prior: GaussianPrior,
     total_iters = 0
     n_minima = 0
     for x0 in starts:
-        res = minimize(objective, x0, lower=H_LOWER_BOUND, tol=_MAP_TOL,
-                       max_iter=_MAP_MAX_ITER)
+        res = minimize(objective, x0, tol=_MAP_TOL, max_iter=_MAP_MAX_ITER)
         converged = res.converged or at_roundoff_floor(
             res, objective.hessian(res.x))
         total_iters += res.iterations

@@ -7,6 +7,7 @@ diag(5.76, 0.36, 0.09)), disturbance 5.5 pu at bus 5 on [0.1, 0.3),
 noise variance 1e-4, seed 1234.
 """
 import numpy as np
+from least_squares import SHIFT, shifted_linear
 
 from gridest.bayes import GaussianPrior, estimate_adjoint, laplace_covariance
 from gridest.integrator import simulate
@@ -79,14 +80,13 @@ def test_criterion_03_conjugate_gaussian_oracle():
         m_post = prior.mean + cov_exact @ (a.T @ ((d - a @ prior.mean)
                                                   / noise_var))
 
-        def fun(m):
-            r = a @ m - d
-            return (0.5 * r @ (r / noise_var) + prior.neg_log(m),
-                    a.T @ (r / noise_var) + (m - prior.mean) / prior.var)
-
-        res = minimize(fun, prior.mean.copy(), tol=1e-10, max_iter=200)
-        assert np.max(np.abs(res.x - m_post)) < 1e-6
-        gpost, _ = laplace_covariance(res.x, lambda m: fun(m)[1])
+        # translated by SHIFT, so that the prior means in [-1, 1] lie
+        # above the MAP driver's lower bound
+        objective = shifted_linear(a, d, noise_var, prior)
+        res = minimize(objective, objective.prior.mean.copy(), tol=1e-10,
+                       max_iter=200)
+        assert np.max(np.abs(res.x - SHIFT - m_post)) < 1e-6
+        gpost, _ = laplace_covariance(res.x, objective.gradient)
         rel = np.linalg.norm(gpost - cov_exact) / np.linalg.norm(cov_exact)
         worst = max(worst, rel)
     print(f"criterion 3: worst covariance rel error {worst:.3e} "

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from least_squares import SHIFT, LeastSquares, shifted_linear
 
 from gridest import lbfgs
-from gridest.bayes import (H_LOWER_BOUND, GaussianPrior, PosteriorSummary,
-                           estimate_adjoint, laplace_covariance, map_estimate,
-                           metrics, neg_log_posterior)
-from gridest.integrator import StepFailure
+from gridest.bayes import (GaussianPrior, PosteriorSummary, estimate_adjoint,
+                           laplace_covariance, map_estimate, metrics,
+                           neg_log_posterior)
+from gridest.lbfgs import H_LOWER_BOUND
 from gridest.ninebus import DisturbanceEvent
 from gridest.observation import NoiseModel
 
@@ -22,40 +23,6 @@ def _linear_gaussian(a, d, noise_var, prior):
     cov = np.linalg.inv(h)
     m_post = prior.mean + cov @ (a.T @ (gn_inv * (d - a @ prior.mean)))
     return m_post, cov
-
-
-def _quad_objective(a, d, noise_var, prior):
-    def fun(m):
-        r = a @ m - d
-        j = 0.5 * r @ (r / noise_var) + prior.neg_log(m)
-        g = a.T @ (r / noise_var) + (m - prior.mean) / prior.var
-        return j, g
-
-    return fun
-
-
-class _Linearized:
-    """J = misfit(Am - d) + prior through the Gauss-Newton driver's
-    value/linearize interface.  It records every point it is asked about,
-    and with fail_trials > 0 the first that many trial points fail like a
-    forward solve that does not converge."""
-
-    def __init__(self, a, d, noise_var, prior, fail_trials=0):
-        self.fun = _quad_objective(a, d, noise_var, prior)
-        self.hess = a.T @ (a / noise_var[:, None]) + np.diag(1.0 / prior.var)
-        self.fail_trials = fail_trials
-        self.points = []
-
-    def value(self, m):
-        self.points.append(m.copy())
-        if self.fail_trials > 0:
-            self.fail_trials -= 1
-            raise StepFailure("Newton at t=0.1 stalled")
-        return self.fun(m)[0]
-
-    def linearize(self, m):
-        self.points.append(m.copy())
-        return (*self.fun(m), self.hess)
 
 
 def _fixed_case():
@@ -72,9 +39,9 @@ def test_conjugate_gaussian_fixed_case():
     m_post, cov = _linear_gaussian(a, d, noise_var, prior)
     assert np.all(m_post > 0.15)  # keep clear of the physical lower bound
 
-    objective = _Linearized(a, d, noise_var, prior)
+    objective = LeastSquares.linear(a, d, noise_var, prior)
     res = map_estimate(objective, prior.mean.copy(), tol=1e-12)
-    gpost, hess = laplace_covariance(res.x, lambda m: objective.fun(m)[1])
+    gpost, hess = laplace_covariance(res.x, objective.gradient)
     assert res.converged or lbfgs.at_roundoff_floor(res, hess)
     assert np.allclose(res.x, m_post, atol=1e-9)
     # on a quadratic one full Gauss-Newton step is exact
@@ -90,7 +57,7 @@ def test_failed_trial_solve_is_backtracked():
     # halved, not the estimate abandoned
     a, d, noise_var, prior = _fixed_case()
     m_post, _ = _linear_gaussian(a, d, noise_var, prior)
-    objective = _Linearized(a, d, noise_var, prior, fail_trials=1)
+    objective = LeastSquares.linear(a, d, noise_var, prior, fail_trials=1)
     res = map_estimate(objective, prior.mean.copy(), tol=1e-10)
     assert res.history[1]["step"] == 0.5
     assert res.converged
@@ -107,21 +74,17 @@ def test_gauss_newton_stays_above_the_lower_bound():
     m_free, _ = _linear_gaussian(a, d, noise_var, prior)
     assert m_free[0] < H_LOWER_BOUND
 
-    objective = _Linearized(a, d, noise_var, prior)
+    objective = LeastSquares.linear(a, d, noise_var, prior)
     res = map_estimate(objective, prior.mean.copy(), tol=1e-10)
     assert res.converged
     assert min(float(np.min(m)) for m in objective.points) >= H_LOWER_BOUND
     assert res.x[0] == H_LOWER_BOUND
     # closed form with m_1 held: H_22 m_2 = b_2 - H_21 m_1
-    h = objective.hess
+    h = objective.gauss_newton(res.x)
     b = a.T @ (d / noise_var) + prior.mean / prior.var
     m_2 = (b[1] - h[1, 0] * H_LOWER_BOUND) / h[1, 1]
     assert res.x[1] == pytest.approx(m_2, rel=1e-10)
-    _, g = objective.fun(res.x)
-    assert g[0] > 0.0
-
-
-SHIFT = 5.0
+    assert objective.gradient(res.x)[0] > 0.0
 
 
 def test_conjugate_gaussian_random_cases():
@@ -134,29 +97,14 @@ def test_conjugate_gaussian_random_cases():
                               var=rng.uniform(0.2, 2.0, n_par))
         d = a @ rng.uniform(-1, 1, n_par) + rng.normal(size=n_obs) * 0.1
         m_post, cov = _linear_gaussian(a, d, noise_var, prior)
-        fun = _quad_objective(a, d, noise_var, prior)
-        res = lbfgs.minimize(fun, prior.mean.copy(), tol=1e-9, max_iter=200)
-        # a draw may stall near its roundoff floor before meeting tol; the
-        # answer must be accurate and the report honest either way
-        assert np.max(np.abs(res.x - m_post)) < 1e-6
-        if not res.converged:
-            assert res.message in ("objective decrease below ftol",
-                                   "line search failed")
-            assert res.grad_norm < 1e-6
-        gpost, _ = laplace_covariance(res.x, lambda m: fun(m)[1])
-        assert np.allclose(gpost, cov, rtol=1e-6, atol=1e-12)
 
-        # the same draw through the Gauss-Newton driver, translated by
-        # SHIFT so that the means lie above its lower bound
-        shifted = GaussianPrior(mean=prior.mean + SHIFT, var=prior.var)
-        d_shift = d + a @ np.full(n_par, SHIFT)
+        # the prior means in [-1, 1] lie below the driver's lower bound
         assert np.all(m_post + SHIFT > 0.15)
-        objective = _Linearized(a, d_shift, noise_var, shifted)
-        res = map_estimate(objective, shifted.mean.copy(), tol=1e-9)
+        objective = shifted_linear(a, d, noise_var, prior)
+        res = map_estimate(objective, objective.prior.mean.copy(), tol=1e-9)
         assert res.iterations == 1
         assert np.max(np.abs(res.x - SHIFT - m_post)) < 1e-6
-        gpost, hess = laplace_covariance(res.x,
-                                         lambda m: objective.fun(m)[1])
+        gpost, hess = laplace_covariance(res.x, objective.gradient)
         assert res.converged or lbfgs.at_roundoff_floor(res, hess)
         assert np.allclose(gpost, cov, rtol=1e-6, atol=1e-12)
 

@@ -134,22 +134,28 @@ def test_standardize_round_trip():
     assert np.allclose(standardize(prior.mean, prior), 0.0)
 
 
-def test_surrogate_objective_derivatives():
-    prior = GaussianPrior(mean=np.array([24.0, 6.0, 3.1]),
+TOY_PRIOR = GaussianPrior(mean=np.array([24.0, 6.0, 3.1]),
                           var=np.array([5.76, 0.36, 0.09]))
-    rng = np.random.default_rng(5)
 
+
+def _toy_objective():
+    """The objective of an order-3 tensor surrogate of a smooth map, on
+    noisy data near (23.0, 6.4, 3.0)."""
     def forward(m):
-        xi = standardize(m, prior)
+        xi = standardize(m, TOY_PRIOR)
         return np.array([np.tanh(xi[0]) + 0.5 * xi[1] * xi[2],
                          0.2 * xi[2] ** 2 - xi[0],
                          np.cos(xi[1])])
 
-    s = build_surrogate("tensor", 3, forward, prior)
+    s = build_surrogate("tensor", 3, forward, TOY_PRIOR)
+    rng = np.random.default_rng(5)
     data = forward(np.array([23.0, 6.4, 3.0])) + 0.01 * rng.standard_normal(3)
-    noise = NoiseModel.iid(1e-3, 3)
-    obj = SurrogateObjective(s, _FakeObs(data), noise, prior)
+    return SurrogateObjective(s, _FakeObs(data), NoiseModel.iid(1e-3, 3),
+                              TOY_PRIOR)
 
+
+def test_surrogate_objective_derivatives():
+    obj = _toy_objective()
     m = np.array([23.5, 6.2, 3.2])
     val, grad = obj.value_grad(m)
     hess = obj.hessian(m)
@@ -165,9 +171,56 @@ def test_surrogate_objective_derivatives():
                            atol=1e-8)
 
 
+def test_surrogate_linearize_agrees_with_value_grad():
+    m = np.array([23.5, 6.2, 3.2])
+    val, grad = _toy_objective().value_grad(m)
+    obj = _toy_objective()
+    j, g, hess = obj.linearize(m)
+    assert j == pytest.approx(val, rel=1e-14)
+    assert np.allclose(g, grad, rtol=1e-14, atol=0.0)
+    assert obj.value(m) == pytest.approx(val, rel=1e-14)
+    assert np.allclose(hess, hess.T)
+    assert np.all(np.linalg.eigvalsh(hess) > 0)
+
+
+def test_surrogate_jacobian_matches_finite_differences():
+    obj = _toy_objective()
+    m = np.array([23.5, 6.2, 3.2])
+    jac = obj.jacobian(m)
+    assert jac.shape == (3, 3)
+    for j in range(3):
+        h = 1e-6 * m[j]
+        e = np.zeros(3)
+        e[j] = h
+        fd = (obj.surrogate.evaluate(m + e)
+              - obj.surrogate.evaluate(m - e)) / (2 * h)
+        assert np.allclose(jac[:, j], fd, rtol=1e-5, atol=1e-9)
+
+
+def test_surrogate_gauss_newton_is_exact_at_zero_residual():
+    # with data = f_hat(m) the residual curvature term vanishes, so the
+    # Gauss-Newton Hessian is the full one
+    m = np.array([23.5, 6.2, 3.2])
+    s = _toy_objective().surrogate
+    obj = SurrogateObjective(s, _FakeObs(s.evaluate(m)),
+                             NoiseModel.iid(1e-3, 3), TOY_PRIOR)
+    _, _, hess_gn = obj.linearize(m)
+    assert np.allclose(hess_gn, obj.hessian(m), rtol=1e-12, atol=0.0)
+
+
 class _FakeObs:
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
+
+
+@pytest.mark.parametrize("rule", ["stochastic-testing", "tensor", "sparse"])
+def test_every_start_converges(system, prior, make_scenario, rule):
+    obs, noise, events = make_scenario(1.0)
+    summary, _ = estimate_pce(system, obs, noise, prior, 1.0, 0.01,
+                              events=events, order=2, rule=rule, seed=1234)
+    assert summary.stats["n_starts"] == 17
+    assert summary.stats["n_converged_starts"] == 17
+    assert summary.stats["converged"]
 
 
 def test_surrogate_objective_dimension_check():
