@@ -97,7 +97,7 @@ def misfit_state_gradients(traj: Trajectory, obs: ObservationSet,
 
 def _project_transpose(system, fu_post: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Pull a state gradient back through the algebraic re-solve."""
-    n_x = int(system.mass.sum())
+    n_x = system.n_x
     g_x = fu_post[n_x:, :n_x]
     g_y = fu_post[n_x:, n_x:]
     w = np.linalg.solve(g_y.T, a[n_x:])
@@ -114,7 +114,7 @@ def backward_sweep(system, traj: Trajectory, m: np.ndarray,
     `prior`, when given, must expose mean/var arrays; its quadratic
     penalty gradient Gpr^-1 (m - mean) is added to the data term.
     """
-    n_x = int(system.mass.sum())
+    n_x = system.n_x
     n = traj.n_steps
     dt = traj.dt
     ru = misfit_state_gradients(traj, obs, noise)
@@ -196,7 +196,7 @@ def tangent_linear(system, traj: Trajectory, m: np.ndarray,
     """(J, Sensitivity): the Jacobian df/dm of the observables
     (q x n_param) and S at every node, by one forward sensitivity pass
     along the stored trajectory."""
-    n_x = int(system.mass.sum())
+    n_x = system.n_x
     dt = traj.dt
     nodes = grid_indices(obs.times, dt)
     sens = np.empty(traj.states.shape + (system.n_param,))

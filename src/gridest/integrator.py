@@ -20,9 +20,12 @@ algebraic states jump (T~_{k+1} is the arrival state, pre-switch at a
 projection node).  Without a prediction T~ = 0, which is the plain
 extrapolation 2 u_k - u_{k-1}; a prediction good to O(|dm|^2), such as
 the tangent-linear one of adjoint.Sensitivity, leaves Newton far less
-to do.  Once the residual meets NEWTON_TOL, one more update on the last
-Newton matrix takes it to roundoff.  The load-switch projection runs the
-same Newton loop on the algebraic block.
+to do.  Each Newton matrix is LU-factored once; once the residual meets
+NEWTON_TOL, one more update that reuses the last factors takes it to
+roundoff.  A step hands back F at its arrival state, taken from its
+final residual evaluation, so the next step does not evaluate it again.
+The load-switch projection runs the same Newton loop on the algebraic
+block and hands back F at the post-switch state the same way.
 
 Load-switch events must coincide with grid points.  At a switching
 instant the differential states are continuous while the algebraic
@@ -36,6 +39,7 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .ninebus import N_BUS, ix_vim, ix_vre
 
@@ -114,7 +118,7 @@ def build_load_schedule(system, events, dt: float, t_f: float):
 
 def newton_matrix(system, fu: np.ndarray, dt: float) -> np.ndarray:
     """Iteration matrix: I - dt/2 h_u on differential rows, -g_u below."""
-    n_x = int(system.mass.sum())
+    n_x = system.n_x
     a = -fu
     a[:n_x] *= 0.5 * dt
     a.flat[:n_x * (a.shape[0] + 1):a.shape[0] + 1] += 1.0
@@ -124,10 +128,11 @@ def newton_matrix(system, fu: np.ndarray, dt: float) -> np.ndarray:
 def _newton(residual, matrix, v: np.ndarray, where: str) -> int:
     """Newton on residual(v) = 0, updating v in place; returns iterations.
 
-    Once the residual inf-norm meets NEWTON_TOL, one extra update on the
-    last matrix (at most a Newton step away) pushes it to roundoff,
-    removing termination noise from the objective's m-dependence; it is
-    skipped if the start was exact.
+    Each matrix is LU-factored once.  Once the residual inf-norm meets
+    NEWTON_TOL, one extra update on the last factors (at most a Newton
+    step away) pushes it to roundoff, removing termination noise from
+    the objective's m-dependence; it is skipped if the start was exact.
+    Every return follows a residual evaluation at the returned v.
     """
     polished = False
     for it in range(NEWTON_MAXIT + 2):
@@ -143,29 +148,32 @@ def _newton(residual, matrix, v: np.ndarray, where: str) -> int:
             raise StepFailure(
                 f"{where} stalled: residual {res:.3e} after {it} iterations")
         else:
-            a = matrix(v)
-        try:
-            v -= np.linalg.solve(a, r)
-        except np.linalg.LinAlgError as exc:
-            raise StepFailure(f"{where}: singular matrix at residual "
-                              f"{res:.3e} after {it} iterations") from exc
+            lu, piv, info = dgetrf(matrix(v))
+            if info > 0:
+                raise StepFailure(f"{where}: singular matrix at residual "
+                                  f"{res:.3e} after {it} iterations")
+        v -= dgetrs(lu, piv, r)[0]
 
 
 def step_trapezoidal(system, u_k: np.ndarray, t_k: float, dt: float,
                      m: np.ndarray, p_load: np.ndarray, q_load: np.ndarray,
                      f_k: np.ndarray, u_guess: np.ndarray):
-    """One implicit step from (t_k, u_k); returns (u_{k+1}, newton_iters).
+    """One implicit step from (t_k, u_k); returns
+    (u_{k+1}, f_{k+1}, newton_iters).
 
     f_k is the caller's cached RHS at the departure state and u_guess
     the Newton start.  The returned state satisfies the step equations
     with residual inf-norm below NEWTON_ACCEPT (typically near machine
-    precision).
+    precision); f_{k+1} is the RHS there, from the final residual
+    evaluation.
     """
-    n_x = int(system.mass.sum())
+    n_x = system.n_x
     t_next = t_k + dt
     phi = np.empty_like(u_k)
+    f_v = None
 
     def residual(v):
+        nonlocal f_v
         f_v = system.rhs(t_next, v, m, p_load, q_load)
         phi[:n_x] = (v[:n_x] - u_k[:n_x]) - 0.5 * dt * (f_k[:n_x] + f_v[:n_x])
         phi[n_x:] = -f_v[n_x:]
@@ -176,7 +184,7 @@ def step_trapezoidal(system, u_k: np.ndarray, t_k: float, dt: float,
 
     v = u_guess.copy()
     its = _newton(residual, matrix, v, f"Newton at t={t_next:.6g}")
-    return v, its
+    return v, f_v, its
 
 
 def solve_algebraic(system, u: np.ndarray, t: float, m: np.ndarray,
@@ -184,13 +192,22 @@ def solve_algebraic(system, u: np.ndarray, t: float, m: np.ndarray,
     """Re-solve g(x, y) = 0 for y with the differential states frozen.
 
     Used at load switches; Newton on the algebraic block from u.
+    Returns the consistent state and the RHS there, from the final
+    residual evaluation.
     """
-    n_x = int(system.mass.sum())
+    n_x = system.n_x
     v = u.copy()
-    _newton(lambda y: system.rhs(t, v, m, p_load, q_load)[n_x:],
+    f_v = None
+
+    def residual(y):
+        nonlocal f_v
+        f_v = system.rhs(t, v, m, p_load, q_load)
+        return f_v[n_x:]
+
+    _newton(residual,
             lambda y: system.jac_u(t, v, m, p_load, q_load)[n_x:, n_x:],
             v[n_x:], f"algebraic re-solve at t={t:.6g}")
-    return v
+    return v, f_v
 
 
 def simulate(system, m: np.ndarray, t_f: float, dt: float,
@@ -241,20 +258,20 @@ def simulate(system, m: np.ndarray, t_f: float, dt: float,
         if (k > 0 and step_loads[k - 1] != li) or (k == 0 and switched_first):
             # load switch at node k: project onto the new manifold
             pre_event[k] = states[k].copy()
-            states[k] = solve_algebraic(system, states[k], times[k], m, p, q)
-        # f_k is kept from the last step and Newton starts from the linear
-        # extrapolation of the distance to the prediction, except at the
-        # start and where y jumped
-        d_k = states[k] - base[k]
-        if k == 0 or k in pre_event:
+            states[k], f_k = solve_algebraic(system, states[k], times[k],
+                                             m, p, q)
+        elif k == 0:
             f_k = system.rhs(times[k], states[k], m, p, q)
-        else:
+        # f_k comes from the last step or projection, and Newton starts
+        # from the linear extrapolation of the distance to the
+        # prediction, except at the start and where y jumped
+        d_k = states[k] - base[k]
+        if k > 0 and k not in pre_event:
             d_k = 2.0 * d_k - (states[k - 1] - base[k - 1])
         guess = arrive.get(k + 1, base[k + 1]) + d_k
-        states[k + 1], its = step_trapezoidal(
+        states[k + 1], f_k, its = step_trapezoidal(
             system, states[k], times[k], dt, m, p, q, f_k, guess)
         total_newton += its
-        f_k = system.rhs(times[k + 1], states[k + 1], m, p, q)
 
     return Trajectory(times=times, states=states, dt=dt,
                       step_loads=step_loads, p_loads=p_loads,

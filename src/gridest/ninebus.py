@@ -166,10 +166,13 @@ class NineBusSystem:
 
     The constructor solves the initial power flow and sets the
     mechanical torques, exciter references and load admittances, so the
-    object is ready on return and never changes afterwards.  All
-    evaluation methods (rhs, jac_u, jac_m) are pure functions of their
-    arguments, so a single instance can be shared across
-    threads/processes.
+    object is ready on return and its model data never change
+    afterwards.  The one thing that grows is a memo of load-set
+    matrices: the constant part of F_u with the load admittances of one
+    (p_load, q_load) folded in, built on first use and keyed by the
+    bytes of the two load vectors.  All evaluation methods (rhs, jac_u,
+    jac_m) are pure functions of their arguments, the memo only saves
+    work, so a single instance can be shared across threads/processes.
     """
 
     def __init__(self, network: NetworkData, gens: GeneratorParams,
@@ -178,6 +181,7 @@ class NineBusSystem:
         self.gens = gens
         self.omega_s = omega_s
         self.n_param = N_MACH
+        self.n_x = N_X
 
         # mass "matrix": diagonal 1 on differential rows, 0 on algebraic
         self.mass = np.zeros(N_STATE)
@@ -248,6 +252,7 @@ class NineBusSystem:
         self._load_idx = np.ravel_multi_index(
             (np.concatenate((rv, rv, iv, iv)), np.concatenate((rv, iv, rv, iv))),
             j0.shape)
+        self._load_sets = {}
 
     def _build_equilibrium(self):
         """Solve the power flow and build the consistent equilibrium state.
@@ -327,14 +332,14 @@ class NineBusSystem:
             p_load: np.ndarray, q_load: np.ndarray) -> np.ndarray:
         """F(t, u; m) = (h, g): differential RHS rows plus algebraic residuals.
 
-        The Jacobian template holds every constant-coefficient term of F.
-        F is the template times u plus, per machine on Python floats,
-        -omega_s in the angle row, the swing row, exciter saturation, the
-        terminal-voltage feedback, -v_d and -v_q in the stator rows and
-        the generator injection; then the load currents of all buses.
+        The load-set matrix holds every constant-coefficient term of F,
+        the load currents included.  F is that matrix times u plus, per
+        machine on Python floats, -omega_s in the angle row, the swing
+        row, exciter saturation, the terminal-voltage feedback, -v_d and
+        -v_q in the stator rows and the generator injection.
         """
         ws = self.omega_s
-        f = self._jtemplate @ u
+        f = self._load_set(p_load, q_load) @ u
         uu = u.tolist()
         vals = []
         for (xo, s0, s1, rv, iv, d, xqd, ke, te, sat_a, sat_b, ka_ta), m_i, \
@@ -354,23 +359,15 @@ class NineBusSystem:
                 -(vre_g * sd - vim_g * cd), -(vre_g * cd + vim_g * sd),
                 cur_d * sd + cur_q * cd, cur_q * sd - cur_d * cd)
         f[self._rhs_idx] += vals
-
-        # load currents Y_L V in the network rows, Y_L = (P - jQ) / |V0|^2
-        vre = u[N_X + 2 * N_MACH::2]
-        vim = u[N_X + 2 * N_MACH + 1::2]
-        gl = p_load * self._inv_v0_sq
-        bl = -q_load * self._inv_v0_sq
-        f[N_X + 2 * N_MACH::2] -= gl * vre - bl * vim
-        f[N_X + 2 * N_MACH + 1::2] -= bl * vre + gl * vim
         return f
 
     def jac_u(self, t: float, u: np.ndarray, m: np.ndarray,
               p_load: np.ndarray, q_load: np.ndarray) -> np.ndarray:
         """dF/du as a dense (45, 45) array.
 
-        The template plus 20 state-dependent entries per machine, computed
-        on Python floats and written at the flat positions listed in
-        _build_template, minus the load admittances of all buses.
+        The load-set matrix plus 20 state-dependent entries per machine,
+        computed on Python floats and written at the flat positions listed
+        in _build_template.
         """
         ws = self.omega_s
         uu = u.tolist()
@@ -398,14 +395,28 @@ class NineBusSystem:
                 # generator current injection into the network rows
                 sd, cd, cur_d * cd - cur_q * sd,
                 -cd, sd, cur_d * sd + cur_q * cd)
-        jac = self._jtemplate.copy()
-        flat = jac.reshape(-1)
-        flat[self._jac_idx] = vals
-        # constant-admittance load currents; a zero load subtracts 0
-        gl = p_load * self._inv_v0_sq
-        bl = q_load * self._inv_v0_sq
-        flat[self._load_idx] -= np.concatenate((gl, bl, -bl, gl))
+        jac = self._load_set(p_load, q_load).copy()
+        jac.reshape(-1)[self._jac_idx] = vals
         return jac
+
+    def _load_set(self, p_load: np.ndarray, q_load: np.ndarray) -> np.ndarray:
+        """The template minus the load admittances Y_L = (P - jQ) / |V0|^2
+        in the network rows, memoised per load set.
+
+        Keyed by value, so a load array changed in place between calls
+        finds its own matrix.  A run has few load sets, so the memo stays
+        small; two threads racing on a new set build equal matrices.
+        """
+        key = (p_load.tobytes(), q_load.tobytes())
+        jl = self._load_sets.get(key)
+        if jl is None:
+            gl = p_load * self._inv_v0_sq
+            bl = q_load * self._inv_v0_sq
+            jl = self._jtemplate.copy()
+            # a zero load subtracts 0
+            jl.reshape(-1)[self._load_idx] -= np.concatenate((gl, bl, -bl, gl))
+            self._load_sets[key] = jl
+        return jl
 
     def jac_m(self, t: float, u: np.ndarray, m: np.ndarray,
               p_load: np.ndarray, q_load: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ class ToyDAE:
 
     def __init__(self, c=-0.5, x0=1.0):
         self.n_param = 1
+        self.n_x = 1
         self.mass = np.array([1.0, 0.0])
         self.network = SimpleNamespace(p_load=np.array([c]),
                                        q_load=np.zeros(1))
@@ -157,10 +158,11 @@ def test_solve_algebraic_restores_consistency(system):
     u = system.steady_state()
     p, q = system.loads_at(0.15, (DisturbanceEvent(bus=5, start=0.1,
                                                    duration=0.2, load=5.5),))
-    v = solve_algebraic(system, u, 0.15, system.h_ref, p, q)
+    v, f_v = solve_algebraic(system, u, 0.15, system.h_ref, p, q)
     assert np.array_equal(v[:21], u[:21])
     f = system.rhs(0.15, v, system.h_ref, p, q)
     assert np.max(np.abs(f[21:])) < 1e-10
+    assert np.array_equal(f_v, f)
 
 
 def test_newton_failure_is_reported():
@@ -200,6 +202,68 @@ def test_singular_algebraic_jacobian_is_a_step_failure():
                         np.array([-1.5]), np.zeros(1))
 
 
+class NanJacobianToy(ToyDAE):
+    """jac_u with a NaN entry: LU may factor it without complaint."""
+
+    def jac_u(self, t, u, m, p, q):
+        return np.array([[0.0, m[0]], [p[0], np.nan]])
+
+
+def test_nan_jacobian_is_a_step_failure():
+    toy = NanJacobianToy(c=-0.5)
+    with pytest.raises(StepFailure, match=r"Newton at t=0\.05"):
+        simulate(toy, np.array([1.0]), 1.0, 0.05)
+    with pytest.raises(StepFailure, match=r"re-solve at t=0\.25"):
+        solve_algebraic(toy, toy.steady_state(), 0.25, np.array([1.0]),
+                        np.array([-1.5]), np.zeros(1))
+
+
+def test_step_hands_back_the_arrival_rhs(system):
+    ev = DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5)
+    m = system.h_ref
+    traj = simulate(system, m, 0.5, 0.01, events=(ev,))
+    for k in (0, 10, 11, 30, 45):
+        p, q = traj.p_loads[traj.step_loads[k]], traj.q_loads[traj.step_loads[k]]
+        u_k = traj.states[k]
+        f_k = system.rhs(traj.times[k], u_k, m, p, q)
+        u_next, f_next, _ = step_trapezoidal(system, u_k, traj.times[k],
+                                             traj.dt, m, p, q, f_k, u_k)
+        assert np.array_equal(
+            f_next, system.rhs(traj.times[k + 1], u_next, m, p, q))
+
+
+class RhsRecorder:
+    """The system, with every rhs call's arguments recorded."""
+
+    def __init__(self, system):
+        self._system = system
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self._system, name)
+
+    def rhs(self, t, u, m, p, q):
+        self.calls.append((t, u.copy(), m.copy(), p.copy(), q.copy()))
+        return self._system.rhs(t, u, m, p, q)
+
+
+def _same_call(a, b):
+    return a[0] == b[0] and all(np.array_equal(x, y)
+                                for x, y in zip(a[1:], b[1:]))
+
+
+def test_simulate_never_repeats_an_rhs_call(system):
+    # each step and each projection hands back the rhs of its final
+    # residual evaluation, so nothing evaluates it twice in a row
+    recorder = RhsRecorder(system)
+    ev = DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5)
+    traj = simulate(recorder, system.h_ref, 0.5, 0.01, events=(ev,))
+    assert set(traj.pre_event) == {10, 30}
+    calls = recorder.calls
+    assert len(calls) > traj.n_steps
+    assert not any(_same_call(a, b) for a, b in zip(calls, calls[1:]))
+
+
 def test_nine_bus_newton_iteration_count(system):
     # 755 iterations when every step starts from u_k and the polish
     # re-evaluates the Jacobian; the extrapolated start saves about one
@@ -218,8 +282,8 @@ def test_extrapolated_start_reaches_the_same_state(system):
         u_k = traj.states[k]
         f_k = system.rhs(traj.times[k], u_k, m, p, q)
         args = (system, u_k, traj.times[k], traj.dt, m, p, q, f_k)
-        from_uk, its_uk = step_trapezoidal(*args, u_k)
-        extrap, its = step_trapezoidal(*args, 2.0 * u_k - traj.states[k - 1])
+        from_uk, _, its_uk = step_trapezoidal(*args, u_k)
+        extrap, _, its = step_trapezoidal(*args, 2.0 * u_k - traj.states[k - 1])
         assert np.max(np.abs(extrap - from_uk)) <= 1e-13
         assert np.array_equal(extrap, traj.states[k + 1])
         assert its < its_uk

@@ -138,6 +138,43 @@ def test_jac_u_matches_finite_differences(system):
             assert np.max(np.abs(jac[:, j] - fd)) < 1e-5
 
 
+def _reference_jac_u(system, u, m, p_load, q_load, h=1e-7):
+    """Central differences of _reference_rhs, column by column."""
+    jac = np.empty((N_STATE, N_STATE))
+    for j in range(N_STATE):
+        e = np.zeros(N_STATE)
+        e[j] = h
+        jac[:, j] = (_reference_rhs(system, u + e, m, p_load, q_load)
+                     - _reference_rhs(system, u - e, m, p_load, q_load)) / (2 * h)
+    return jac
+
+
+def test_load_set_memo_follows_the_load_values():
+    # nominal, event, nominal again, then the event loads written into
+    # the nominal array in place: a memo keyed by object identity, or
+    # one that ignores the loads, hands back another set's matrix
+    system = load_system()
+    rng = np.random.default_rng(14)
+    u = system.steady_state() + 1e-2 * rng.standard_normal(N_STATE)
+    m = system.h_ref
+    p_nom, q = LOAD_SETS["nominal"](system)
+    p_ev, _ = LOAD_SETS["event"](system)
+    assert not np.array_equal(p_nom, p_ev)
+
+    def check(p):
+        ref = _reference_rhs(system, u, m, p, q)
+        f = system.rhs(0.0, u, m, p, q)
+        assert np.max(np.abs(f - ref)) <= 1e-12 * np.max(np.abs(ref))
+        jac = system.jac_u(0.0, u, m, p, q)
+        assert np.max(np.abs(jac - _reference_jac_u(system, u, m, p, q))) < 1e-5
+
+    check(p_nom)
+    check(p_ev)
+    check(p_nom)
+    p_nom[:] = p_ev
+    check(p_nom)
+
+
 def test_jac_m_matches_finite_differences(system):
     rng = np.random.default_rng(12)
     u = system.steady_state() + 1e-2 * rng.standard_normal(N_STATE)
