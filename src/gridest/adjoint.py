@@ -18,8 +18,16 @@ Jacobian blocks (g_x, g_y) at the post-switch state,
 
     a_pre = (a_x - g_x^T g_y^{-T} a_y, 0).
 
-Cost: one gradient = one forward trajectory + one backward sweep with
-the same number of linear solves as forward steps.
+Cost: one gradient = one forward trajectory + one backward sweep.  Each
+step of the sweep, like each step of the tangent-linear pass below,
+costs one LU of its Newton matrix (integrator.lu_factor, one dgetrf)
+and one triangular solve on it (lu_solve, one dgetrs: transposed here,
+3 columns there); a projection node adds one LU of g_y and one solve.
+The Jacobians F_u and F_m are evaluated once per node, plus once at
+each pre-switch arrival state, and carried from one step to the next.
+A singular Newton matrix or g_y raises integrator.StepFailure naming
+the pass and the time; so does a multiplier or a sensitivity that is
+not finite (LU lets a NaN through), naming the first node it reaches.
 
 The tangent-linear pass is the same linearization run forward and
 untransposed.  It carries S_k = du_k/dm (S_0 = 0: the equilibrium does
@@ -32,7 +40,7 @@ A_{k+1} the Newton matrix at the (pre-switch) arrival state.  At a
 load-switch node S_y = -g_y^{-1} (g_x S_x + g_m), with the blocks at the
 post-switch state.  The observed rows of S at the observation nodes give
 the Jacobian J = df/dm (q x n_param); J^T Gn^-1 (f - d) is the gradient
-above.  Its cost is about one adjoint sweep: a 3-column solve per step.
+above.  Its cost is that of one adjoint sweep (see above).
 Tangent-linear and adjoint DAE sensitivities are derived together in
 Cao, Li, Petzold & Serban (SIAM J. Sci. Comput. 24, 2003).
 
@@ -46,7 +54,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .integrator import Trajectory, newton_matrix
+from .integrator import (StepFailure, Trajectory, lu_factor, lu_solve,
+                         newton_matrix)
 from .ninebus import ix_vim, ix_vre
 from .observation import NoiseModel, ObservationSet, POLAR, grid_indices, observe
 
@@ -95,14 +104,14 @@ def misfit_state_gradients(traj: Trajectory, obs: ObservationSet,
     return out
 
 
-def _project_transpose(system, fu_post: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _project_transpose(system, fu_post: np.ndarray, a: np.ndarray,
+                       t: float) -> np.ndarray:
     """Pull a state gradient back through the algebraic re-solve."""
     n_x = system.n_x
-    g_x = fu_post[n_x:, :n_x]
-    g_y = fu_post[n_x:, n_x:]
-    w = np.linalg.solve(g_y.T, a[n_x:])
+    g_y_lu = lu_factor(fu_post[n_x:, n_x:], "adjoint projection", t)
+    w = lu_solve(g_y_lu, a[n_x:], trans=1)
     out = np.zeros_like(a)
-    out[:n_x] = a[:n_x] - g_x.T @ w
+    out[:n_x] = a[:n_x] - fu_post[n_x:, :n_x].T @ w
     return out
 
 
@@ -135,7 +144,11 @@ def backward_sweep(system, traj: Trajectory, m: np.ndarray,
         if fu_next is None:
             fu_next = system.jac_u(t_next, u_next, m, p, q)
             fm_next = system.jac_m(t_next, u_next, m, p, q)
-        lam = np.linalg.solve(newton_matrix(system, fu_next, dt).T, a)
+        lam = lu_solve(lu_factor(newton_matrix(system, fu_next, dt),
+                                 "adjoint sweep", t_next), a, trans=1)
+        if not np.isfinite(lam).all():
+            raise StepFailure(f"adjoint sweep at t={t_next:.6g}: "
+                              "multiplier not finite")
 
         fu_k = system.jac_u(t_k, u_k, m, p, q)
         fm_k = system.jac_m(t_k, u_k, m, p, q)
@@ -149,7 +162,7 @@ def backward_sweep(system, traj: Trajectory, m: np.ndarray,
         if k in traj.pre_event:
             # fu_k is evaluated at the post-switch state under the new
             # loads, exactly the blocks the projection used
-            a = _project_transpose(system, fu_k, a)
+            a = _project_transpose(system, fu_k, a, t_k)
             fu_next = None
         else:
             fu_next, fm_next = fu_k, fm_k
@@ -161,11 +174,12 @@ def backward_sweep(system, traj: Trajectory, m: np.ndarray,
 
 
 def _project(fu_post: np.ndarray, fm_post: np.ndarray, s: np.ndarray,
-             n_x: int) -> np.ndarray:
+             n_x: int, t: float) -> np.ndarray:
     """Carry a sensitivity through the algebraic re-solve."""
     out = s.copy()
-    out[n_x:] = -np.linalg.solve(fu_post[n_x:, n_x:],
-                                 fu_post[n_x:, :n_x] @ s[:n_x] + fm_post[n_x:])
+    g_y_lu = lu_factor(fu_post[n_x:, n_x:], "tangent-linear projection", t)
+    out[n_x:] = -lu_solve(g_y_lu,
+                          fu_post[n_x:, :n_x] @ s[:n_x] + fm_post[n_x:])
     return out
 
 
@@ -214,7 +228,7 @@ def tangent_linear(system, traj: Trajectory, m: np.ndarray,
             fm = system.jac_m(traj.times[k], traj.states[k], m, p, q)
         if k in traj.pre_event:
             pre_sens[k] = s
-            s = _project(fu, fm, s, n_x)
+            s = _project(fu, fm, s, n_x, traj.times[k])
         sens[k] = s
 
         t_next = traj.times[k + 1]
@@ -224,12 +238,19 @@ def tangent_linear(system, traj: Trajectory, m: np.ndarray,
         rhs = np.empty_like(s)
         rhs[:n_x] = s[:n_x] + 0.5 * dt * (fu[:n_x] @ s + fm[:n_x] + fm_next[:n_x])
         rhs[n_x:] = fm_next[n_x:]
-        s = np.linalg.solve(newton_matrix(system, fu_next, dt), rhs)
+        s = lu_solve(lu_factor(newton_matrix(system, fu_next, dt),
+                               "tangent-linear pass", t_next), rhs)
         if k + 1 in traj.pre_event:
             fu = None
         else:
             fu, fm = fu_next, fm_next
     sens[traj.n_steps] = s
+    # LU lets a NaN through: name the first node whose S is not finite
+    bad = [k for k, s_k in pre_sens.items() if not np.isfinite(s_k).all()]
+    bad += np.flatnonzero(~np.isfinite(sens).all(axis=(1, 2)))[:1].tolist()
+    if bad:
+        raise StepFailure(f"tangent-linear pass at t="
+                          f"{traj.times[min(bad)]:.6g}: sensitivity not finite")
 
     s_obs = sens[nodes]
     rv, iv = ix_vre(obs.buses), ix_vim(obs.buses)

@@ -36,6 +36,7 @@ of that node and keeps the pre-switch one alongside for the adjoint.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,7 +126,25 @@ def newton_matrix(system, fu: np.ndarray, dt: float) -> np.ndarray:
     return a
 
 
-def _newton(residual, matrix, v: np.ndarray, where: str) -> int:
+def lu_factor(a: np.ndarray, where: str, t: float):
+    """LU factors of the square matrix a by dgetrf, for lu_solve.
+
+    A singular a (dgetrf's info > 0) raises StepFailure naming where and
+    t.  dgetrf does not flag NaN: a NaN entry gives non-finite factors
+    without complaint, so callers check what they solve for.
+    """
+    lu, piv, info = dgetrf(a)
+    if info > 0:
+        raise StepFailure(f"{where} at t={t:.6g}: singular matrix")
+    return lu, piv
+
+
+def lu_solve(factors, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """x with a x = b, or a^T x = b when trans=1, from lu_factor(a)."""
+    return dgetrs(factors[0], factors[1], b, trans=trans)[0]
+
+
+def _newton(residual, matrix, v: np.ndarray, where: str, t: float) -> int:
     """Newton on residual(v) = 0, updating v in place; returns iterations.
 
     Each matrix is LU-factored once.  Once the residual inf-norm meets
@@ -145,14 +164,24 @@ def _newton(residual, matrix, v: np.ndarray, where: str) -> int:
         elif it > NEWTON_MAXIT or not np.isfinite(res):
             if res <= NEWTON_ACCEPT:
                 return it
-            raise StepFailure(
-                f"{where} stalled: residual {res:.3e} after {it} iterations")
+            raise StepFailure(f"{where} at t={t:.6g} stalled: residual "
+                              f"{res:.3e} after {it} iterations")
         else:
-            lu, piv, info = dgetrf(matrix(v))
-            if info > 0:
-                raise StepFailure(f"{where}: singular matrix at residual "
-                                  f"{res:.3e} after {it} iterations")
-        v -= dgetrs(lu, piv, r)[0]
+            try:
+                factors = lu_factor(matrix(v), where, t)
+            except StepFailure as exc:
+                raise StepFailure(f"{exc} at residual {res:.3e} after {it} "
+                                  "iterations") from None
+        v -= lu_solve(factors, r)
+
+
+@functools.lru_cache(maxsize=16)
+def _residual_weights(n_state: int, n_x: int, dt: float) -> np.ndarray:
+    """w of the step residual: dt/2 on the differential rows, 1 below."""
+    w = np.ones(n_state)
+    w[:n_x] = 0.5 * dt
+    w.flags.writeable = False
+    return w
 
 
 def step_trapezoidal(system, u_k: np.ndarray, t_k: float, dt: float,
@@ -166,24 +195,35 @@ def step_trapezoidal(system, u_k: np.ndarray, t_k: float, dt: float,
     with residual inf-norm below NEWTON_ACCEPT (typically near machine
     precision); f_{k+1} is the RHS there, from the final residual
     evaluation.
+
+    The residual is built in one reused vector as
+    M (v - u_k) - w (M f_k + f(v)): the trapezoidal rows, and -g(v)
+    below.  M f_k is taken once per step, and w (dt/2 on the
+    differential rows, 1 on the algebraic ones) once per state size and
+    dt.  Each entry rounds as in the row-by-row formula.
     """
-    n_x = system.n_x
     t_next = t_k + dt
+    mass = system.mass
+    f_kx = mass * f_k
+    w = _residual_weights(len(mass), system.n_x, dt)
     phi = np.empty_like(u_k)
     f_v = None
 
     def residual(v):
         nonlocal f_v
         f_v = system.rhs(t_next, v, m, p_load, q_load)
-        phi[:n_x] = (v[:n_x] - u_k[:n_x]) - 0.5 * dt * (f_k[:n_x] + f_v[:n_x])
-        phi[n_x:] = -f_v[n_x:]
+        np.subtract(v, u_k, out=phi)
+        np.multiply(phi, mass, out=phi)
+        wf = f_kx + f_v
+        wf *= w
+        np.subtract(phi, wf, out=phi)
         return phi
 
     def matrix(v):
         return newton_matrix(system, system.jac_u(t_next, v, m, p_load, q_load), dt)
 
     v = u_guess.copy()
-    its = _newton(residual, matrix, v, f"Newton at t={t_next:.6g}")
+    its = _newton(residual, matrix, v, "Newton", t_next)
     return v, f_v, its
 
 
@@ -206,7 +246,7 @@ def solve_algebraic(system, u: np.ndarray, t: float, m: np.ndarray,
 
     _newton(residual,
             lambda y: system.jac_u(t, v, m, p_load, q_load)[n_x:, n_x:],
-            v[n_x:], f"algebraic re-solve at t={t:.6g}")
+            v[n_x:], "algebraic re-solve", t)
     return v, f_v
 
 

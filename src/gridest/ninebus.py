@@ -420,18 +420,19 @@ class NineBusSystem:
 
     def jac_m(self, t: float, u: np.ndarray, m: np.ndarray,
               p_load: np.ndarray, q_load: np.ndarray) -> np.ndarray:
-        """dF/dm, nonzero only in the three swing rows."""
-        gens = self.gens
+        """dF/dm as a dense (45, 3) array, nonzero only in the three swing
+        rows: -ws / (2 m_i^2) times machine i's accelerating torque,
+        computed on Python floats like rhs and written into zeros."""
         ws = self.omega_s
-        omega = u[OMEGA:N_X:7]
-        eqp = u[EQP:N_X:7]
-        edp = u[EDP:N_X:7]
-        cur_d = u[N_X:N_X + 2 * N_MACH:2]
-        cur_q = u[N_X + 1:N_X + 2 * N_MACH:2]
-        te = edp * cur_d + eqp * cur_q + (gens.xqp - gens.xdp) * cur_d * cur_q
-        accel = self.tm - te - gens.d * (omega - ws) / ws
+        uu = u.tolist()
         jac = np.zeros((N_STATE, self.n_param))
-        jac[OMEGA:N_X:7, :] = np.diag(-ws / (2.0 * m ** 2) * accel)
+        for i, ((xo, s0, s1, _, _, d, xqd, *_), m_i, tm) in enumerate(zip(
+                self._mach_consts, m.tolist(), self.tm.tolist())):
+            cur_d, cur_q = uu[s0], uu[s1]
+            torque = uu[xo + EDP] * cur_d + uu[xo + EQP] * cur_q \
+                + xqd * cur_d * cur_q
+            jac[xo + OMEGA, i] = -ws / (2.0 * m_i * m_i) * (
+                tm - torque - d * (uu[xo + OMEGA] - ws) / ws)
         return jac
 
     @property

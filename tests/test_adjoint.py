@@ -1,13 +1,17 @@
 """Discrete-adjoint gradient against finite differences and hand oracles."""
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import gridest.adjoint
 from gridest.adjoint import (backward_sweep, misfit, misfit_state_gradients,
                              residual, tangent_linear)
 from gridest.bayes import (AdjointObjective, GaussianPrior,
                            laplace_covariance, map_estimate)
-from gridest.integrator import simulate
-from gridest.ninebus import N_BUS, DisturbanceEvent
+from gridest.integrator import StepFailure, simulate
+from gridest.ninebus import N_BUS, DisturbanceEvent, ix_vre
 from gridest.observation import (POLAR, RECT, NoiseModel, ObservationSet,
                                  observation_times, observe,
                                  synthesize_observations)
@@ -273,3 +277,126 @@ def test_prediction_error_is_second_order(system, coords, events):
                         + [np.max(np.abs(predicted.pre_event[k] - u))
                            for k, u in exact.pre_event.items()]))
     assert 3.5 < errs[0] / errs[1] < 4.5
+
+
+class JacobianCounter:
+    """The system, with its jac_u and jac_m calls counted."""
+
+    def __init__(self, system):
+        self._system = system
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        return getattr(self._system, name)
+
+    def jac_u(self, *args):
+        self.calls["jac_u"] += 1
+        return self._system.jac_u(*args)
+
+    def jac_m(self, *args):
+        self.calls["jac_m"] += 1
+        return self._system.jac_m(*args)
+
+
+CARRY_CASES = {"one-event": EVENTS,
+               "event-at-t0": BRANCH_CASES["event-at-t0"][1],
+               "two-events": BRANCH_CASES["two-events"][1]}
+
+
+@pytest.mark.parametrize("events", CARRY_CASES.values(),
+                         ids=CARRY_CASES.keys())
+def test_sensitivity_passes_carry_their_jacobians(system, events,
+                                                  monkeypatch):
+    # one Jacobian pair per node, one more at each pre-switch arrival
+    # state, and one LU per step and per projection, none by solve
+    obs, noise = _observed_case(system, RECT, events)
+    m = PRIOR.mean
+    traj = simulate(system, m, T_F, DT, events=events)
+    factor = gridest.adjoint.lu_factor
+    n_lu = Counter()
+
+    def counted(*args):
+        n_lu["lu"] += 1
+        return factor(*args)
+
+    def no_solve(*args):
+        raise AssertionError("np.linalg.solve in a sensitivity pass")
+
+    monkeypatch.setattr(gridest.adjoint, "lu_factor", counted)
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    arrivals = len([k for k in traj.pre_event if k > 0])
+    for run in (lambda s: tangent_linear(s, traj, m, obs),
+                lambda s: backward_sweep(s, traj, m, obs, noise)):
+        counter = JacobianCounter(system)
+        n_lu.clear()
+        run(counter)
+        assert counter.calls == {"jac_u": traj.n_steps + 1 + arrivals,
+                                 "jac_m": traj.n_steps + 1 + arrivals}
+        assert n_lu["lu"] == traj.n_steps + len(traj.pre_event)
+
+
+class JacobianFault:
+    """The system, with jac_u spoiled at one node: an algebraic row set
+    to zero (singular) or one NaN entry, at time t under the loads p."""
+
+    ROW = ix_vre(4)
+
+    def __init__(self, system, t, p_load, fault):
+        self._system = system
+        self.t, self.p_load, self.fault = t, p_load, fault
+
+    def __getattr__(self, name):
+        return getattr(self._system, name)
+
+    def jac_u(self, t, u, m, p, q):
+        jac = self._system.jac_u(t, u, m, p, q)
+        if t == self.t and np.array_equal(p, self.p_load):
+            if self.fault == "singular":
+                jac[self.ROW] = 0.0
+            else:
+                jac[self.ROW, self.ROW] = np.nan
+        return jac
+
+
+# (node, where a singular Jacobian stops the tangent pass, and the sweep):
+# a plain step node, and the post-switch state of a projection node
+FAULT_NODES = {
+    "step": (20, "tangent-linear pass", "adjoint sweep"),
+    "projection": (10, "tangent-linear projection", "adjoint projection"),
+}
+
+
+def _faulty_passes(system, small_case, node, fault):
+    """The two passes on a clean trajectory, with jac_u spoiled at node
+    under the loads of the step leaving it."""
+    obs, noise = small_case
+    m = PRIOR.mean
+    traj = simulate(system, m, T_F, DT, events=EVENTS)
+    bad = JacobianFault(system, traj.times[node],
+                        traj.p_loads[traj.step_loads[node]], fault)
+    return (lambda: tangent_linear(bad, traj, m, obs),
+            lambda: backward_sweep(bad, traj, m, obs, noise)), traj.times[node]
+
+
+@pytest.mark.parametrize("node, tangent_where, sweep_where",
+                         FAULT_NODES.values(), ids=FAULT_NODES.keys())
+def test_singular_jacobian_stops_both_passes(system, small_case, node,
+                                             tangent_where, sweep_where):
+    (tangent, sweep), t = _faulty_passes(system, small_case, node, "singular")
+    for run, where in ((tangent, tangent_where), (sweep, sweep_where)):
+        with pytest.raises(StepFailure, match="^" + re.escape(
+                f"{where} at t={t:.6g}: singular matrix")):
+            run()
+
+
+@pytest.mark.parametrize("node", [v[0] for v in FAULT_NODES.values()],
+                         ids=FAULT_NODES.keys())
+def test_nan_jacobian_stops_both_passes(system, small_case, node):
+    # LU lets the NaN through; the pass names the first node it reaches
+    (tangent, sweep), t = _faulty_passes(system, small_case, node, "nan")
+    for run, message in (
+            (tangent, f"tangent-linear pass at t={t:.6g}: sensitivity"),
+            (sweep, f"adjoint sweep at t={t:.6g}: multiplier")):
+        with pytest.raises(StepFailure,
+                           match="^" + re.escape(message + " not finite")):
+            run()

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 import yaml
 
-from gridest.ninebus import (DELTA, EQP, N_BUS, N_MACH, N_STATE, N_X, N_Y,
-                             OMEGA, DisturbanceEvent, GeneratorParams,
+from gridest.ninebus import (DELTA, EDP, EQP, N_BUS, N_MACH, N_STATE, N_X,
+                             N_Y, OMEGA, DisturbanceEvent, GeneratorParams,
                              ix_id, ix_iq, ix_vre, ix_vim, ix_x, load_system,
                              state_names)
 
@@ -193,6 +193,35 @@ def test_jac_m_matches_finite_differences(system):
     rows = np.max(np.abs(jac), axis=1)
     nonzero = np.flatnonzero(rows > 0)
     assert set(nonzero) <= {ix_x(i, OMEGA) for i in range(N_MACH)}
+
+
+def _reference_jac_m(system, u, m, p_load, q_load):
+    """dF/dm written with numpy from the swing equation."""
+    gens = system.gens
+    ws = system.omega_s
+    omega = u[OMEGA:N_X:7]
+    eqp = u[EQP:N_X:7]
+    edp = u[EDP:N_X:7]
+    cur_d = u[N_X:N_X + 2 * N_MACH:2]
+    cur_q = u[N_X + 1:N_X + 2 * N_MACH:2]
+    te = edp * cur_d + eqp * cur_q + (gens.xqp - gens.xdp) * cur_d * cur_q
+    accel = system.tm - te - gens.d * (omega - ws) / ws
+    jac = np.zeros((N_STATE, N_MACH))
+    jac[OMEGA:N_X:7, :] = np.diag(-ws / (2.0 * m ** 2) * accel)
+    return jac
+
+
+@pytest.mark.parametrize("loads", LOAD_SETS.values(), ids=LOAD_SETS.keys())
+def test_jac_m_matches_reference(system, loads):
+    rng = np.random.default_rng(15)
+    p, q = loads(system)
+    for _ in range(5):
+        u = system.steady_state() + 1e-2 * rng.standard_normal(N_STATE)
+        m = rng.uniform(1.0, 30.0, N_MACH)
+        ref = _reference_jac_m(system, u, m, p, q)
+        jac = system.jac_m(0.0, u, m, p, q)
+        assert jac.shape == ref.shape
+        assert np.max(np.abs(jac - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_event_validation():
