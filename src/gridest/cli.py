@@ -112,7 +112,7 @@ def run_estimate(cfg: ScenarioConfig, system, obs, noise) -> PosteriorSummary:
                                 cfg.dt, cfg.events(), m_true=m_true)
     summary, _ = estimate_pce(system, obs, noise, cfg.prior(), cfg.t_f, cfg.dt,
                               cfg.events(), order=cfg.pce_order,
-                              rule=cfg.pce_rule, m_true=m_true, seed=cfg.seed)
+                              rule=cfg.pce_rule, m_true=m_true)
     return summary
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import yaml
 
 from .bayes import GaussianPrior
+from .lbfgs import H_LOWER_BOUND
 from .ninebus import DisturbanceEvent
 from .observation import NoiseModel, observation_times
 from .pce import PCE_RULES
@@ -65,6 +66,13 @@ class ScenarioConfig:
             raise ValueError("noise_var must be positive")
         if any(v <= 0 for v in self.prior_var):
             raise ValueError("prior variances must be positive")
+        if any(h < H_LOWER_BOUND for h in self.prior_mean):
+            raise ValueError(
+                f"prior_mean={self.prior_mean} has an entry below the MAP's "
+                f"lower bound {H_LOWER_BOUND}")
+        if any(h <= 0 for h in self.m_true):
+            raise ValueError(
+                f"m_true={self.m_true} has an inertia that is not positive")
         if len(self.prior_mean) != len(self.prior_var) or \
                 len(self.prior_mean) != len(self.m_true):
             raise ValueError("prior_mean, prior_var and m_true lengths differ")

@@ -119,7 +119,7 @@ def test_criterion_05_backend_agreement(system, prior, make_scenario,
     obs, noise, events = make_scenario(1.0)
     pce, _ = estimate_pce(system, obs, noise, prior, 1.0, 0.01,
                           events=events, order=2, rule="stochastic-testing",
-                          m_true=M_TRUE, seed=1234)
+                          m_true=M_TRUE)
     rel = np.abs(pce.m_map - adj.m_map) / np.abs(adj.m_map)
     dtau = abs(pce.tau - adj.tau) / adj.tau
     ok = np.all(rel <= 0.01) and dtau <= 0.25
@@ -137,16 +137,14 @@ def test_criterion_06_sample_counts(system, prior, make_scenario):
     for order in (1, 2, 3):
         _, s = estimate_pce(system, obs, noise, prior, 1.0, 0.01,
                             events=events, order=order,
-                            rule="stochastic-testing", seed=1234)
+                            rule="stochastic-testing")
         st_counts.append(s.n_forward)
         _, s = estimate_pce(system, obs, noise, prior, 1.0, 0.01,
-                            events=events, order=order, rule="tensor",
-                            seed=1234)
+                            events=events, order=order, rule="tensor")
         tensor_counts.append(s.n_forward)
         sparse_counts.append(sparse_rule(3, order + 1).n_nodes)
     _, s_sparse1 = estimate_pce(system, obs, noise, prior, 1.0, 0.01,
-                                events=events, order=1, rule="sparse",
-                                seed=1234)
+                                events=events, order=1, rule="sparse")
     ok = (st_counts == [4, 10, 20] and tensor_counts == [8, 27, 64]
           and s_sparse1.n_forward == 7
           and all(sp < tn for sp, tn in zip(sparse_counts, tensor_counts)))
@@ -170,7 +168,7 @@ def test_criterion_07_order_study(system, prior, make_scenario):
     def err_vs_truth(rule, order):
         summary, _ = estimate_pce(system, obs, noise, prior, 5.0, 0.01,
                                   events=events, order=order, rule=rule,
-                                  m_true=M_TRUE, seed=1234)
+                                  m_true=M_TRUE)
         return np.linalg.norm(summary.m_map - M_TRUE)
 
     sparse_errs = [err_vs_truth("sparse", p) for p in (1, 2, 3)]
@@ -263,7 +261,7 @@ def test_criterion_10_cost_envelope(system, prior, make_scenario,
     obs, noise, events = make_scenario(1.0)
     _, surrogate = estimate_pce(system, obs, noise, prior, 1.0, 0.01,
                                 events=events, order=2,
-                                rule="stochastic-testing", seed=1234)
+                                rule="stochastic-testing")
     ok &= surrogate.n_forward <= 15
     print(f"criterion 10: worst MAP iterations {worst_it} (tol 50), worst "
           f"forward+adjoint+tangent solves {worst_solves} (tol 60), "

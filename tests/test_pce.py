@@ -5,6 +5,7 @@ import pytest
 from gridest.bayes import GaussianPrior
 from gridest.hermite import basis_matrix, multi_index_set, n_basis
 from gridest.integrator import simulate
+from gridest.lbfgs import at_roundoff_floor, minimize
 from gridest.observation import NoiseModel, observe
 from gridest.pce import (SurrogateObjective, build_surrogate, estimate_pce,
                          sparse_rule, standardize, stochastic_testing_select,
@@ -17,7 +18,6 @@ def test_tensor_rule_counts_and_weights():
     for p, n_nodes in ((1, 8), (2, 27), (3, 64)):
         rule = tensor_rule(3, p)
         assert rule.n_nodes == n_nodes
-        assert rule.kind == "tensor"
         assert rule.weights.sum() == pytest.approx(1.0, abs=1e-13)
 
 
@@ -25,7 +25,6 @@ def test_sparse_rule_counts_and_weights():
     for level, n_nodes in ((2, 7), (3, 19), (4, 39)):
         rule = sparse_rule(3, level)
         assert rule.n_nodes == n_nodes
-        assert rule.kind == "sparse"
         assert rule.weights.sum() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         sparse_rule(3, 0)
@@ -48,7 +47,6 @@ def test_stochastic_testing_selection_is_canonical():
     rule, v_sel, cond = stochastic_testing_select(cand, idx)
     assert rule.n_nodes == n_basis(3, 2) == 10
     assert rule.weights is None
-    assert rule.kind == "stochastic-testing"
     # weighted pivoting picks the probability-dominant pattern:
     # the center, all six axial nodes, and three two-axis nodes
     assert np.all(np.isin(np.round(rule.xi / SQ3, 12), [-1.0, 0.0, 1.0]))
@@ -213,14 +211,47 @@ class _FakeObs:
         self.values = np.asarray(values, dtype=float)
 
 
+@pytest.fixture(scope="module")
+def estimate_1s(system, prior, make_scenario):
+    """Cached order-2 estimate_pce at t_f = 1 s, one per rule."""
+    cache = {}
+
+    def get(rule):
+        if rule not in cache:
+            obs, noise, events = make_scenario(1.0)
+            cache[rule] = estimate_pce(system, obs, noise, prior, 1.0, 0.01,
+                                       events=events, order=2, rule=rule)
+        return cache[rule]
+
+    return get
+
+
 @pytest.mark.parametrize("rule", ["stochastic-testing", "tensor", "sparse"])
-def test_every_start_converges(system, prior, make_scenario, rule):
-    obs, noise, events = make_scenario(1.0)
-    summary, _ = estimate_pce(system, obs, noise, prior, 1.0, 0.01,
-                              events=events, order=2, rule=rule, seed=1234)
-    assert summary.stats["n_starts"] == 17
-    assert summary.stats["n_converged_starts"] == 17
+def test_every_start_converges(estimate_1s, rule):
+    summary, _ = estimate_1s(rule)
+    assert summary.stats["n_starts"] == 1
+    assert summary.stats["n_converged_starts"] == 1
     assert summary.stats["converged"]
+    assert summary.stats["message"] in ("projected gradient below tolerance",
+                                        "gradient at the roundoff floor")
+    assert summary.stats["n_evals"] > summary.stats["iterations"] >= 1
+
+
+@pytest.mark.parametrize("rule", ["stochastic-testing", "tensor", "sparse"])
+def test_no_prior_draw_beats_the_prior_mean_start(make_scenario, prior,
+                                                  estimate_1s, rule):
+    # the MAP runs once, from the prior mean; runs from prior draws all
+    # converge and none ends below it by more than termination noise
+    summary, surrogate = estimate_1s(rule)
+    obs, noise, _ = make_scenario(1.0)
+    objective = SurrogateObjective(surrogate, obs, noise, prior)
+    rng = np.random.default_rng(2024)
+    draws = prior.mean + np.sqrt(prior.var) * rng.standard_normal((16, 3))
+    j_map = summary.stats["objective"]
+    for x0 in draws:
+        res = minimize(objective, x0, tol=1e-8, max_iter=200)
+        assert res.converged or at_roundoff_floor(res, objective.hessian(res.x))
+        assert res.fun >= j_map * (1.0 - 1e-10)
 
 
 def test_surrogate_objective_dimension_check():
@@ -231,7 +262,7 @@ def test_surrogate_objective_dimension_check():
                            prior)
 
 
-def test_surrogate_map_deterministic_and_seed_stable():
+def test_surrogate_map_deterministic():
     prior = GaussianPrior(mean=np.array([24.0, 6.0, 3.1]),
                           var=np.array([5.76, 0.36, 0.09]))
 
@@ -243,14 +274,12 @@ def test_surrogate_map_deterministic_and_seed_stable():
     s = build_surrogate("tensor", 2, forward, prior)
     data = forward(np.array([23.0, 6.2, 3.0]))
     noise = NoiseModel.iid(1e-4, 4)
-    a = surrogate_map(s, _FakeObs(data), noise, prior, seed=1234)
-    b = surrogate_map(s, _FakeObs(data), noise, prior, seed=1234)
+    a = surrogate_map(s, _FakeObs(data), noise, prior)
+    b = surrogate_map(s, _FakeObs(data), noise, prior)
     assert np.array_equal(a.m_map, b.m_map)
     assert np.array_equal(a.gamma_post, b.gamma_post)
-    c = surrogate_map(s, _FakeObs(data), noise, prior, seed=77)
-    assert np.allclose(c.m_map, a.m_map, atol=1e-6)
-    assert a.stats["n_starts"] == 17
-    assert a.stats["n_converged_starts"] >= 1
+    assert a.stats["n_starts"] == 1
+    assert a.stats["n_converged_starts"] == 1
 
 
 def test_estimate_pce_unknown_rule(system, prior, make_scenario):
@@ -265,7 +294,7 @@ def test_estimate_pce_small_pipeline(system, prior, make_scenario):
     summary, surrogate = estimate_pce(system, obs, noise, prior, 0.5, 0.01,
                                       events=events, order=2,
                                       rule="stochastic-testing",
-                                      m_true=[23.64, 6.40, 3.01], seed=1234)
+                                      m_true=[23.64, 6.40, 3.01])
     assert summary.method == "pce"
     assert surrogate.n_forward == 10
     assert summary.stats["forward_solves"] == 10
@@ -280,10 +309,9 @@ def test_surrogate_accuracy_against_simulator(system, prior, make_scenario):
     obs, noise, events = make_scenario(t_f)
     _, s_interp = estimate_pce(system, obs, noise, prior, t_f, dt,
                                events=events, order=2,
-                               rule="stochastic-testing", seed=1234)
+                               rule="stochastic-testing")
     _, s_proj = estimate_pce(system, obs, noise, prior, t_f, dt,
-                             events=events, order=2, rule="sparse",
-                             seed=1234)
+                             events=events, order=2, rule="sparse")
     rng = np.random.default_rng(777)
     xi = rng.standard_normal((50, 3))
     ms = prior.mean + np.sqrt(prior.var) * xi

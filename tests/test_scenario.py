@@ -63,6 +63,21 @@ def test_validation_errors():
         ScenarioConfig(pce_order=6)
 
 
+def test_validation_rejects_bad_truth_and_prior_mean():
+    # both would fail only later: the truth in the synthesis simulate,
+    # the prior mean as the start of either back end's MAP
+    with pytest.raises(ValueError, match="m_true"):
+        ScenarioConfig(m_true=(-1.0, 6.4, 3.01))
+    with pytest.raises(ValueError, match="m_true"):
+        ScenarioConfig(m_true=(23.64, 0.0, 3.01))
+    with pytest.raises(ValueError, match="prior_mean"):
+        ScenarioConfig(prior_mean=(0.05, 6.0, 3.1))
+    with pytest.raises(ValueError, match="prior_mean"):
+        ScenarioConfig().with_overrides(prior_mean=(24.0, 6.0, -3.1))
+    # the bound itself is a valid start
+    assert ScenarioConfig(prior_mean=(0.1, 6.0, 3.1)).prior_mean[0] == 0.1
+
+
 def test_yaml_round_trip(tmp_path):
     cfg = ScenarioConfig(t_f=2.0, dt_obs=0.1, method="pce", pce_order=3,
                          pce_rule="sparse", seed=99,
