@@ -18,15 +18,19 @@ Newton from the trajectory that the latest tangent-linear pass predicts
 The posterior covariance is the Laplace approximation
 Gpost = (Hessian of J at the MAP)^-1.  The model Hessian leaves out the
 residual curvature, which moves the variances by tens of per cent at
-high noise, so the full Hessian is taken by central finite differences
-of the gradient, at m_MAP +- h e_j.  That gradient is evaluated on the
-predicted trajectory T~(m) = T(m_MAP) + S (m - m_MAP) of the tangent-
-linear pass at the MAP: one more tangent-linear pass along T~ gives
-J~^T Gn^-1 (f(T~) - d) + Gpr^-1 (m - m_pr), with no forward or adjoint
-solve.  The prediction error is 1/2 T''[dm, dm] + O(|dm|^3), the same at
-+h and -h, so it cancels in the central difference: the Hessian keeps
-the residual curvature and stays accurate to O(h^2).  The Laplace step
-costs six tangent-linear passes.
+high noise, so the full Hessian is taken by one-sided finite
+differences of the gradient, (g(m_MAP + h e_j) - g(m_MAP)) / h.  That
+gradient is evaluated on the predicted trajectory T~(m) = T(m_MAP) +
+S (m - m_MAP) of the tangent-linear pass at the MAP: one more
+tangent-linear pass along T~ gives J~^T Gn^-1 (f(T~) - d) +
+Gpr^-1 (m - m_pr), with no forward or adjoint solve.  g(m_MAP) itself
+is the gradient of the MAP driver's last linearization, whose
+trajectory is T~ at dm = 0.  The prediction error 1/2 T''[dm, dm] +
+O(|dm|^3) is O(h^2) in the gradient, so like the truncation error of
+the one-sided difference it is O(h) in the Hessian; FD_REL_STEP keeps
+both near 1e-7 relative, while the roundoff of the difference stays
+below that.  The Hessian keeps the residual curvature, and the Laplace
+step costs three tangent-linear passes.
 
 Quality metrics for synthetic studies with known truth:
 
@@ -53,7 +57,7 @@ from .lbfgs import at_roundoff_floor
 from .lbfgs import minimize as map_estimate
 from .observation import NoiseModel, ObservationSet
 
-FD_REL_STEP = 1e-4     # relative central-difference step, Laplace Hessian
+FD_REL_STEP = 1e-7     # relative one-sided step, Laplace Hessian
 FD_SYM_TOL = 1e-3      # largest relative asymmetry of that Hessian
 
 
@@ -82,10 +86,11 @@ class AdjointObjective:
     gradient(m) costs one forward simulation plus one adjoint sweep;
     value(m) costs one forward simulation; linearize(m) costs one
     tangent-linear pass, plus a forward simulation unless m is the point
-    of the latest one, and makes that pass the anchor.  Every
-    forward solve after the first starts Newton from the anchor's
-    prediction; predicted_gradient(m) costs one tangent-linear pass
-    along it.
+    of the latest one, and makes that pass the anchor and its gradient
+    anchor_gradient.  Every forward solve after the first starts Newton
+    from the anchor's prediction; predicted_gradient(m) costs one
+    tangent-linear pass along it, and equals anchor_gradient at the
+    anchor's m.
     """
 
     def __init__(self, system, obs: ObservationSet, noise: NoiseModel,
@@ -103,6 +108,7 @@ class AdjointObjective:
         self.newton_iters = 0
         self._latest = None    # (m, trajectory) of the latest forward solve
         self.anchor = None     # Sensitivity of the latest linearization
+        self.anchor_gradient = None    # and the gradient it gave
 
     def simulate(self, m):
         self.n_forward += 1
@@ -141,6 +147,7 @@ class AdjointObjective:
         else:
             traj = self.simulate(m)
         jac, self.anchor, r, grad = self._tangent(traj, m)
+        self.anchor_gradient = grad
         prior = self.prior
         j = 0.5 * float(r @ (r / self.noise.var)) + prior.neg_log(m)
         hess = jac.T @ (jac / self.noise.var[:, None]) + np.diag(1.0 / prior.var)
@@ -157,23 +164,26 @@ def neg_log_posterior(system, m, obs, noise, prior, t_f, dt, events=()):
     return misfit(traj, obs, noise) + prior.neg_log(m)
 
 
-def laplace_covariance(m_map: np.ndarray, grad_fn):
-    """Gpost = H^-1 with H from central differences of the gradient.
+def laplace_covariance(m_map: np.ndarray, grad_fn, grad_map=None):
+    """Gpost = H^-1 with H from one-sided differences of the gradient.
 
-    The raw FD Hessian is checked for symmetry (relative infinity norm)
-    before symmetrizing, then factorized; a non-positive-definite
-    Hessian raises with the offending eigenvalues (the MAP point is
-    then not a proper minimum, or the FD step is unsuitable).
+    Column j is (grad_fn(m_map + h e_j) - grad_map) / h, with h about
+    FD_REL_STEP |m_j| and rounded so that m_map + h e_j is exact.
+    grad_map is the gradient at m_map; without it one more grad_fn call
+    computes it.  The raw FD Hessian is checked for symmetry (relative
+    infinity norm) before symmetrizing, then factorized; a
+    non-positive-definite Hessian raises with the offending eigenvalues
+    (the MAP point is then not a proper minimum, or the FD step is
+    unsuitable).
     """
     m_map = np.asarray(m_map, dtype=float)
+    g0 = grad_fn(m_map) if grad_map is None else grad_map
     n = m_map.size
     hess = np.empty((n, n))
     for j in range(n):
-        h = FD_REL_STEP * max(abs(m_map[j]), 1e-8)
-        mp, mm = m_map.copy(), m_map.copy()
-        mp[j] += h
-        mm[j] -= h
-        hess[:, j] = (grad_fn(mp) - grad_fn(mm)) / (2.0 * h)
+        mp = m_map.copy()
+        mp[j] += FD_REL_STEP * max(abs(m_map[j]), 1e-8)
+        hess[:, j] = (grad_fn(mp) - g0) / (mp[j] - m_map[j])
     asym = np.linalg.norm(hess - hess.T, np.inf) / max(np.linalg.norm(hess, np.inf), 1e-30)
     if asym > FD_SYM_TOL:
         raise RuntimeError(f"FD Hessian asymmetry {asym:.2e} exceeds {FD_SYM_TOL:.0e}")
@@ -267,7 +277,8 @@ def estimate_adjoint(system, obs: ObservationSet, noise: NoiseModel,
 
     # map_estimate returns the last point it linearized
     assert np.array_equal(objective.anchor.m, res.x)
-    gpost, hess = laplace_covariance(res.x, objective.predicted_gradient)
+    gpost, hess = laplace_covariance(res.x, objective.predicted_gradient,
+                                     objective.anchor_gradient)
     converged = res.converged or at_roundoff_floor(res, hess)
     stats = {
         "iterations": res.iterations,

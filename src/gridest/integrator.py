@@ -20,8 +20,8 @@ algebraic states jump (T~_{k+1} is the arrival state, pre-switch at a
 projection node).  Without a prediction T~ = 0, which is the plain
 extrapolation 2 u_k - u_{k-1}; a prediction good to O(|dm|^2), such as
 the tangent-linear one of adjoint.Sensitivity, leaves Newton far less
-to do.  Each Newton matrix is LU-factored once; once the residual meets
-NEWTON_TOL, one more update that reuses the last factors takes it to
+to do.  Each Newton matrix is LU-factored once, and Newton returns at
+the first residual that meets NEWTON_TOL, which is already near
 roundoff.  A step hands back F at its arrival state, taken from its
 final residual evaluation, so the next step does not evaluate it again.
 The load-switch projection runs the same Newton loop on the algebraic
@@ -147,31 +147,27 @@ def lu_solve(factors, b: np.ndarray, trans: int = 0) -> np.ndarray:
 def _newton(residual, matrix, v: np.ndarray, where: str, t: float) -> int:
     """Newton on residual(v) = 0, updating v in place; returns iterations.
 
-    Each matrix is LU-factored once.  Once the residual inf-norm meets
-    NEWTON_TOL, one extra update on the last factors (at most a Newton
-    step away) pushes it to roundoff, removing termination noise from
-    the objective's m-dependence; it is skipped if the start was exact.
-    Every return follows a residual evaluation at the returned v.
+    Returns at the first residual whose inf-norm meets NEWTON_TOL, with
+    no further update.  Each matrix is LU-factored once.  After
+    NEWTON_MAXIT updates, a residual within NEWTON_ACCEPT is accepted
+    and any other raises StepFailure.  Every return follows a residual
+    evaluation at the returned v.
     """
-    polished = False
-    for it in range(NEWTON_MAXIT + 2):
+    for it in range(NEWTON_MAXIT + 1):
         r = residual(v)
         res = np.abs(r).max()
         if res <= NEWTON_TOL:
-            if polished or it == 0:
-                return it
-            polished = True
-        elif it > NEWTON_MAXIT or not np.isfinite(res):
+            return it
+        if it == NEWTON_MAXIT or not np.isfinite(res):
             if res <= NEWTON_ACCEPT:
                 return it
             raise StepFailure(f"{where} at t={t:.6g} stalled: residual "
                               f"{res:.3e} after {it} iterations")
-        else:
-            try:
-                factors = lu_factor(matrix(v), where, t)
-            except StepFailure as exc:
-                raise StepFailure(f"{exc} at residual {res:.3e} after {it} "
-                                  "iterations") from None
+        try:
+            factors = lu_factor(matrix(v), where, t)
+        except StepFailure as exc:
+            raise StepFailure(f"{exc} at residual {res:.3e} after {it} "
+                              "iterations") from None
         v -= lu_solve(factors, r)
 
 

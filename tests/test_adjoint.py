@@ -8,7 +8,7 @@ import pytest
 import gridest.adjoint
 from gridest.adjoint import (backward_sweep, misfit, misfit_state_gradients,
                              residual, tangent_linear)
-from gridest.bayes import (AdjointObjective, GaussianPrior,
+from gridest.bayes import (AdjointObjective, GaussianPrior, hessian_inverse,
                            laplace_covariance, map_estimate)
 from gridest.integrator import StepFailure, simulate
 from gridest.ninebus import N_BUS, DisturbanceEvent, ix_vre
@@ -238,18 +238,77 @@ def _map_objective(system, coords, events):
     return objective, res.x
 
 
+def _central_hessian(m, grad_fn, rel_step=1e-4):
+    """The Laplace Hessian of the central-difference scheme, at steps
+    rel_step |m_j|: the reference for the one-sided one."""
+    cols = []
+    for j in range(m.size):
+        e = np.zeros(m.size)
+        e[j] = rel_step * abs(m[j])
+        cols.append((grad_fn(m + e) - grad_fn(m - e)) / (2.0 * e[j]))
+    hess = np.column_stack(cols)
+    return 0.5 * (hess + hess.T)
+
+
 @pytest.mark.parametrize("coords, events", TANGENT_CASES.values(),
                          ids=TANGENT_CASES.keys())
 def test_predicted_laplace_hessian_matches_adjoint_fd(system, coords, events):
-    # central differences of the gradient on the predicted trajectory
-    # against central differences of the adjoint gradient of full solves
+    # one-sided differences of the gradient on the predicted trajectory,
+    # from the gradient of the MAP driver's last linearization, against
+    # central differences of the adjoint gradient of full solves
     objective, m_map = _map_objective(system, coords, events)
     n_fwd, n_tan = objective.n_forward, objective.n_tangent
-    _, hess = laplace_covariance(m_map, objective.predicted_gradient)
+    _, hess = laplace_covariance(m_map, objective.predicted_gradient,
+                                 objective.anchor_gradient)
     assert (objective.n_forward, objective.n_adjoint) == (n_fwd, 0)
-    assert objective.n_tangent == n_tan + 6
-    _, hess_adj = laplace_covariance(m_map, objective.gradient)
+    assert objective.n_tangent == n_tan + 3
+    hess_adj = _central_hessian(m_map, objective.gradient)
     assert np.max(np.abs(hess - hess_adj)) <= 1e-6 * np.max(np.abs(hess_adj))
+
+
+def test_anchor_gradient_is_the_predicted_gradient_at_the_map(system):
+    # the prediction at dm = 0 is the anchor's own trajectory, so handing
+    # in the driver's gradient saves a pass and changes no bit
+    objective, m_map = _map_objective(system, RECT, EVENTS)
+    assert np.array_equal(objective.predicted_gradient(m_map),
+                          objective.anchor_gradient)
+
+
+@pytest.mark.parametrize("coords, events", TANGENT_CASES.values(),
+                         ids=TANGENT_CASES.keys())
+def test_one_sided_laplace_variances_match_central_reference(system, coords,
+                                                             events):
+    """The one-sided Laplace step agrees with the central one it replaced.
+
+    The inertias enter the swing equations as 1/m_j, whose log-derivatives
+    m_j d_j and m_j^2 d_j^2 are -1 and 2 relative; take 2 as the scale of
+    m_j d_j on the Hessian.
+
+    The reference takes central differences of the predicted gradient at
+    h_c = 1e-4 |m_j|.  The prediction error 1/2 T''[dm, dm] is even in dm
+    and cancels, so the reference is off by (h_c^2 / 6) d_j^2 g, about
+    1e-8 * 4 / 6 < 1e-8 of a Hessian column.
+
+    The one-sided column at h = FD_REL_STEP |m_j| = 1e-7 |m_j| is off by
+    its truncation error (h / 2) d_j H[:, j] and by the prediction error
+    at m + h e_j over h, which is of the same O(h) size: each about
+    1e-7 / 2 * 2 = 1e-7 of the column.  Roundoff adds eps |g| / h, about
+    1e-9.  So the Hessians differ by delta = 2e-7 of a column.
+
+    With H = D C D and D^2 = diag(H), Gpost_ii = (C^-1)_ii / H_ii, and a
+    relative perturbation delta of C moves (C^-1)_ii by at most
+    kappa(C) delta relative.  The three inertias are seen through the
+    same bus voltages, so C is far from diagonal, but it stays far from
+    singular: kappa(C) is 23 to 40 on these cases.  Taking kappa <= 50,
+    the variances agree within 50 * 2e-7 = 1e-5 relative.
+    """
+    objective, m_map = _map_objective(system, coords, events)
+    gpost, _ = laplace_covariance(m_map, objective.predicted_gradient,
+                                  objective.anchor_gradient)
+    ref = hessian_inverse(_central_hessian(m_map,
+                                           objective.predicted_gradient))
+    rel = np.abs(np.diag(gpost) / np.diag(ref) - 1.0)
+    assert np.max(rel) <= 1e-5
 
 
 def test_predicted_laplace_hessian_without_disturbance(system):

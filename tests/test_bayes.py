@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from least_squares import SHIFT, LeastSquares, shifted_linear
 
 from gridest import lbfgs
-from gridest.bayes import (GaussianPrior, PosteriorSummary, estimate_adjoint,
-                           laplace_covariance, map_estimate, metrics,
-                           neg_log_posterior)
+from gridest.bayes import (FD_REL_STEP, GaussianPrior, PosteriorSummary,
+                           estimate_adjoint, laplace_covariance, map_estimate,
+                           metrics, neg_log_posterior)
 from gridest.lbfgs import H_LOWER_BOUND
 from gridest.ninebus import DisturbanceEvent
 from gridest.observation import NoiseModel
@@ -109,6 +109,29 @@ def test_conjugate_gaussian_random_cases():
         assert np.allclose(gpost, cov, rtol=1e-6, atol=1e-12)
 
 
+@pytest.mark.parametrize("handed_in", [True, False])
+def test_laplace_gradient_calls(handed_in):
+    # one call per parameter, each a step of FD_REL_STEP |m_j| along
+    # axis j, and one more at m_map first unless its gradient is given
+    b = np.array([[2.0, 0.5, 0.1], [0.5, 3.0, 0.2], [0.1, 0.2, 4.0]])
+    m = np.array([24.0, 6.0, 3.1])
+    points = []
+
+    def grad(x):
+        points.append(x.copy())
+        return b @ (x - 1.0)
+
+    _, hess = laplace_covariance(m, grad, b @ (m - 1.0) if handed_in else None)
+    if not handed_in:
+        assert np.array_equal(points.pop(0), m)
+    assert len(points) == 3
+    for j, x in enumerate(points):
+        step = x - m
+        assert np.flatnonzero(step).tolist() == [j]
+        assert step[j] == pytest.approx(FD_REL_STEP * m[j], rel=1e-6)
+    assert np.allclose(hess, b, rtol=1e-7)
+
+
 def test_laplace_rejects_asymmetric_gradient():
     b = np.array([[1.0, 0.9], [0.1, 2.0]])  # clearly non-symmetric
     with pytest.raises(RuntimeError, match="asymmetry"):
@@ -204,15 +227,15 @@ def test_estimate_adjoint_small_scenario(system, prior, make_scenario):
     st = summary.stats
     assert st["converged"]
     # the MAP: a forward solve per point tried, a tangent-linear pass per
-    # iterate and no adjoint; the Laplace step: six tangent-linear passes
-    # along the predicted trajectory, no forward or adjoint solve
+    # iterate and no adjoint; the Laplace step: three tangent-linear
+    # passes along the predicted trajectory, no forward or adjoint solve
     assert st["map_forward_solves"] == st["n_evals"]
     assert st["map_adjoint_solves"] == 0
     assert st["map_tangent_solves"] == st["iterations"] + 1
     assert st["forward_solves"] == st["map_forward_solves"]
     assert st["adjoint_solves"] == 0
-    assert st["hessian_tangent_solves"] == 6
-    assert st["tangent_solves"] == st["iterations"] + 7
+    assert st["hessian_tangent_solves"] == 3
+    assert st["tangent_solves"] == st["iterations"] + 4
     assert summary.m_map.shape == (3,)
     assert np.all(summary.m_map > 0)
     eig = np.linalg.eigvalsh(summary.gamma_post)

@@ -99,9 +99,9 @@ def _assert_shared_cost(rule, iterations, forward, adjoint, tangent,
     assert converged
     if rule is None:
         assert forward > 0 and adjoint == 0
-        # one tangent-linear pass per Gauss-Newton iterate, six for the
+        # one tangent-linear pass per Gauss-Newton iterate, three for the
         # Laplace step
-        assert tangent == iterations + 7
+        assert tangent == iterations + 4
     else:
         assert forward == PCE_NODES[rule]
         assert adjoint == 0

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from gridest.adjoint import tangent_linear
-from gridest.integrator import (StepFailure, Trajectory, build_load_schedule,
+from gridest import integrator
+from gridest.integrator import (NEWTON_MAXIT, NEWTON_TOL, StepFailure,
+                                Trajectory, _newton, build_load_schedule,
                                 simulate, solve_algebraic, step_trapezoidal,
                                 write_trajectory_csv)
 from gridest.ninebus import N_BUS, DisturbanceEvent, state_names
@@ -181,6 +183,66 @@ def test_newton_failure_is_reported():
         simulate(bad, np.array([1.0]), 1.0, 0.5)
 
 
+class NewtonRecorder:
+    """A recording proxy for _newton's residual and matrix callables.
+
+    It records the residual inf-norm of each residual call and counts
+    the LU factorizations and solves that _newton makes through the
+    integrator's lu_factor and lu_solve."""
+
+    def __init__(self, monkeypatch, residual, matrix):
+        self._residual = residual
+        self.matrix = matrix
+        self.norms = []
+        self.factorizations = 0
+        self.solves = 0
+        factor, solve = integrator.lu_factor, integrator.lu_solve
+
+        def counted_factor(*args):
+            self.factorizations += 1
+            return factor(*args)
+
+        def counted_solve(*args):
+            self.solves += 1
+            return solve(*args)
+
+        monkeypatch.setattr(integrator, "lu_factor", counted_factor)
+        monkeypatch.setattr(integrator, "lu_solve", counted_solve)
+
+    def residual(self, v):
+        r = self._residual(v)
+        self.norms.append(np.abs(r).max())
+        return r
+
+
+@pytest.mark.parametrize("start, exact", [([3.0, 1.5], False),
+                                          ([2.0, 2.0], True)],
+                         ids=["far", "exact"])
+def test_newton_makes_no_update_once_the_tolerance_is_met(monkeypatch, start,
+                                                          exact):
+    # v^3 = 8 elementwise: one factorization and one solve per update, an
+    # update only after a residual above NEWTON_TOL, and a return at the
+    # first residual that meets it
+    rec = NewtonRecorder(monkeypatch, lambda v: v ** 3 - 8.0,
+                         lambda v: np.diag(3.0 * v ** 2))
+    its = _newton(rec.residual, rec.matrix, np.array(start), "Newton", 0.0)
+    assert rec.factorizations == rec.solves == its == len(rec.norms) - 1
+    assert all(r > NEWTON_TOL for r in rec.norms[:-1])
+    assert rec.norms[-1] <= NEWTON_TOL
+    assert (its == 0) == exact
+
+
+def test_newton_stalls_after_newton_maxit_updates(monkeypatch):
+    # on v - 1 = 0, a matrix 1000 times too steep cuts the residual by
+    # only 0.1% per update
+    rec = NewtonRecorder(monkeypatch, lambda v: v - 1.0,
+                         lambda v: np.array([[1000.0]]))
+    with pytest.raises(StepFailure, match="stalled"):
+        _newton(rec.residual, rec.matrix, np.array([2.0]), "Newton", 0.0)
+    assert rec.factorizations == rec.solves == NEWTON_MAXIT
+    assert len(rec.norms) == NEWTON_MAXIT + 1
+
+
 class SingularToy(ToyDAE):
     """jac_u with a zero algebraic row: every Newton matrix is singular."""
 
@@ -265,12 +327,11 @@ def test_simulate_never_repeats_an_rhs_call(system):
 
 
 def test_nine_bus_newton_iteration_count(system):
-    # 755 iterations when every step starts from u_k and the polish
-    # re-evaluates the Jacobian; the extrapolated start saves about one
-    # iteration per step
+    # 381 iterations over 200 steps: the extrapolated start leaves about
+    # two updates per step, and each solve stops at NEWTON_TOL
     ev = DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5)
     traj = simulate(system, system.h_ref, 2.0, 0.01, events=(ev,))
-    assert traj.newton_iters <= 600
+    assert traj.newton_iters <= 400
 
 
 def test_extrapolated_start_reaches_the_same_state(system):
