@@ -38,7 +38,8 @@ not depend on the inertias) through
 on the differential rows, with F_m(u_{k+1}) on the algebraic rows and
 A_{k+1} the Newton matrix at the (pre-switch) arrival state.  At a
 load-switch node S_y = -g_y^{-1} (g_x S_x + g_m), with the blocks at the
-post-switch state.  The observed rows of S at the observation nodes give
+post-switch state.  The voltage rows of S at the observation nodes,
+times observation_partials (which the sweep applies transposed), give
 the Jacobian J = df/dm (q x n_param); J^T Gn^-1 (f - d) is the gradient
 above.  Its cost is that of one adjoint sweep (see above).
 Tangent-linear and adjoint DAE sensitivities are derived together in
@@ -56,8 +57,7 @@ import numpy as np
 
 from .integrator import (StepFailure, Trajectory, lu_factor, lu_solve,
                          newton_matrix)
-from .ninebus import ix_vim, ix_vre
-from .observation import NoiseModel, ObservationSet, POLAR, grid_indices, observe
+from .observation import NoiseModel, ObservationSet, observation_partials, observe
 
 
 def residual(traj: Trajectory, obs: ObservationSet) -> np.ndarray:
@@ -71,36 +71,22 @@ def misfit(traj: Trajectory, obs: ObservationSet, noise: NoiseModel) -> float:
     return 0.5 * float(r @ (r / noise.var))
 
 
-def _polar_partials(traj: Trajectory, nodes: np.ndarray, rv, iv):
-    """d(|V|, angle)/d(v_re, v_im) at the observed nodes and buses, as
-    the rows ((d|V|/dv_re, d|V|/dv_im), (dang/dv_re, dang/dv_im))."""
-    vre = traj.states[nodes[:, None], rv]
-    vim = traj.states[nodes[:, None], iv]
-    v2 = vre * vre + vim * vim
-    vm = np.sqrt(v2)
-    return (vre / vm, vim / vm), (-vim / v2, vre / v2)
-
-
 def misfit_state_gradients(traj: Trajectory, obs: ObservationSet,
                            noise: NoiseModel) -> dict[int, np.ndarray]:
     """Per-node gradient of the misfit w.r.t. the stored state.
 
     Returns {node index: dJ_misfit/du} with entries only in the voltage
-    slots (possibly chain-ruled through magnitude/angle).
+    slots: the weighted residual times the observation partials.
     """
-    nodes = grid_indices(obs.times, traj.dt)
+    nodes, (rv, iv), d = observation_partials(traj, obs)
     w = (residual(traj, obs) / noise.var).reshape(len(nodes), len(obs.buses), 2)
-    rv, iv = ix_vre(obs.buses), ix_vim(obs.buses)
-    w0, w1 = w[:, :, 0], w[:, :, 1]
-    if obs.coords == POLAR:
-        (m_rr, m_ri), (a_rr, a_ri) = _polar_partials(traj, nodes, rv, iv)
-        w0, w1 = w0 * m_rr + w1 * a_rr, w0 * m_ri + w1 * a_ri
+    g = w[..., 0, None] * d[..., 0, :] + w[..., 1, None] * d[..., 1, :]
 
     out: dict[int, np.ndarray] = {}
-    for node, g0, g1 in zip(nodes.tolist(), w0, w1):
+    for node, g_k in zip(nodes.tolist(), g):
         ru = out.setdefault(node, np.zeros(traj.states.shape[1]))
-        ru[rv] += g0
-        ru[iv] += g1
+        ru[rv] += g_k[:, 0]
+        ru[iv] += g_k[:, 1]
     return out
 
 
@@ -212,7 +198,6 @@ def tangent_linear(system, traj: Trajectory, m: np.ndarray,
     along the stored trajectory."""
     n_x = system.n_x
     dt = traj.dt
-    nodes = grid_indices(obs.times, dt)
     sens = np.empty(traj.states.shape + (system.n_param,))
     pre_sens = {}
     s = np.zeros(sens.shape[1:])
@@ -252,12 +237,8 @@ def tangent_linear(system, traj: Trajectory, m: np.ndarray,
         raise StepFailure(f"tangent-linear pass at t="
                           f"{traj.times[min(bad)]:.6g}: sensitivity not finite")
 
-    s_obs = sens[nodes]
-    rv, iv = ix_vre(obs.buses), ix_vim(obs.buses)
-    d0, d1 = s_obs[:, rv], s_obs[:, iv]
-    if obs.coords == POLAR:
-        (m_rr, m_ri), (a_rr, a_ri) = _polar_partials(traj, nodes, rv, iv)
-        d0, d1 = (m_rr[..., None] * d0 + m_ri[..., None] * d1,
-                  a_rr[..., None] * d0 + a_ri[..., None] * d1)
-    jac = np.stack([d0, d1], axis=2).reshape(-1, system.n_param)
+    nodes, (rv, iv), d = observation_partials(traj, obs)
+    s_re, s_im = sens[nodes[:, None], rv], sens[nodes[:, None], iv]
+    jac = d[..., 0, None] * s_re[:, :, None] + d[..., 1, None] * s_im[:, :, None]
+    jac = jac.reshape(-1, system.n_param)
     return jac, Sensitivity(np.array(m, dtype=float), traj, sens, pre_sens)

@@ -8,8 +8,8 @@ with independent Gaussian noise and prior.  The MAP point minimizes J
 by bounded Gauss-Newton (map_estimate, the MAP driver lbfgs.minimize
 that the surrogate MAP shares): the objective linearizes f with a
 tangent-linear pass, giving the gradient J_f^T Gn^-1 (f - d) +
-Gpr^-1 (m - m_pr) and the model Hessian J_f^T Gn^-1 J_f + Gpr^-1 (the
-Gauss-Newton Hessian of Bui-Thanh, Ghattas, Martin & Stadler, SIAM J.
+Gpr^-1 (m - m_pr) and the model Hessian J_f^T Gn^-1 J_f + Gpr^-1
+(gauss_newton_hessian; Bui-Thanh, Ghattas, Martin & Stadler, SIAM J.
 Sci. Comput. 35, 2013).  The residual at the MAP is small, so the loop
 converges in a handful of iterations.  Each trial forward solve starts
 Newton from the trajectory that the latest tangent-linear pass predicts
@@ -30,7 +30,8 @@ O(|dm|^3) is O(h^2) in the gradient, so like the truncation error of
 the one-sided difference it is O(h) in the Hessian; FD_REL_STEP keeps
 both near 1e-7 relative, while the roundoff of the difference stays
 below that.  The Hessian keeps the residual curvature, and the Laplace
-step costs three tangent-linear passes.
+step costs three tangent-linear passes.  Both back ends end in
+PosteriorSummary.at_map, which makes the convergence verdict there.
 
 Quality metrics for synthetic studies with known truth:
 
@@ -148,14 +149,17 @@ class AdjointObjective:
             traj = self.simulate(m)
         jac, self.anchor, r, grad = self._tangent(traj, m)
         self.anchor_gradient = grad
-        prior = self.prior
-        j = 0.5 * float(r @ (r / self.noise.var)) + prior.neg_log(m)
-        hess = jac.T @ (jac / self.noise.var[:, None]) + np.diag(1.0 / prior.var)
-        return j, grad, hess
+        j = 0.5 * float(r @ (r / self.noise.var)) + self.prior.neg_log(m)
+        return j, grad, gauss_newton_hessian(jac, self.noise.var, self.prior)
 
     def predicted_gradient(self, m: np.ndarray) -> np.ndarray:
         """The gradient on the anchor's predicted trajectory at m."""
         return self._tangent(self.anchor.predict(m), m)[3]
+
+
+def gauss_newton_hessian(jac, noise_var, prior: GaussianPrior) -> np.ndarray:
+    """J_f^T Gn^-1 J_f + Gpr^-1 for the Jacobian jac of the observables."""
+    return jac.T @ (jac / noise_var[:, None]) + np.diag(1.0 / prior.var)
 
 
 def neg_log_posterior(system, m, obs, noise, prior, t_f, dt, events=()):
@@ -222,12 +226,10 @@ class PosteriorSummary:
     """MAP point, Laplace covariance, metrics, and cost counters.
 
     Given m_true, construction computes the metrics err, tau and cns.
-    Both back ends put iterations, forward_solves, adjoint_solves,
-    tangent_solves, newton_iters and converged into stats; the other
-    keys are back-end specific.
-    converged means the MAP optimizer met its gradient tolerance, or
-    stopped with its gradient at the roundoff floor certified by the
-    Hessian at the MAP (at_roundoff_floor).
+    Both back ends build it with at_map, which writes the MAP driver's
+    keys into stats; forward_solves, adjoint_solves, tangent_solves and
+    newton_iters are shared too, and the other keys are back-end
+    specific.
     """
     m_map: np.ndarray
     gamma_post: np.ndarray
@@ -243,6 +245,21 @@ class PosteriorSummary:
             self.m_true = np.asarray(self.m_true, float)
             self.err, self.tau, self.cns = metrics(self.m_map, self.gamma_post,
                                                    self.m_true)
+
+    @classmethod
+    def at_map(cls, res, gpost, hess, method, m_true, stats):
+        """The summary at the MAP driver's result res; hess is the Hessian
+        there and gpost its inverse.  converged: the driver met its
+        tolerance, or stopped at the roundoff floor that hess certifies
+        (at_roundoff_floor).  The driver's keys, one history record per
+        iterate among them, come ahead of the back end's stats."""
+        converged = res.converged or at_roundoff_floor(res, hess)
+        driver = {"iterations": res.iterations, "n_evals": res.n_evals,
+                  "converged": converged, "message": res.message,
+                  "final_grad_norm": res.grad_norm, "objective": res.fun,
+                  "history": res.history}
+        return cls(m_map=res.x, gamma_post=gpost, method=method,
+                   m_true=m_true, stats={**driver, **stats})
 
     def to_dict(self) -> dict:
         out = {
@@ -279,14 +296,7 @@ def estimate_adjoint(system, obs: ObservationSet, noise: NoiseModel,
     assert np.array_equal(objective.anchor.m, res.x)
     gpost, hess = laplace_covariance(res.x, objective.predicted_gradient,
                                      objective.anchor_gradient)
-    converged = res.converged or at_roundoff_floor(res, hess)
     stats = {
-        "iterations": res.iterations,
-        "n_evals": res.n_evals,
-        "converged": converged,
-        "message": res.message,
-        "final_grad_norm": res.grad_norm,
-        "objective": res.fun,
         "forward_solves": objective.n_forward,
         "adjoint_solves": objective.n_adjoint,
         "tangent_solves": objective.n_tangent,
@@ -296,5 +306,4 @@ def estimate_adjoint(system, obs: ObservationSet, noise: NoiseModel,
         "hessian_tangent_solves": objective.n_tangent - map_tan,
         "newton_iters": objective.newton_iters,
     }
-    return PosteriorSummary(m_map=res.x, gamma_post=gpost, method="adjoint",
-                            m_true=m_true, stats=stats)
+    return PosteriorSummary.at_map(res, gpost, hess, "adjoint", m_true, stats)

@@ -228,7 +228,7 @@ def cmd_gradient_check(args) -> int:
             e[i] = h
             g_fd[i] = (objective.value(m + e) - objective.value(m - e)) / (2 * h)
         rel = np.max(np.abs(g_adj - g_fd) / np.maximum(np.abs(g_fd), 1e-30))
-        worst = max(worst, rel)
+        worst = np.maximum(worst, rel)     # keeps a NaN, which fails
         print(f"  [{''.join(f'{x:8.4f}' for x in m)}]   {rel:.3e}")
     ok = worst <= args.tol
     print(f"worst relative error {worst:.3e} "
@@ -237,6 +237,13 @@ def cmd_gradient_check(args) -> int:
 
 
 # -- parser ---------------------------------------------------------------
+
+def _positive(text: str) -> float:
+    x = float(text)
+    if not x > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return x
+
 
 def _scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="scenario YAML file")
@@ -295,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="adjoint gradient vs central differences")
     _scenario_flags(p)
     p.add_argument("--n-random", dest="n_random", type=int, default=0)
-    p.add_argument("--fd-step", dest="fd_step", type=float, default=1e-6)
+    p.add_argument("--fd-step", dest="fd_step", type=_positive, default=1e-6)
     p.add_argument("--tol", type=float, default=1e-5)
     p.set_defaults(func=cmd_gradient_check)
     return ap

@@ -24,8 +24,8 @@ norm falls to roughly sqrt(eps * |f| * lambda_max), a Newton step
 changes f by less than one unit in the last place and no line search
 can verify descent.  The loop therefore also stops, not converged, when
 its gradient is at that floor for the model Hessian (at_roundoff_floor),
-when backtracking finds no decrease, or at max_iter.  The caller makes
-the final floor verdict from the Hessian it computes at the MAP.
+when backtracking finds no decrease, or at max_iter.  The final floor
+verdict is made by bayes.PosteriorSummary.at_map from the MAP's Hessian.
 
 One record per iterate (value, gradient norm, step length, cumulative
 evaluations) is kept in history for machine-readable logging.

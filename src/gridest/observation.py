@@ -124,6 +124,24 @@ def observe(traj, times: np.ndarray, buses=None, coords: str = RECT) -> np.ndarr
     return out.reshape(-1)
 
 
+def observation_partials(traj, obs: ObservationSet):
+    """(nodes, (rv, iv), d): the node of each observation time, the state
+    columns of each bus's v_re and v_im, and d[k, b, c, j], the derivative
+    of component c at time k and bus b by v_re (j = 0) or v_im (j = 1):
+    the identity for RECT, the |V| and angle partials for POLAR."""
+    nodes = grid_indices(obs.times, traj.dt)
+    rv, iv = ix_vre(obs.buses), ix_vim(obs.buses)
+    shape = (len(nodes), len(obs.buses), 2, 2)
+    if obs.coords == RECT:
+        return nodes, (rv, iv), np.broadcast_to(np.eye(2), shape)
+    vre = traj.states[nodes[:, None], rv]
+    vim = traj.states[nodes[:, None], iv]
+    v2 = vre * vre + vim * vim
+    vm = np.sqrt(v2)
+    partials = np.stack([vre / vm, vim / vm, -vim / v2, vre / v2], axis=-1)
+    return nodes, (rv, iv), partials.reshape(shape)
+
+
 def normal_stream(seed: int, n: int) -> np.ndarray:
     """Reproducible standard-normal draws (Philox counter stream + ndtri)."""
     raw = np.random.Philox(key=np.uint64(seed)).random_raw(n)
@@ -212,6 +230,8 @@ def read_observations(path) -> tuple[ObservationSet, NoiseModel]:
     values = np.full(2 * len(buses) * len(times), np.nan)
     for t, b, x0, x1 in rows:
         base = 2 * len(buses) * t_pos[t] + 2 * b_pos[b - 1]
+        if not np.isnan(values[base]):
+            raise ValueError(f"{path}: repeated row for time {t!r}, bus {b}")
         values[base] = x0
         values[base + 1] = x1
     if np.any(np.isnan(values)):

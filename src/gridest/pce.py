@@ -19,7 +19,8 @@ posterior is a polynomial with closed-form gradient and Hessian, so the
 surrogate MAP needs no further simulations and its Laplace covariance
 is the analytic Hessian inverse.  The MAP is one run of the bounded
 Gauss-Newton driver of the adjoint back end (lbfgs.minimize), from the
-same start, the prior mean.
+same start, the prior mean, with the same bayes.gauss_newton_hessian;
+bayes.PosteriorSummary.at_map makes the convergence verdict.
 """
 from __future__ import annotations
 
@@ -30,10 +31,11 @@ from math import comb
 import numpy as np
 from scipy.linalg import qr
 
-from .bayes import GaussianPrior, PosteriorSummary, hessian_inverse
+from .bayes import (GaussianPrior, PosteriorSummary, gauss_newton_hessian,
+                    hessian_inverse)
 from .hermite import basis_derivatives, basis_matrix, gauss_hermite, multi_index_set
 from .integrator import simulate
-from .lbfgs import at_roundoff_floor, minimize
+from .lbfgs import minimize
 from .observation import observe
 
 PCE_RULES = ("stochastic-testing", "tensor", "sparse")
@@ -262,21 +264,19 @@ class SurrogateObjective:
         """Jacobian c^T dPsi of the surrogate observables, shape (q, n)."""
         return self.surrogate.coeffs.T @ self._parts(np.asarray(m, dtype=float))[1]
 
-    def _model_hessian(self, jac):
-        return jac.T @ (jac / self.noise_var[:, None]) \
-            + np.diag(1.0 / self.prior.var)
-
     def linearize(self, m):
-        """(J(m), gradient, J_f^T Gn^-1 J_f + Gpr^-1) with J_f the surrogate
+        """(J(m), gradient, Gauss-Newton Hessian) from the surrogate
         Jacobian."""
-        return (*self.value_grad(m), self._model_hessian(self.jacobian(m)))
+        return (*self.value_grad(m), gauss_newton_hessian(
+            self.jacobian(m), self.noise_var, self.prior))
 
     def hessian(self, m) -> np.ndarray:
         """The full Hessian: linearize's plus the residual curvature."""
         psi, dpsi, d2psi = self._parts(np.asarray(m, dtype=float))
         c = self.surrogate.coeffs
         v = c @ ((psi @ c - self.data) / self.noise_var)
-        return self._model_hessian(c.T @ dpsi) + np.einsum("k,kij->ij", v, d2psi)
+        return gauss_newton_hessian(c.T @ dpsi, self.noise_var, self.prior) \
+            + np.einsum("k,kij->ij", v, d2psi)
 
 
 def surrogate_map(surrogate: Surrogate, obs, noise, prior: GaussianPrior,
@@ -285,31 +285,25 @@ def surrogate_map(surrogate: Surrogate, obs, noise, prior: GaussianPrior,
 
     One run of the MAP driver (lbfgs.minimize) from the start the
     adjoint back end uses.  The Hessian at the MAP gives both the
-    roundoff-floor verdict and the posterior covariance, its inverse.
+    roundoff-floor verdict (in at_map) and the covariance, its inverse.
     """
     objective = SurrogateObjective(surrogate, obs, noise, prior)
     res = minimize(objective, prior.mean, tol=_MAP_TOL, max_iter=_MAP_MAX_ITER)
     hess = objective.hessian(res.x)
-    converged = res.converged or at_roundoff_floor(res, hess)
     stats = {
         "method": "pce",
         "rule": surrogate.rule,
         "order": surrogate.order,
-        "iterations": res.iterations,
-        "n_evals": res.n_evals,
-        "message": res.message,
         "forward_solves": surrogate.n_forward,
         "adjoint_solves": 0,
         "tangent_solves": 0,
-        "converged": converged,
         "collocation_condition": surrogate.cond,
         "n_starts": 1,
-        "n_converged_starts": int(converged),
-        "objective": res.fun,
-        "final_grad_norm": res.grad_norm,
     }
-    return PosteriorSummary(m_map=res.x, gamma_post=hessian_inverse(hess),
-                            method="pce", m_true=m_true, stats=stats)
+    summary = PosteriorSummary.at_map(res, hessian_inverse(hess), hess, "pce",
+                                      m_true, stats)
+    summary.stats["n_converged_starts"] = int(summary.stats["converged"])
+    return summary
 
 
 def estimate_pce(system, obs, noise, prior: GaussianPrior, t_f: float,

@@ -6,6 +6,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from gridest.bayes import AdjointObjective
 from gridest.cli import main
 from gridest.observation import read_observations
 from gridest.scenario import DEFAULT_DISTURBANCE, ScenarioConfig
@@ -106,6 +107,19 @@ def _assert_shared_cost(rule, iterations, forward, adjoint, tangent,
         assert forward == PCE_NODES[rule]
         assert adjoint == 0
         assert tangent == 0
+
+
+@pytest.mark.parametrize("method, rule", METHOD_CASES)
+def test_estimate_json_keeps_map_history(tmp_path, method, rule):
+    data = tmp_path / "obs.csv"
+    _run(["synth-data", *FAST, "--out", data])
+    out = tmp_path / "post.json"
+    assert _run(["estimate", *FAST, *_method_flags(method, rule),
+                 "--data", data, "--out", out]) == 0
+    st = json.loads(out.read_text())["stats"]
+    # one record per iterate, the start included; the last is the MAP
+    assert len(st["history"]) == st["iterations"] + 1
+    assert st["history"][-1]["fun"] == st["objective"]
 
 
 @pytest.mark.parametrize("method, rule", METHOD_CASES)
@@ -253,6 +267,23 @@ def test_gradient_check_passes(capsys):
 def test_gradient_check_fails_on_tight_tol(capsys):
     rc = _run(["gradient-check", *FAST, "--tol", "1e-16"])
     assert rc == 1
+
+
+def test_gradient_check_fails_on_nan_error(capsys, monkeypatch):
+    # max(worst, nan) keeps worst: a NaN error must not read as a pass
+    monkeypatch.setattr(AdjointObjective, "gradient",
+                        lambda self, m: np.full(m.size, np.nan))
+    rc = _run(["gradient-check", *FAST])
+    assert rc == 1
+    assert "worst relative error nan" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("step", ["0", "-1e-6"])
+def test_gradient_check_rejects_nonpositive_fd_step(capsys, step):
+    with pytest.raises(SystemExit) as exc:
+        _run(["gradient-check", *FAST, f"--fd-step={step}"])
+    assert exc.value.code == 2
+    assert "--fd-step: must be positive" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

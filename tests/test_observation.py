@@ -1,5 +1,6 @@
 """Observation extraction, noise synthesis, and the CSV data format."""
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from scipy.special import ndtri
 from gridest.integrator import simulate
 from gridest.ninebus import N_BUS, DisturbanceEvent, ix_vre
 from gridest.observation import (NoiseModel, ObservationSet, grid_indices,
-                                 normal_stream, observation_times, observe,
+                                 normal_stream, observation_partials,
+                                 observation_times, observe,
                                  read_observations, synthesize,
                                  synthesize_observations, write_observations)
 
@@ -56,6 +58,27 @@ def test_observe_polar_and_bus_subset(short_traj):
     assert f_rect.shape == f_pol.shape == (4,)
     assert f_pol[0] == pytest.approx(np.hypot(f_rect[0], f_rect[1]))
     assert f_pol[1] == pytest.approx(np.arctan2(f_rect[1], f_rect[0]))
+
+
+@pytest.mark.parametrize("coords", ["rect", "polar"])
+def test_observation_partials_match_differences(short_traj, coords):
+    times, buses = np.array([0.2, 0.3]), np.array([2, 6])
+    obs = ObservationSet(times, buses, np.zeros(8), coords=coords)
+    nodes, (rv, iv), d = observation_partials(short_traj, obs)
+    assert nodes.tolist() == [20, 30]
+    assert rv.tolist() == [ix_vre(2), ix_vre(6)]
+    assert iv.tolist() == [ix_vre(2) + 1, ix_vre(6) + 1]
+    assert d.shape == (2, 2, 2, 2)
+    # column j of d is the central difference of f along v_re or v_im
+    h = 1e-7
+    for j, cols in enumerate((rv, iv)):
+        up, dn = (replace(short_traj, states=short_traj.states.copy())
+                  for _ in range(2))
+        up.states[np.ix_(nodes, cols)] += h
+        dn.states[np.ix_(nodes, cols)] -= h
+        fd = (observe(up, times, buses, coords)
+              - observe(dn, times, buses, coords)) / (2 * h)
+        assert np.allclose(d[..., j], fd.reshape(2, 2, 2), rtol=1e-6, atol=1e-8)
 
 
 def test_observe_rejects_times_beyond_run(short_traj):
@@ -156,6 +179,20 @@ def test_csv_round_trip_heteroscedastic(tmp_path, short_traj):
     write_observations(obs, noise, path)
     _, noise_back = read_observations(path)
     assert np.allclose(noise_back.var, var, rtol=1e-15)
+
+
+def test_read_rejects_repeated_row(tmp_path, short_traj):
+    times = observation_times(0.4, 0.2)
+    noise = NoiseModel.iid(1e-4, 2 * N_BUS * len(times))
+    obs = synthesize_observations(short_traj, times, noise, seed=5)
+    path = tmp_path / "obs.csv"
+    write_observations(obs, noise, path)
+    with open(path, "a") as fh:
+        fh.write("0.2,1,99.0,99.0\n")
+    with pytest.raises(ValueError, match="repeated row for time 0.2, bus 1") \
+            as exc:
+        read_observations(path)
+    assert str(path) in str(exc.value)
 
 
 def test_read_requires_sidecar(tmp_path, short_traj):
