@@ -23,8 +23,8 @@ step of the sweep, like each step of the tangent-linear pass below,
 costs one LU of its Newton matrix (integrator.lu_factor, one dgetrf)
 and one triangular solve on it (lu_solve, one dgetrs: transposed here,
 3 columns there); a projection node adds one LU of g_y and one solve.
-The Jacobians F_u and F_m are evaluated once per node, plus once at
-each pre-switch arrival state, and carried from one step to the next.
+Both passes take their LUs and Jacobians from one walk over the steps:
+F_u and F_m once per node, plus once per pre-switch arrival state.
 A singular Newton matrix or g_y raises integrator.StepFailure naming
 the pass and the time; so does a multiplier or a sensitivity that is
 not finite (LU lets a NaN through), naming the first node it reaches.
@@ -90,15 +90,37 @@ def misfit_state_gradients(traj: Trajectory, obs: ObservationSet,
     return out
 
 
-def _project_transpose(system, fu_post: np.ndarray, a: np.ndarray,
-                       t: float) -> np.ndarray:
-    """Pull a state gradient back through the algebraic re-solve."""
+def _linearized_steps(system, traj: Trajectory, m: np.ndarray,
+                      names: tuple[str, str], reverse: bool = False):
+    """The linearization of traj at m, step by step, in time order or
+    reversed: for step k, under its loads, (k, (F_u, F_m) at node k's
+    stored state, (F_u, F_m) at the arrival state, the Newton matrix's
+    LU, g_y's LU at a projection node k or None).  The arrival state is
+    pre-switch at a projection node; the stored one is post-switch.
+    Each step first evaluates the node it shares with the step before
+    it in walk order, so a one-entry memo evaluates a plain node once.
+    names = (pass, projection) name a singular matrix's StepFailure.
+    """
     n_x = system.n_x
-    g_y_lu = lu_factor(fu_post[n_x:, n_x:], "adjoint projection", t)
-    w = lu_solve(g_y_lu, a[n_x:], trans=1)
-    out = np.zeros_like(a)
-    out[:n_x] = a[:n_x] - fu_post[n_x:, :n_x].T @ w
-    return out
+    latest = None, None     # (node, (F_u, F_m)) evaluated last
+    steps = range(traj.n_steps)
+    for k in reversed(steps) if reverse else steps:
+        li = traj.step_loads[k]
+        p, q = traj.p_loads[li], traj.q_loads[li]
+        jac = {}
+        for node in (k + 1, k) if reverse else (k, k + 1):
+            if latest[0] != node or node in traj.pre_event:
+                t = traj.times[node]
+                u = (traj.states[k] if node == k
+                     else traj.pre_event.get(node, traj.states[node]))
+                latest = node, (system.jac_u(t, u, m, p, q),
+                                system.jac_m(t, u, m, p, q))
+            jac[node] = latest[1]
+        step_lu = lu_factor(newton_matrix(system, jac[k + 1][0], traj.dt),
+                            names[0], traj.times[k + 1])
+        g_y_lu = (lu_factor(jac[k][0][n_x:, n_x:], names[1], traj.times[k])
+                  if k in traj.pre_event else None)
+        yield k, jac[k], jac[k + 1], step_lu, g_y_lu
 
 
 def backward_sweep(system, traj: Trajectory, m: np.ndarray,
@@ -110,34 +132,18 @@ def backward_sweep(system, traj: Trajectory, m: np.ndarray,
     penalty gradient Gpr^-1 (m - mean) is added to the data term.
     """
     n_x = system.n_x
-    n = traj.n_steps
     dt = traj.dt
     ru = misfit_state_gradients(traj, obs, noise)
 
     mu = np.zeros(system.n_param)
-    a = ru.get(n, np.zeros_like(traj.states[0])).copy()
-    # (fu, fm) at the arrival node of the step, carried from the later
-    # step unless that node is a projection node (its loads differ)
-    fu_next = None
-
-    for k in range(n - 1, -1, -1):
-        li = traj.step_loads[k]
-        p, q = traj.p_loads[li], traj.q_loads[li]
-        t_k, t_next = traj.times[k], traj.times[k + 1]
-        u_next = traj.pre_event.get(k + 1, traj.states[k + 1])
-        u_k = traj.states[k]
-
-        if fu_next is None:
-            fu_next = system.jac_u(t_next, u_next, m, p, q)
-            fm_next = system.jac_m(t_next, u_next, m, p, q)
-        lam = lu_solve(lu_factor(newton_matrix(system, fu_next, dt),
-                                 "adjoint sweep", t_next), a, trans=1)
+    a = ru.get(traj.n_steps, np.zeros_like(traj.states[0])).copy()
+    for k, (fu_k, fm_k), (_, fm_next), step_lu, g_y_lu in _linearized_steps(
+            system, traj, m, ("adjoint sweep", "adjoint projection"),
+            reverse=True):
+        lam = lu_solve(step_lu, a, trans=1)
         if not np.isfinite(lam).all():
-            raise StepFailure(f"adjoint sweep at t={t_next:.6g}: "
+            raise StepFailure(f"adjoint sweep at t={traj.times[k + 1]:.6g}: "
                               "multiplier not finite")
-
-        fu_k = system.jac_u(t_k, u_k, m, p, q)
-        fm_k = system.jac_m(t_k, u_k, m, p, q)
 
         mu += 0.5 * dt * (fm_k[:n_x] + fm_next[:n_x]).T @ lam[:n_x]
 
@@ -145,28 +151,15 @@ def backward_sweep(system, traj: Trajectory, m: np.ndarray,
         a += 0.5 * dt * (fu_k[:n_x].T @ lam[:n_x])
         if k in ru:
             a += ru[k]
-        if k in traj.pre_event:
-            # fu_k is evaluated at the post-switch state under the new
-            # loads, exactly the blocks the projection used
-            a = _project_transpose(system, fu_k, a, t_k)
-            fu_next = None
-        else:
-            fu_next, fm_next = fu_k, fm_k
+        if g_y_lu is not None:
+            # pull a back through the algebraic re-solve
+            a[:n_x] -= fu_k[n_x:, :n_x].T @ lu_solve(g_y_lu, a[n_x:], trans=1)
+            a[n_x:] = 0.0
 
     grad = mu
     if prior is not None:
         grad = grad + (m - np.asarray(prior.mean)) / np.asarray(prior.var)
     return grad
-
-
-def _project(fu_post: np.ndarray, fm_post: np.ndarray, s: np.ndarray,
-             n_x: int, t: float) -> np.ndarray:
-    """Carry a sensitivity through the algebraic re-solve."""
-    out = s.copy()
-    g_y_lu = lu_factor(fu_post[n_x:, n_x:], "tangent-linear projection", t)
-    out[n_x:] = -lu_solve(g_y_lu,
-                          fu_post[n_x:, :n_x] @ s[:n_x] + fm_post[n_x:])
-    return out
 
 
 @dataclass(frozen=True)
@@ -201,34 +194,19 @@ def tangent_linear(system, traj: Trajectory, m: np.ndarray,
     sens = np.empty(traj.states.shape + (system.n_param,))
     pre_sens = {}
     s = np.zeros(sens.shape[1:])
-    # (fu, fm) at the departure node of the step, carried from the earlier
-    # step unless that node is a projection node (its loads differ)
-    fu = None
-
-    for k in range(traj.n_steps):
-        li = traj.step_loads[k]
-        p, q = traj.p_loads[li], traj.q_loads[li]
-        if fu is None:
-            fu = system.jac_u(traj.times[k], traj.states[k], m, p, q)
-            fm = system.jac_m(traj.times[k], traj.states[k], m, p, q)
-        if k in traj.pre_event:
+    for k, (fu, fm), (_, fm_next), step_lu, g_y_lu in _linearized_steps(
+            system, traj, m, ("tangent-linear pass", "tangent-linear projection")):
+        if g_y_lu is not None:
+            # carry s through the algebraic re-solve
             pre_sens[k] = s
-            s = _project(fu, fm, s, n_x, traj.times[k])
+            s = np.vstack((s[:n_x], -lu_solve(
+                g_y_lu, fu[n_x:, :n_x] @ s[:n_x] + fm[n_x:])))
         sens[k] = s
 
-        t_next = traj.times[k + 1]
-        u_next = traj.pre_event.get(k + 1, traj.states[k + 1])
-        fu_next = system.jac_u(t_next, u_next, m, p, q)
-        fm_next = system.jac_m(t_next, u_next, m, p, q)
         rhs = np.empty_like(s)
         rhs[:n_x] = s[:n_x] + 0.5 * dt * (fu[:n_x] @ s + fm[:n_x] + fm_next[:n_x])
         rhs[n_x:] = fm_next[n_x:]
-        s = lu_solve(lu_factor(newton_matrix(system, fu_next, dt),
-                               "tangent-linear pass", t_next), rhs)
-        if k + 1 in traj.pre_event:
-            fu = None
-        else:
-            fu, fm = fu_next, fm_next
+        s = lu_solve(step_lu, rhs)
     sens[traj.n_steps] = s
     # LU lets a NaN through: name the first node whose S is not finite
     bad = [k for k, s_k in pre_sens.items() if not np.isfinite(s_k).all()]

@@ -35,14 +35,12 @@ of that node and keeps the pre-switch one alongside for the adjoint.
 """
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .ninebus import N_BUS, ix_vim, ix_vre
 
 NEWTON_TOL = 1e-12        # target residual (inf norm)
 NEWTON_ACCEPT = 1e-10     # hard acceptance threshold
@@ -313,25 +311,3 @@ def simulate(system, m: np.ndarray, t_f: float, dt: float,
                       step_loads=step_loads, p_loads=p_loads,
                       q_loads=q_loads, pre_event=pre_event,
                       newton_iters=total_newton)
-
-
-def write_trajectory_csv(traj: Trajectory, path, state_names,
-                         header_lines=()) -> None:
-    """Dump a trajectory as CSV: time, all states, bus |V| and angle."""
-    vre = traj.states[:, [ix_vre(b) for b in range(N_BUS)]]
-    vim = traj.states[:, [ix_vim(b) for b in range(N_BUS)]]
-    vmag = np.hypot(vre, vim)
-    vang = np.arctan2(vim, vre)
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        w = csv.writer(fh)
-        w.writerow(["time"] + list(state_names)
-                   + [f"vmag_{b + 1}" for b in range(N_BUS)]
-                   + [f"vang_{b + 1}" for b in range(N_BUS)])
-        for k, t in enumerate(traj.times):
-            row = [f"{t:.17g}"]
-            row += [f"{x:.17g}" for x in traj.states[k]]
-            row += [f"{x:.17g}" for x in vmag[k]]
-            row += [f"{x:.17g}" for x in vang[k]]
-            w.writerow(row)

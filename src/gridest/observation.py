@@ -192,6 +192,20 @@ def write_observation_csv(obs: ObservationSet, path, header_lines=()) -> None:
                 w.writerow([f"{t:.17g}", b + 1, f"{x0:.17g}", f"{x1:.17g}"])
 
 
+def write_trajectory_csv(traj, path, state_names, header_lines=()) -> None:
+    """Dump a trajectory as CSV: time, all states, bus |V| and angle."""
+    polar = observe(traj, traj.times, coords=POLAR).reshape(-1, N_BUS, 2)
+    with open(path, "w", newline="") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        w = csv.writer(fh)
+        w.writerow(["time"] + list(state_names)
+                   + [f"vmag_{b + 1}" for b in range(N_BUS)]
+                   + [f"vang_{b + 1}" for b in range(N_BUS)])
+        for t, u, v in zip(traj.times, traj.states, polar):
+            w.writerow([f"{x:.17g}" for x in (t, *u, *v[:, 0], *v[:, 1])])
+
+
 def write_observations(obs: ObservationSet, noise: NoiseModel, path,
                        header_lines=()) -> None:
     """The CSV plus its JSON sidecar with the noise model and metadata."""
@@ -213,16 +227,28 @@ def write_observations(obs: ObservationSet, noise: NoiseModel, path,
 
 def read_observations(path) -> tuple[ObservationSet, NoiseModel]:
     path = Path(path)
-    rows = []
     with open(path) as fh:
-        rdr = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(rdr)
-        coords = next((c for c, comps in _COMPONENTS.items()
-                       if header[2:] == list(comps)), None)
-        if coords is None:
-            raise ValueError(f"{path}: unknown value columns {header[2:]}")
-        for row in rdr:
-            rows.append((float(row[0]), int(row[1]), float(row[2]), float(row[3])))
+        lines = [(n, next(csv.reader([line]))) for n, line in enumerate(fh, 1)
+                 if not line.startswith("#")]
+    if len(lines) < 2:
+        raise ValueError(f"{path}: no observation rows")
+    (_, header), *lines = lines
+    coords = next((c for c, comps in _COMPONENTS.items()
+                   if header[2:] == list(comps)), None)
+    if coords is None:
+        raise ValueError(f"{path}: unknown value columns {header[2:]}")
+    rows = []
+    for n, row in lines:
+        try:
+            t, b, x0, x1 = row
+            rows.append((float(t), int(b), float(x0), float(x1)))
+        except ValueError:
+            raise ValueError(f"{path}, line {n}: expected time, bus and two "
+                             f"numbers, got {row}") from None
+        if not np.isfinite(rows[-1]).all():
+            raise ValueError(f"{path}, line {n}: value not finite")
+        if not 1 <= rows[-1][1] <= N_BUS:
+            raise ValueError(f"{path}, line {n}: bus not in 1..{N_BUS}")
     times = sorted({r[0] for r in rows})
     buses = sorted({r[1] - 1 for r in rows})
     t_pos = {t: k for k, t in enumerate(times)}

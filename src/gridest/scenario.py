@@ -58,7 +58,8 @@ class ScenarioConfig:
         if k < 1 or abs(k * self.dt - self.dt_obs) > 1e-9:
             raise ValueError(
                 f"dt_obs={self.dt_obs} is not an integer multiple of dt={self.dt}")
-        if self.disturbance is not None and self.t_f < self.disturbance.end:
+        # integrator.build_load_schedule's tolerance, as 0.1 + 0.2 > 0.3
+        if self.disturbance is not None and self.disturbance.end > self.t_f + 1e-9:
             raise ValueError(
                 f"t_f={self.t_f} ends before the disturbance at "
                 f"t={self.disturbance.end}")

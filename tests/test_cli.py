@@ -6,6 +6,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+import gridest.bayes
 from gridest.bayes import AdjointObjective
 from gridest.cli import main
 from gridest.observation import read_observations
@@ -276,6 +277,19 @@ def test_gradient_check_fails_on_nan_error(capsys, monkeypatch):
     rc = _run(["gradient-check", *FAST])
     assert rc == 1
     assert "worst relative error nan" in capsys.readouterr().out
+
+
+def test_gradient_check_fails_on_wrong_tangent_linear(capsys, monkeypatch):
+    # the tangent-linear gradient is checked too: a Jacobian 0.1% off fails
+    tangent_linear = gridest.bayes.tangent_linear
+
+    def scaled(*args):
+        jac, sens = tangent_linear(*args)
+        return jac * (1 + 1e-3), sens
+    monkeypatch.setattr(gridest.bayes, "tangent_linear", scaled)
+    rc = _run(["gradient-check", *FAST])
+    assert rc == 1
+    assert "tangent-linear (> tol" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("step", ["0", "-1e-6"])

@@ -1,5 +1,4 @@
-"""Trapezoidal DAE stepper: exact linear recurrence, order, events, CSV."""
-import csv
+"""Trapezoidal DAE stepper: exact linear recurrence, order, events."""
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,9 +8,8 @@ from gridest.adjoint import tangent_linear
 from gridest import integrator
 from gridest.integrator import (NEWTON_MAXIT, NEWTON_TOL, StepFailure,
                                 Trajectory, _newton, build_load_schedule,
-                                simulate, solve_algebraic, step_trapezoidal,
-                                write_trajectory_csv)
-from gridest.ninebus import N_BUS, DisturbanceEvent, state_names
+                                simulate, solve_algebraic, step_trapezoidal)
+from gridest.ninebus import N_BUS, DisturbanceEvent
 from gridest.observation import ObservationSet, observation_times
 
 
@@ -400,28 +398,3 @@ def test_prediction_on_another_grid_is_rejected(system):
     other_load = (DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=6.0),)
     with pytest.raises(ValueError, match="grid or load schedule"):
         simulate(system, M0, 0.5, 0.01, events=other_load, predicted=predicted)
-
-
-def test_trajectory_csv_round_trip(tmp_path, system):
-    ev = DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5)
-    traj = simulate(system, system.h_ref, 0.3, 0.01, events=(ev,))
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path, state_names(),
-                         header_lines=("alpha", "beta"))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# alpha"
-    assert lines[1] == "# beta"
-    with open(path) as fh:
-        rows = list(csv.reader(r for r in fh if not r.startswith("#")))
-    header, data = rows[0], rows[1:]
-    assert header[0] == "time"
-    assert len(header) == 1 + 45 + 18
-    assert header[1] == "delta_1"
-    assert header[-1] == "vang_9"
-    assert len(data) == 31
-    vals = np.array(data, dtype=float)
-    assert np.allclose(vals[:, 0], traj.times)
-    assert np.allclose(vals[:, 1:46], traj.states, atol=0)
-    # derived magnitude column consistent with the stored voltages
-    vre, vim = traj.states[:, 27], traj.states[:, 28]
-    assert np.allclose(vals[:, 46], np.hypot(vre, vim))

@@ -1,5 +1,7 @@
-"""Observation extraction, noise synthesis, and the CSV data format."""
+"""Observation extraction, noise synthesis, and the CSV data formats."""
+import csv
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,12 +9,13 @@ import pytest
 from scipy.special import ndtri
 
 from gridest.integrator import simulate
-from gridest.ninebus import N_BUS, DisturbanceEvent, ix_vre
+from gridest.ninebus import N_BUS, DisturbanceEvent, ix_vre, state_names
 from gridest.observation import (NoiseModel, ObservationSet, grid_indices,
                                  normal_stream, observation_partials,
                                  observation_times, observe,
                                  read_observations, synthesize,
-                                 synthesize_observations, write_observations)
+                                 synthesize_observations, write_observations,
+                                 write_trajectory_csv)
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +184,31 @@ def test_csv_round_trip_heteroscedastic(tmp_path, short_traj):
     assert np.allclose(noise_back.var, var, rtol=1e-15)
 
 
+def test_trajectory_csv_round_trip(tmp_path, system):
+    ev = DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5)
+    traj = simulate(system, system.h_ref, 0.3, 0.01, events=(ev,))
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, path, state_names(),
+                         header_lines=("alpha", "beta"))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "# alpha"
+    assert lines[1] == "# beta"
+    with open(path) as fh:
+        rows = list(csv.reader(r for r in fh if not r.startswith("#")))
+    header, data = rows[0], rows[1:]
+    assert header[0] == "time"
+    assert len(header) == 1 + 45 + 18
+    assert header[1] == "delta_1"
+    assert header[-1] == "vang_9"
+    assert len(data) == 31
+    vals = np.array(data, dtype=float)
+    assert np.allclose(vals[:, 0], traj.times)
+    assert np.allclose(vals[:, 1:46], traj.states, atol=0)
+    # derived magnitude column consistent with the stored voltages
+    vre, vim = traj.states[:, 27], traj.states[:, 28]
+    assert np.allclose(vals[:, 46], np.hypot(vre, vim))
+
+
 def test_read_rejects_repeated_row(tmp_path, short_traj):
     times = observation_times(0.4, 0.2)
     noise = NoiseModel.iid(1e-4, 2 * N_BUS * len(times))
@@ -191,6 +219,37 @@ def test_read_rejects_repeated_row(tmp_path, short_traj):
         fh.write("0.2,1,99.0,99.0\n")
     with pytest.raises(ValueError, match="repeated row for time 0.2, bus 1") \
             as exc:
+        read_observations(path)
+    assert str(path) in str(exc.value)
+
+
+def _with_value(line, value):
+    t, bus, _, x1 = line.split(",")
+    return ",".join((t, bus, value, x1))
+
+
+# each malformed file names its path and, for a bad row, the row's line
+MALFORMED = {
+    "header-only": (lambda lines: lines[:1], "no observation rows"),
+    "three-fields": (lambda lines: lines[:-1] + ["0.4,9,1.0"],
+                     "line 19: expected time, bus and two numbers"),
+    "nan": (lambda lines: lines[:4] + [_with_value(lines[4], "nan")]
+            + lines[5:], "line 5: value not finite"),
+    "inf": (lambda lines: lines[:4] + [_with_value(lines[4], "inf")]
+            + lines[5:], "line 5: value not finite"),
+}
+
+
+@pytest.mark.parametrize("edit, message", MALFORMED.values(),
+                         ids=MALFORMED.keys())
+def test_read_rejects_malformed_file(tmp_path, short_traj, edit, message):
+    times = observation_times(0.4, 0.2)
+    noise = NoiseModel.iid(1e-4, 2 * N_BUS * len(times))
+    obs = synthesize_observations(short_traj, times, noise, seed=5)
+    path = tmp_path / "obs.csv"
+    write_observations(obs, noise, path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=re.escape(message)) as exc:
         read_observations(path)
     assert str(path) in str(exc.value)
 
@@ -219,7 +278,8 @@ def test_read_rejects_bus_outside_network(tmp_path):
     assert read_observations(path)[0].buses.tolist() == [0]
     for bus in (0, N_BUS + 1):
         _write_one_row(path, "v_re,v_im", bus, "rect")
-        with pytest.raises(ValueError, match="bus"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}, line 2: bus not in 1..{N_BUS}")):
             read_observations(path)
 
 

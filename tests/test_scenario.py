@@ -63,6 +63,13 @@ def test_validation_errors():
         ScenarioConfig(pce_order=6)
 
 
+def test_disturbance_may_end_at_t_f():
+    # the default event ends at 0.1 + 0.2, a rounding above 0.3
+    assert ScenarioConfig(t_f=0.3).t_f == 0.3
+    with pytest.raises(ValueError, match="ends before the disturbance"):
+        ScenarioConfig(t_f=0.29)
+
+
 def test_validation_rejects_bad_truth_and_prior_mean():
     # both would fail only later: the truth in the synthesis simulate,
     # the prior mean as the start of either back end's MAP
