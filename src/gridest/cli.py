@@ -22,8 +22,9 @@ from .bayes import AdjointObjective, PosteriorSummary, estimate_adjoint
 from .integrator import simulate
 from .ninebus import N_BUS, N_MACH, load_system, state_names
 from .observation import (ObservationSet, observe, read_observations,
-                          synthesize_observations, write_observation_csv,
-                          write_observations, write_trajectory_csv)
+                          synthesize_observations, trajectory_nodes,
+                          write_observation_csv, write_observations,
+                          write_trajectory_csv)
 from .pce import PCE_RULES, estimate_pce
 from .scenario import DEFAULT_DISTURBANCE, METHODS, ScenarioConfig
 
@@ -70,8 +71,7 @@ def _synth(cfg: ScenarioConfig, system):
     traj = simulate(system, np.array(cfg.m_true), cfg.t_f, cfg.dt,
                     events=cfg.events())
     noise = cfg.noise(2 * N_BUS * len(times))
-    obs = synthesize_observations(traj, times, noise, cfg.seed,
-                                  meta={"seed": cfg.seed})
+    obs = synthesize_observations(traj, times, noise, cfg.seed)
     return traj, obs, noise
 
 
@@ -136,6 +136,11 @@ def cmd_estimate(args) -> int:
     cfg = _load_config(args)
     system = load_system()
     obs, noise = read_observations(args.data)
+    try:    # the data's times on the integrator's grid, before any solve
+        trajectory_nodes(obs.times, cfg.dt, round(cfg.t_f / cfg.dt))
+    except ValueError as exc:
+        raise SystemExit(f"--data {args.data} does not fit the scenario "
+                         f"(dt={cfg.dt}, t_f={cfg.t_f}): {exc}") from None
     summary = run_estimate(cfg, system, obs, noise)
     summary.to_json(args.out, extra={"config": cfg.to_dict(),
                                      "version": __version__})

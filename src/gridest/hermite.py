@@ -82,14 +82,14 @@ def basis_matrix(indices: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     n = indices.shape[1]
-    p = int(indices.max(initial=0))
-    tables = [hermite_table(p, xi[:, j]) for j in range(n)]
-    out = np.ones((xi.shape[0], indices.shape[0]))
-    for k, alpha in enumerate(indices):
-        for j in range(n):
-            if alpha[j] > 0:
-                out[:, k] *= tables[j][alpha[j]]
-    return out
+    # factors[k, j] = psi_{alpha_kj}(xi[:, j]), multiplied in dimension
+    # order; the (N, K) result is C-ordered, the layout its BLAS products take
+    factors = hermite_table(int(indices.max(initial=0)), xi)[
+        indices, ..., np.arange(n)]
+    out = factors[:, 0]
+    for j in range(1, n):
+        out = out * factors[:, j]
+    return np.ascontiguousarray(out.T)
 
 
 def basis_derivatives(indices: np.ndarray, xi_point: np.ndarray):
@@ -100,17 +100,10 @@ def basis_derivatives(indices: np.ndarray, xi_point: np.ndarray):
     """
     xi_point = np.asarray(xi_point, dtype=float)
     k_total, n = indices.shape
-    p = int(indices.max(initial=0))
-    val, d1, d2 = hermite_derivative_tables(p, xi_point)
-
     # univariate factors per (basis, dimension)
-    v = np.empty((k_total, n))
-    dv = np.empty((k_total, n))
-    ddv = np.empty((k_total, n))
-    for j in range(n):
-        v[:, j] = val[indices[:, j], j]
-        dv[:, j] = d1[indices[:, j], j]
-        ddv[:, j] = d2[indices[:, j], j]
+    v, dv, ddv = (table[indices, ..., np.arange(n)] for table in
+                  hermite_derivative_tables(int(indices.max(initial=0)),
+                                            xi_point))
 
     psi = np.prod(v, axis=1)
     dpsi = np.empty((k_total, n))

@@ -98,18 +98,30 @@ def observation_times(t_f: float, dt_obs: float) -> np.ndarray:
 
 def grid_indices(times: np.ndarray, dt: float) -> np.ndarray:
     """Map observation times to trajectory node indices; exact multiples only."""
-    k = np.round(np.asarray(times) / dt).astype(int)
-    if not np.allclose(k * dt, times, rtol=0, atol=1e-9):
-        raise ValueError("observation times must be multiples of dt")
+    times = np.asarray(times, dtype=float)
+    k = np.round(times / dt).astype(int)
+    off = ~np.isclose(k * dt, times, rtol=0, atol=1e-9)
+    if off.any():
+        raise ValueError(f"observation time {float(times[off][0])!r} is not "
+                         f"a multiple of dt={dt}")
     return k
+
+
+def trajectory_nodes(times: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
+    """grid_indices(times, dt), each of which must lie within a
+    trajectory of n_steps steps."""
+    nodes = grid_indices(times, dt)
+    if nodes.max() > n_steps:
+        late = np.asarray(times, dtype=float)[nodes > n_steps][0]
+        raise ValueError(f"observation time {float(late)!r} is past the end "
+                         f"of the trajectory at t={n_steps * dt:.6g}")
+    return nodes
 
 
 def observe(traj, times: np.ndarray, buses=None, coords: str = RECT) -> np.ndarray:
     """Extract noiseless observables f from a trajectory (time-major flat)."""
     buses = np.arange(N_BUS) if buses is None else _bus_indices(buses)
-    nodes = grid_indices(times, traj.dt)
-    if nodes.max() > traj.n_steps:
-        raise ValueError("observation time beyond the trajectory")
+    nodes = trajectory_nodes(times, traj.dt, traj.n_steps)
     vre = traj.states[np.ix_(nodes, [ix_vre(b) for b in buses])]
     vim = traj.states[np.ix_(nodes, [ix_vim(b) for b in buses])]
     if coords == RECT:
@@ -129,7 +141,7 @@ def observation_partials(traj, obs: ObservationSet):
     columns of each bus's v_re and v_im, and d[k, b, c, j], the derivative
     of component c at time k and bus b by v_re (j = 0) or v_im (j = 1):
     the identity for RECT, the |V| and angle partials for POLAR."""
-    nodes = grid_indices(obs.times, traj.dt)
+    nodes = trajectory_nodes(obs.times, traj.dt, traj.n_steps)
     rv, iv = ix_vre(obs.buses), ix_vim(obs.buses)
     shape = (len(nodes), len(obs.buses), 2, 2)
     if obs.coords == RECT:

@@ -45,22 +45,6 @@ _MAP_MAX_ITER = 200
 _COND_LIMIT = 1e12
 
 
-@dataclass
-class QuadratureRule:
-    """Nodes in standardized coordinates with optional weights (none for
-    the subselected stochastic-testing collocation nodes)."""
-    xi: np.ndarray
-    weights: np.ndarray | None
-
-    @property
-    def n_nodes(self) -> int:
-        return self.xi.shape[0]
-
-    def physical(self, prior: GaussianPrior) -> np.ndarray:
-        """Map the standardized nodes to parameter space."""
-        return unstandardize(self.xi, prior)
-
-
 def standardize(m, prior: GaussianPrior) -> np.ndarray:
     return (np.asarray(m, dtype=float) - prior.mean) / np.sqrt(prior.var)
 
@@ -69,12 +53,13 @@ def unstandardize(xi, prior: GaussianPrior) -> np.ndarray:
     return prior.mean + np.sqrt(prior.var) * np.asarray(xi, dtype=float)
 
 
-def tensor_rule(n: int, p: int) -> QuadratureRule:
-    """Tensor product of (p+1)-point Gauss rules; (p+1)^n nodes."""
+def tensor_rule(n: int, p: int):
+    """Tensor product of (p+1)-point Gauss rules: (xi, weights), with
+    (p+1)^n standardized nodes."""
     nodes1, w1 = gauss_hermite(p + 1)
     xi = np.array(list(product(nodes1, repeat=n)), dtype=float)
     w = np.prod(np.array(list(product(w1, repeat=n))), axis=1)
-    return QuadratureRule(xi=xi, weights=w)
+    return xi, w
 
 
 def _sparse_growth(i: int) -> int:
@@ -87,8 +72,9 @@ def _sparse_growth(i: int) -> int:
     return 2 * (i // 2) + 1
 
 
-def sparse_rule(n: int, level: int) -> QuadratureRule:
-    """Smolyak sparse Gauss rule; exact for total degree <= 2*level-1.
+def sparse_rule(n: int, level: int):
+    """Smolyak sparse Gauss rule, (xi, weights); exact for total degree
+    <= 2*level-1.
 
     Nodes from all combination terms are merged by exact coordinate
     match; nodes whose net weight cancels to zero are kept (they are
@@ -100,57 +86,46 @@ def sparse_rule(n: int, level: int) -> QuadratureRule:
     merged: dict[tuple, float] = {}
     for total in range(max(n, q - n + 1), q + 1):
         coeff = (-1.0) ** (q - total) * comb(n - 1, q - total)
-        for parts in _compositions(total, n):
+        # the n-tuples of levels >= 1 summing to total
+        for parts in product(range(1, total - n + 2), repeat=n):
+            if sum(parts) != total:
+                continue
             rules1 = [gauss_hermite(_sparse_growth(i)) for i in parts]
             for combo in product(*[range(len(r[0])) for r in rules1]):
                 node = tuple(rules1[j][0][combo[j]] for j in range(n))
                 w = coeff * np.prod([rules1[j][1][combo[j]] for j in range(n)])
                 merged[node] = merged.get(node, 0.0) + w
     nodes = sorted(merged)
-    xi = np.array(nodes, dtype=float)
-    w = np.array([merged[t] for t in nodes])
-    return QuadratureRule(xi=xi, weights=w)
+    return np.array(nodes, dtype=float), np.array([merged[t] for t in nodes])
 
 
-def _compositions(total: int, n: int):
-    """All n-tuples of integers >= 1 summing to total."""
-    if n == 1:
-        yield (total,)
-        return
-    for head in range(1, total - n + 2):
-        for rest in _compositions(total - head, n - 1):
-            yield (head,) + rest
-
-
-def stochastic_testing_select(candidates: QuadratureRule,
+def stochastic_testing_select(xi: np.ndarray, weights: np.ndarray,
                               indices: np.ndarray):
-    """Pick K = len(indices) dominant, well-conditioned collocation nodes.
+    """Pick K = len(indices) dominant, well-conditioned collocation nodes
+    from the candidate rule (xi, weights).
 
     Column-pivoted QR on the transposed candidate Vandermonde ranks the
     nodes; the first K pivots form the collocation set.  Rows are
-    scaled by the quadrature weights when present, so high-probability
-    nodes near the prior mean dominate the selection (pivoting still
-    rejects rows that add no new information).  This anchors the
-    interpolant where the posterior mass lives instead of at the
-    outermost tensor corners.  Returns (rule, V, cond) with V the
-    K x K (unscaled) collocation matrix.
+    scaled by the quadrature weights, so high-probability nodes near
+    the prior mean dominate the selection (pivoting still rejects rows
+    that add no new information).  This anchors the interpolant where
+    the posterior mass lives instead of at the outermost tensor
+    corners.  Returns (xi_sel, V, cond) with V the K x K (unscaled)
+    collocation matrix.
     """
     k_total = indices.shape[0]
-    if candidates.n_nodes < k_total:
+    if xi.shape[0] < k_total:
         raise ValueError(
-            f"need at least {k_total} candidates, got {candidates.n_nodes}")
-    v_cand = basis_matrix(indices, candidates.xi)
-    ranked = v_cand if candidates.weights is None \
-        else v_cand * candidates.weights[:, None]
-    _, _, piv = qr(ranked.T, pivoting=True)
+            f"need at least {k_total} candidates, got {xi.shape[0]}")
+    v_cand = basis_matrix(indices, xi)
+    _, _, piv = qr((v_cand * weights[:, None]).T, pivoting=True)
     sel = np.sort(piv[:k_total])
     v_sel = v_cand[sel]
     cond = float(np.linalg.cond(v_sel))
     if cond > _COND_LIMIT:
         raise np.linalg.LinAlgError(
             f"collocation matrix is numerically singular (cond = {cond:.2e})")
-    rule = QuadratureRule(xi=candidates.xi[sel], weights=None)
-    return rule, v_sel, cond
+    return xi[sel], v_sel, cond
 
 
 @dataclass
@@ -196,21 +171,21 @@ def build_surrogate(rule: str, order: int, forward,
         raise ValueError(f"unknown rule: {rule!r}")
     n = prior.mean.size
     indices = multi_index_set(n, order)
-    nodes = sparse_rule(n, order + 1) if rule == "sparse" \
+    xi, weights = sparse_rule(n, order + 1) if rule == "sparse" \
         else tensor_rule(n, order)
     cond = 0.0
     if rule == "stochastic-testing":
-        nodes, v_sel, cond = stochastic_testing_select(nodes, indices)
-        f_rows = _evaluate_forward(forward, nodes.physical(prior))
+        xi, v_sel, cond = stochastic_testing_select(xi, weights, indices)
+        f_rows = _evaluate_forward(forward, unstandardize(xi, prior))
         coeffs = np.linalg.solve(v_sel, f_rows)
     else:
-        f_rows = _evaluate_forward(forward, nodes.physical(prior))
-        psi = basis_matrix(indices, nodes.xi)
-        coeffs = psi.T @ (nodes.weights[:, None] * f_rows)
+        f_rows = _evaluate_forward(forward, unstandardize(xi, prior))
+        psi = basis_matrix(indices, xi)
+        coeffs = psi.T @ (weights[:, None] * f_rows)
     if not np.all(np.isfinite(coeffs)):
         raise RuntimeError("surrogate coefficients are not finite")
     return Surrogate(indices=indices, coeffs=coeffs, prior=prior, order=order,
-                     rule=rule, n_forward=nodes.n_nodes, cond=cond)
+                     rule=rule, n_forward=xi.shape[0], cond=cond)
 
 
 class SurrogateObjective:

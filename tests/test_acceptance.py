@@ -142,7 +142,7 @@ def test_criterion_06_sample_counts(system, prior, make_scenario):
         _, s = estimate_pce(system, obs, noise, prior, 1.0, 0.01,
                             events=events, order=order, rule="tensor")
         tensor_counts.append(s.n_forward)
-        sparse_counts.append(sparse_rule(3, order + 1).n_nodes)
+        sparse_counts.append(len(sparse_rule(3, order + 1)[0]))
     _, s_sparse1 = estimate_pce(system, obs, noise, prior, 1.0, 0.01,
                                 events=events, order=1, rule="sparse")
     ok = (st_counts == [4, 10, 20] and tensor_counts == [8, 27, 64]

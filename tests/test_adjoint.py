@@ -229,6 +229,19 @@ def test_tangent_linear_vanishes_without_disturbance(system):
     assert np.max(np.abs(jac)) <= 1e-14
 
 
+def test_observation_past_the_horizon_is_named(system, small_case):
+    # data to 0.5 s on a 0.3 s trajectory: both passes name the first
+    # time past the end instead of indexing past the stored states
+    obs, noise = small_case
+    m = system.h_ref
+    traj = simulate(system, m, 0.3, DT, events=EVENTS)
+    with pytest.raises(ValueError, match="observation time 0.4 is past the "
+                                         "end of the trajectory at t=0.3"):
+        tangent_linear(system, traj, m, obs)
+    with pytest.raises(ValueError, match="observation time 0.4 is past"):
+        backward_sweep(system, traj, m, obs, noise)
+
+
 def _map_objective(system, coords, events):
     """An AdjointObjective on the case's data, linearized at its MAP."""
     obs, noise = _observed_case(system, coords, events)

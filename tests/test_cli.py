@@ -1,12 +1,14 @@
 """Command-line interface: every subcommand end to end in-process."""
 import csv
 import json
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 import gridest.bayes
+import gridest.cli
 from gridest.bayes import AdjointObjective
 from gridest.cli import main
 from gridest.observation import read_observations
@@ -159,6 +161,38 @@ def test_estimate_matches_library(tmp_path, system, prior):
                                events=cfg.events(), m_true=cfg.m_true)
     assert np.allclose(doc["m_map"], summary.m_map, rtol=1e-12)
     assert np.allclose(doc["gamma_post"], summary.gamma_post, rtol=1e-10)
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("estimate reached a solve")
+
+
+def test_estimate_names_data_off_the_dt_grid(tmp_path, monkeypatch):
+    data = tmp_path / "obs.csv"
+    _run(["synth-data", *FAST, "--out", data])
+    shifted = tmp_path / "shifted.csv"
+    text = data.read_text()
+    assert "\n0.10000000000000001," in text
+    shifted.write_text(text.replace("\n0.10000000000000001,", "\n0.105,"))
+    shifted.with_suffix(".csv.meta.json").write_bytes(
+        data.with_suffix(".csv.meta.json").read_bytes())
+    monkeypatch.setattr(gridest.cli, "run_estimate", _no_solve)
+    with pytest.raises(SystemExit, match=re.escape(
+            f"--data {shifted} does not fit the scenario (dt=0.01, t_f=0.5): "
+            "observation time 0.105 is not a multiple of dt=0.01")):
+        _run(["estimate", *FAST, "--data", shifted,
+              "--out", tmp_path / "post.json"])
+
+
+def test_estimate_names_data_past_t_f(tmp_path, monkeypatch):
+    data = tmp_path / "obs.csv"
+    _run(["synth-data", *FAST, "--out", data])
+    monkeypatch.setattr(gridest.cli, "run_estimate", _no_solve)
+    with pytest.raises(SystemExit, match=re.escape(
+            f"--data {data} does not fit the scenario (dt=0.01, t_f=0.3): "
+            "observation time 0.4 is past the end of the trajectory at t=0.3")):
+        _run(["estimate", "--t-f", "0.3", "--dt-obs", "0.1", "--data", data,
+              "--out", tmp_path / "post.json"])
 
 
 def test_config_file_with_flag_overrides(tmp_path):

@@ -95,6 +95,67 @@ def test_basis_matrix_and_point_derivatives():
     assert np.allclose(d2psi, np.swapaxes(d2psi, 1, 2))
 
 
+def _reference_basis_matrix(indices, xi):
+    """The loop formula: column k multiplies psi_{alpha_kj}(xi_j) over the
+    dimensions with alpha_kj > 0, in dimension order."""
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    n = indices.shape[1]
+    p = int(indices.max(initial=0))
+    tables = [hermite_table(p, xi[:, j]) for j in range(n)]
+    out = np.ones((xi.shape[0], indices.shape[0]))
+    for k, alpha in enumerate(indices):
+        for j in range(n):
+            if alpha[j] > 0:
+                out[:, k] *= tables[j][alpha[j]]
+    return out
+
+
+def _reference_basis_derivatives(indices, xi_point):
+    """The loop formula: the differentiated factors first, then the
+    others, each in dimension order."""
+    xi_point = np.asarray(xi_point, dtype=float)
+    k_total, n = indices.shape
+    p = int(indices.max(initial=0))
+    val, d1, d2 = hermite_derivative_tables(p, xi_point)
+    v = np.empty((k_total, n))
+    dv = np.empty((k_total, n))
+    ddv = np.empty((k_total, n))
+    for j in range(n):
+        v[:, j] = val[indices[:, j], j]
+        dv[:, j] = d1[indices[:, j], j]
+        ddv[:, j] = d2[indices[:, j], j]
+    psi = np.prod(v, axis=1)
+    dpsi = np.empty((k_total, n))
+    d2psi = np.empty((k_total, n, n))
+    for j in range(n):
+        others = np.prod(np.delete(v, j, axis=1), axis=1)
+        dpsi[:, j] = dv[:, j] * others
+        d2psi[:, j, j] = ddv[:, j] * others
+        for l in range(j + 1, n):
+            rest = np.prod(np.delete(v, (j, l), axis=1), axis=1)
+            cross = dv[:, j] * dv[:, l] * rest
+            d2psi[:, j, l] = cross
+            d2psi[:, l, j] = cross
+    return psi, dpsi, d2psi
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_basis_matches_loop_reference_bitwise(n):
+    rng = np.random.default_rng(n)
+    xi = 1.5 * rng.standard_normal((12, n))
+    xi[0] = 0.0
+    xi[1::3, 0] = 0.0
+    xi[2::4, -1] = 0.0
+    for p in range(6):
+        idx = multi_index_set(n, p)
+        assert np.array_equal(basis_matrix(idx, xi),
+                              _reference_basis_matrix(idx, xi))
+        for point in xi[:5]:
+            for got, want in zip(basis_derivatives(idx, point),
+                                 _reference_basis_derivatives(idx, point)):
+                assert np.array_equal(got, want)
+
+
 def test_multi_index_set_rejects_bad_arguments():
     with pytest.raises(ValueError):
         multi_index_set(0, 2)

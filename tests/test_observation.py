@@ -14,8 +14,8 @@ from gridest.observation import (NoiseModel, ObservationSet, grid_indices,
                                  normal_stream, observation_partials,
                                  observation_times, observe,
                                  read_observations, synthesize,
-                                 synthesize_observations, write_observations,
-                                 write_trajectory_csv)
+                                 synthesize_observations, trajectory_nodes,
+                                 write_observations, write_trajectory_csv)
 
 
 @pytest.fixture(scope="module")
@@ -38,8 +38,16 @@ def test_observation_times_grid():
 
 def test_grid_indices():
     assert grid_indices(np.array([0.05, 0.1]), 0.01).tolist() == [5, 10]
-    with pytest.raises(ValueError):
-        grid_indices(np.array([0.013]), 0.01)
+    with pytest.raises(ValueError, match="observation time 0.013 is not a "
+                                         "multiple of dt=0.01"):
+        grid_indices(np.array([0.05, 0.013, 0.017]), 0.01)
+
+
+def test_trajectory_nodes_stop_at_the_last_node():
+    assert trajectory_nodes(np.array([0.1, 0.3]), 0.01, 30).tolist() == [10, 30]
+    with pytest.raises(ValueError, match="observation time 0.31 is past the "
+                                         "end of the trajectory at t=0.3"):
+        trajectory_nodes(np.array([0.1, 0.31, 0.4]), 0.01, 30)
 
 
 def test_observe_layout(short_traj):

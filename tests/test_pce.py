@@ -16,16 +16,18 @@ SQ3 = np.sqrt(3.0)
 
 def test_tensor_rule_counts_and_weights():
     for p, n_nodes in ((1, 8), (2, 27), (3, 64)):
-        rule = tensor_rule(3, p)
-        assert rule.n_nodes == n_nodes
-        assert rule.weights.sum() == pytest.approx(1.0, abs=1e-13)
+        xi, weights = tensor_rule(3, p)
+        assert xi.shape == (n_nodes, 3)
+        assert weights.shape == (n_nodes,)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-13)
 
 
 def test_sparse_rule_counts_and_weights():
     for level, n_nodes in ((2, 7), (3, 19), (4, 39)):
-        rule = sparse_rule(3, level)
-        assert rule.n_nodes == n_nodes
-        assert rule.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        xi, weights = sparse_rule(3, level)
+        assert xi.shape == (n_nodes, 3)
+        assert weights.shape == (n_nodes,)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         sparse_rule(3, 0)
 
@@ -34,25 +36,23 @@ def test_sparse_rule_polynomial_exactness():
     # a level-L rule integrates total degree <= 2L-1 exactly, so the
     # Gram matrix of basis pairs with |a|+|b| within that bound is I
     level = 3
-    rule = sparse_rule(3, level)
+    xi, weights = sparse_rule(3, level)
     idx = multi_index_set(3, 2)  # |a|+|b| <= 4 <= 2*3-1
-    v = basis_matrix(idx, rule.xi)
-    gram = v.T @ (rule.weights[:, None] * v)
+    v = basis_matrix(idx, xi)
+    gram = v.T @ (weights[:, None] * v)
     assert np.max(np.abs(gram - np.eye(len(idx)))) < 1e-12
 
 
 def test_stochastic_testing_selection_is_canonical():
-    cand = tensor_rule(3, 2)
     idx = multi_index_set(3, 2)
-    rule, v_sel, cond = stochastic_testing_select(cand, idx)
-    assert rule.n_nodes == n_basis(3, 2) == 10
-    assert rule.weights is None
+    xi, v_sel, cond = stochastic_testing_select(*tensor_rule(3, 2), idx)
+    assert xi.shape == (n_basis(3, 2), 3) == (10, 3)
     # weighted pivoting picks the probability-dominant pattern:
     # the center, all six axial nodes, and three two-axis nodes
-    assert np.all(np.isin(np.round(rule.xi / SQ3, 12), [-1.0, 0.0, 1.0]))
-    n_nonzero = np.count_nonzero(rule.xi, axis=1)
+    assert np.all(np.isin(np.round(xi / SQ3, 12), [-1.0, 0.0, 1.0]))
+    n_nonzero = np.count_nonzero(xi, axis=1)
     assert np.bincount(n_nonzero).tolist() == [1, 6, 3]
-    rows = {tuple(r) for r in np.round(rule.xi / SQ3).astype(int)}
+    rows = {tuple(r) for r in np.round(xi / SQ3).astype(int)}
     assert (0, 0, 0) in rows
     for j in range(3):
         for s in (-1, 1):
@@ -66,7 +66,7 @@ def test_stochastic_testing_selection_is_canonical():
 def test_stochastic_testing_needs_enough_candidates():
     idx = multi_index_set(3, 2)
     with pytest.raises(ValueError):
-        stochastic_testing_select(tensor_rule(3, 1), idx)
+        stochastic_testing_select(*tensor_rule(3, 1), idx)
 
 
 def test_projection_coefficients_closed_form():
@@ -97,9 +97,9 @@ def test_interpolation_reproduces_node_values():
     s = build_surrogate("stochastic-testing", 2, forward, prior)
     assert s.n_forward == 10
     assert s.cond > 1.0
-    rule, _, _ = stochastic_testing_select(tensor_rule(3, 2),
-                                           multi_index_set(3, 2))
-    for xi in rule.xi:
+    nodes, _, _ = stochastic_testing_select(*tensor_rule(3, 2),
+                                            multi_index_set(3, 2))
+    for xi in nodes:
         m = unstandardize(xi, prior)
         assert np.allclose(s.evaluate(m), forward(m), atol=1e-12)
 
@@ -113,7 +113,7 @@ def test_build_surrogate_validation():
 def test_forward_failure_names_its_node():
     prior = GaussianPrior(mean=np.array([24.0, 6.0, 3.1]),
                           var=np.array([5.76, 0.36, 0.09]))
-    bad = tensor_rule(3, 1).physical(prior)[5]
+    bad = unstandardize(tensor_rule(3, 1)[0], prior)[5]
 
     def forward(m):
         if np.array_equal(m, bad):
