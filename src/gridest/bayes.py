@@ -53,7 +53,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import ndtr
 
 from .adjoint import backward_sweep, misfit, residual, tangent_linear
-from .integrator import simulate
+from .integrator import grid_nodes, simulate
 from .lbfgs import at_roundoff_floor
 from .lbfgs import minimize as map_estimate
 from .observation import NoiseModel, ObservationSet
@@ -287,6 +287,7 @@ def estimate_adjoint(system, obs: ObservationSet, noise: NoiseModel,
                      prior: GaussianPrior, t_f: float, dt: float, events=(),
                      m_true=None) -> PosteriorSummary:
     """Full adjoint-based pipeline: MAP point then Laplace covariance."""
+    grid_nodes(obs.times, dt, t_f, "observation time")
     objective = AdjointObjective(system, obs, noise, prior, t_f, dt, events)
     res = map_estimate(objective, prior.mean.copy())
     map_fwd, map_adj = objective.n_forward, objective.n_adjoint

@@ -19,12 +19,11 @@ import numpy as np
 
 from . import __version__
 from .bayes import AdjointObjective, PosteriorSummary, estimate_adjoint
-from .integrator import simulate
+from .integrator import grid_nodes, simulate
 from .ninebus import N_BUS, N_MACH, load_system, state_names
 from .observation import (ObservationSet, observe, read_observations,
-                          synthesize_observations, trajectory_nodes,
-                          write_observation_csv, write_observations,
-                          write_trajectory_csv)
+                          synthesize_observations, write_observation_csv,
+                          write_observations, write_trajectory_csv)
 from .pce import PCE_RULES, estimate_pce
 from .scenario import DEFAULT_DISTURBANCE, METHODS, ScenarioConfig
 
@@ -47,10 +46,10 @@ _EVENT_FLAGS = {"bus": "--bus", "start": "--event-start",
 def _load_config(args) -> ScenarioConfig:
     cfg = (ScenarioConfig.from_file(args.config) if args.config
            else ScenarioConfig())
-    cfg = cfg.with_overrides(
-        t_f=args.t_f, dt=args.dt, dt_obs=args.dt_obs,
-        noise_var=args.noise_var, seed=args.seed, method=args.method,
-        pce_order=args.pce_order, pce_rule=args.pce_rule)
+    over = dict(t_f=args.t_f, dt=args.dt, dt_obs=args.dt_obs,
+                noise_var=args.noise_var, seed=args.seed, method=args.method,
+                pce_order=args.pce_order, pce_rule=args.pce_rule)
+    over = {k: v for k, v in over.items() if v is not None}
     event = {"bus": args.bus, "start": args.event_start,
              "duration": args.event_duration, "load": args.load}
     event = {k: v for k, v in event.items() if v is not None}
@@ -58,11 +57,12 @@ def _load_config(args) -> ScenarioConfig:
         if event:
             raise SystemExit("--no-disturbance conflicts with "
                              + ", ".join(_EVENT_FLAGS[k] for k in event))
-        cfg = replace(cfg, disturbance=None)
+        over["disturbance"] = None
     elif event:
-        cfg = replace(cfg, disturbance=replace(
-            cfg.disturbance or DEFAULT_DISTURBANCE, **event))
-    return cfg
+        over["disturbance"] = replace(
+            cfg.disturbance or DEFAULT_DISTURBANCE, **event)
+    # one replace: the grid checks see the new dt and disturbance together
+    return replace(cfg, **over) if over else cfg
 
 
 def _synth(cfg: ScenarioConfig, system):
@@ -137,7 +137,7 @@ def cmd_estimate(args) -> int:
     system = load_system()
     obs, noise = read_observations(args.data)
     try:    # the data's times on the integrator's grid, before any solve
-        trajectory_nodes(obs.times, cfg.dt, round(cfg.t_f / cfg.dt))
+        grid_nodes(obs.times, cfg.dt, cfg.t_f, "observation time")
     except ValueError as exc:
         raise SystemExit(f"--data {args.data} does not fit the scenario "
                          f"(dt={cfg.dt}, t_f={cfg.t_f}): {exc}") from None

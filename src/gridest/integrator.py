@@ -27,11 +27,15 @@ final residual evaluation, so the next step does not evaluate it again.
 The load-switch projection runs the same Newton loop on the algebraic
 block and hands back F at the post-switch state the same way.
 
-Load-switch events must coincide with grid points.  At a switching
-instant the differential states are continuous while the algebraic
-variables jump: they are re-solved under the new load set (consistency
-projection).  The trajectory stores the post-switch state as the state
-of that node and keeps the pre-switch one alongside for the adjoint.
+Every time that meets the grid (t_f, event bounds, observation times)
+is mapped to its node by grid_nodes, so load-switch events coincide
+with grid points.  Load set 0 is the nominal one, to which the initial
+equilibrium belongs, and node k is a switching instant when its load
+set differs from node k-1's (node 0's from set 0).  There the
+differential states are continuous while the algebraic variables jump:
+they are re-solved under the new load set (consistency projection).
+The trajectory stores the post-switch state as the state of that node
+and keeps the pre-switch one alongside for the adjoint.
 """
 from __future__ import annotations
 
@@ -45,6 +49,7 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 NEWTON_TOL = 1e-12        # target residual (inf norm)
 NEWTON_ACCEPT = 1e-10     # hard acceptance threshold
 NEWTON_MAXIT = 25
+GRID_TOL = 1e-9           # t is node k when |k dt - t| <= GRID_TOL max(1,|t|)
 
 
 class StepFailure(RuntimeError):
@@ -58,7 +63,8 @@ class Trajectory:
     states[k] is the (consistent) state at times[k]; for event nodes the
     pre-switch state is kept in pre_event.  step_loads[k] gives the
     index into (p_loads, q_loads) of the load set active on
-    [times[k], times[k+1]).
+    [times[k], times[k+1]); set 0 is the nominal one, under which
+    states[0] is the equilibrium.
     """
     times: np.ndarray
     states: np.ndarray
@@ -74,32 +80,44 @@ class Trajectory:
         return len(self.times) - 1
 
 
-def _on_grid(t: float, dt: float) -> bool:
-    k = round(t / dt)
-    return abs(k * dt - t) <= 1e-9 * max(1.0, abs(t))
+def grid_nodes(times, dt: float, t_f: float | None = None,
+               what: str = "time") -> np.ndarray:
+    """The node k of each time t = k dt, within GRID_TOL max(1, |t|).
+
+    The one map from times to grid nodes.  Raises ValueError naming the
+    first time that is off the grid, or past the node of t_f if given;
+    `what` names the times in the message.
+    """
+    times = np.asarray(times, dtype=float)
+    nodes = np.round(times / dt).astype(int)
+    off = np.abs(nodes * dt - times) > GRID_TOL * np.maximum(1.0, np.abs(times))
+    if off.any():
+        raise ValueError(f"{what} {float(times[off][0])!r} is not a "
+                         f"multiple of dt={dt}")
+    if t_f is not None:
+        late = nodes > grid_nodes(t_f, dt, what="final time")
+        if late.any():
+            raise ValueError(f"{what} {float(times[late][0])!r} is past the "
+                             f"end of the trajectory at t={t_f:.6g}")
+    return nodes
 
 
 def build_load_schedule(system, events, dt: float, t_f: float):
-    """Map each step interval to a load set; events must lie on the grid."""
-    n = round(t_f / dt)
-    if not _on_grid(t_f, dt):
-        raise ValueError(f"final time {t_f} is not a multiple of dt={dt}")
-    for ev in events:
-        if not (_on_grid(ev.start, dt) and _on_grid(ev.end, dt)):
-            raise ValueError(
-                f"event [{ev.start}, {ev.end}) does not align with the "
-                f"time grid dt={dt}; refusing to round")
-        if ev.end > t_f + 1e-9:
-            raise ValueError(f"event ends at {ev.end} after t_f={t_f}")
+    """Map each step interval to a load set, the nominal one first.
 
+    t_f and the event bounds must lie on the grid, the bounds within
+    [0, t_f].
+    """
+    n = int(grid_nodes(t_f, dt, what="final time"))
     # boundaries where the active load set changes
     bounds = {0, n}
     for ev in events:
-        bounds.add(round(ev.start / dt))
-        bounds.add(round(ev.end / dt))
+        bounds.update(grid_nodes([ev.start, ev.end], dt, t_f,
+                                 what="event bound").tolist())
     bounds = sorted(bounds)
 
-    p_list, q_list = [], []
+    p_nom, q_nom = system.loads_at(0.0)
+    p_list, q_list = [p_nom], [q_nom]
     step_loads = np.empty(n, dtype=int)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         t_mid = (lo + 0.5) * dt
@@ -280,16 +298,12 @@ def simulate(system, m: np.ndarray, t_f: float, dt: float,
                              "load schedule than the solve")
         base, arrive = predicted.states, predicted.pre_event
 
-    # the equilibrium belongs to the nominal loads; an event active from
-    # t=0 switches the manifold before the first step
-    p_nom, q_nom = system.loads_at(0.0)
-    switched_first = not (np.array_equal(p_loads[step_loads[0]], p_nom)
-                          and np.array_equal(q_loads[step_loads[0]], q_nom))
-
     for k in range(n):
         li = step_loads[k]
         p, q = p_loads[li], q_loads[li]
-        if (k > 0 and step_loads[k - 1] != li) or (k == 0 and switched_first):
+        # the equilibrium belongs to load set 0, so an event active from
+        # t=0 switches the manifold before the first step
+        if li != (step_loads[k - 1] if k > 0 else 0):
             # load switch at node k: project onto the new manifold
             pre_event[k] = states[k].copy()
             states[k], f_k = solve_algebraic(system, states[k], times[k],

@@ -34,7 +34,7 @@ from scipy.linalg import qr
 from .bayes import (GaussianPrior, PosteriorSummary, gauss_newton_hessian,
                     hessian_inverse)
 from .hermite import basis_derivatives, basis_matrix, gauss_hermite, multi_index_set
-from .integrator import simulate
+from .integrator import grid_nodes, simulate
 from .lbfgs import minimize
 from .observation import observe
 
@@ -292,6 +292,7 @@ def estimate_pce(system, obs, noise, prior: GaussianPrior, t_f: float,
     random numbers; it stays only because perfbench/workloads.py passes
     it, and goes with the next change to that benchmark.
     """
+    grid_nodes(obs.times, dt, t_f, "observation time")
     newton_iters = 0
 
     def forward(m):

@@ -14,6 +14,7 @@ import numpy as np
 import yaml
 
 from .bayes import GaussianPrior
+from .integrator import grid_nodes
 from .lbfgs import H_LOWER_BOUND
 from .ninebus import DisturbanceEvent
 from .observation import NoiseModel, observation_times
@@ -54,15 +55,15 @@ class ScenarioConfig:
         self.m_true = tuple(float(x) for x in self.m_true)
         if self.t_f <= 0 or self.dt <= 0 or self.dt_obs <= 0:
             raise ValueError("t_f, dt and dt_obs must be positive")
-        k = round(self.dt_obs / self.dt)
-        if k < 1 or abs(k * self.dt - self.dt_obs) > 1e-9:
+        # the integrator's checks, before any solve
+        grid_nodes(self.t_f, self.dt, what="t_f")
+        if grid_nodes(self.dt_obs, self.dt, what="dt_obs") < 1:
             raise ValueError(
-                f"dt_obs={self.dt_obs} is not an integer multiple of dt={self.dt}")
-        # integrator.build_load_schedule's tolerance, as 0.1 + 0.2 > 0.3
-        if self.disturbance is not None and self.disturbance.end > self.t_f + 1e-9:
-            raise ValueError(
-                f"t_f={self.t_f} ends before the disturbance at "
-                f"t={self.disturbance.end}")
+                f"dt_obs {self.dt_obs!r} is not a positive multiple of "
+                f"dt={self.dt}")
+        if self.disturbance is not None:
+            grid_nodes([self.disturbance.start, self.disturbance.end],
+                       self.dt, self.t_f, what="disturbance bound")
         if self.noise_var <= 0:
             raise ValueError("noise_var must be positive")
         if any(v <= 0 for v in self.prior_var):

@@ -7,13 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from least_squares import SHIFT, LeastSquares, shifted_linear
 
+import gridest.bayes
+import gridest.pce
 from gridest import lbfgs
 from gridest.bayes import (FD_REL_STEP, GaussianPrior, PosteriorSummary,
                            estimate_adjoint, laplace_covariance, map_estimate,
                            metrics, neg_log_posterior)
 from gridest.lbfgs import H_LOWER_BOUND
 from gridest.ninebus import DisturbanceEvent
-from gridest.observation import NoiseModel
+from gridest.observation import NoiseModel, ObservationSet
+from gridest.pce import estimate_pce
 
 
 def _linear_gaussian(a, d, noise_var, prior):
@@ -253,6 +256,25 @@ def test_estimate_adjoint_reports_newton_iterations(system, prior,
               for _ in range(2)]
     assert counts[0] > 0
     assert counts[1] == counts[0]
+
+
+@pytest.mark.parametrize("times, message", [
+    ((0.1, 0.5), "observation time 0.5 is past the end of the trajectory "
+                 "at t=0.3"),
+    ((0.1, 0.105), "observation time 0.105 is not a multiple of dt=0.01"),
+], ids=["past-t_f", "off-grid"])
+@pytest.mark.parametrize("module, estimate", [(gridest.bayes, estimate_adjoint),
+                                              (gridest.pce, estimate_pce)],
+                         ids=["adjoint", "pce"])
+def test_estimators_check_the_data_before_any_solve(
+        system, prior, monkeypatch, module, estimate, times, message):
+    solves = []
+    monkeypatch.setattr(module, "simulate",
+                        lambda *args, **kw: solves.append(args))
+    obs = ObservationSet(times=times, buses=[0], values=np.zeros(4))
+    with pytest.raises(ValueError, match=message):
+        estimate(system, obs, NoiseModel.iid(1e-4, 4), prior, 0.3, 0.01)
+    assert solves == []
 
 
 @pytest.mark.parametrize("t_f, load", [(1.0, 7.0), (1.5, 5.5)])

@@ -5,36 +5,38 @@ perfbench/tracing.py installs its spans at the names the library looks
 functions up by, and perfbench/workloads.py and run.py call the library
 through its attributes.  A rename in src/ breaks only benchmark runs,
 which the test suite does not collect, so these tests load the tracer
-by path and read the other two without running them.
+and the workloads by path and read run.py without running it.
 """
 import ast
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import gridest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-TRACING = PERFBENCH / "tracing.py"
 MISSING = object()
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
 def test_module_hooks_resolve_to_callables():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     missing = [(owner, attr) for owner, attr, _, _ in tracing.MODULE_HOOKS
                if not callable(getattr(tracing._resolve(owner), attr, None))]
     assert not missing
 
 
 def test_system_hooks_exist_on_the_system(system):
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     missing = [attr for attr, _ in tracing.SYSTEM_HOOKS
                if not callable(getattr(system, attr, None))]
     assert not missing
@@ -105,3 +107,14 @@ def test_workload_calls_bind():
         except TypeError as exc:
             bad.append((f, line, ".".join(path), str(exc)))
     assert not bad
+
+
+def test_workload_scenarios_are_valid_configs():
+    # ScenarioConfig checks the time grid at construction, and the
+    # benchmark builds every scenario's inputs through it
+    workloads = _load("workloads")
+    for profile in workloads.ADJOINT_SCENARIOS:
+        ctx = workloads.Context(gridest, None, 1, profile)
+        for sc in (*workloads.ADJOINT_SCENARIOS[profile],
+                   workloads.PCE_SCENARIO[profile]):
+            assert ctx.config(sc).t_f == sc.t_f

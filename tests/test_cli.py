@@ -253,6 +253,24 @@ def test_no_disturbance_conflicts_with_event_flags(tmp_path):
     assert not (tmp_path / "a.csv").exists()
 
 
+def test_dt_flag_checks_only_the_resolved_disturbance(tmp_path):
+    # the default event's bound 0.1 is off a 0.04 s grid, but the flags
+    # that replace or drop the event give a config on the grid
+    grid = ["--t-f", "0.4", "--dt", "0.04", "--dt-obs", "0.08"]
+    a = tmp_path / "a.csv"
+    _run(["synth-data", *grid, "--no-disturbance", "--out", a])
+    assert _header_config(a)["disturbance"] is None
+    b = tmp_path / "b.csv"
+    _run(["synth-data", *grid, "--event-start", "0.2",
+          "--event-duration", "0.2", "--out", b])
+    assert _header_config(b)["dt"] == 0.04
+    assert _header_config(b)["disturbance"]["start"] == 0.2
+    # with the default event kept, the resolved config is off the grid
+    with pytest.raises(ValueError, match=re.escape(
+            "disturbance bound 0.1 is not a multiple of dt=0.04")):
+        _run(["synth-data", *grid, "--out", tmp_path / "c.csv"])
+
+
 @pytest.mark.parametrize("method, rule", METHOD_CASES)
 def test_sweep_csv(tmp_path, method, rule):
     argv = ["sweep", "--t-f", "0.5", "--dt-obs", "0.1",

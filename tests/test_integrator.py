@@ -106,13 +106,32 @@ def test_load_schedule_dedupes_sets():
     assert step_loads.tolist() == [0, 1, 0, 0]
 
 
+def test_nominal_load_set_comes_first():
+    # set 0 holds the equilibrium, so a switch is a change of set, node 0
+    # included, and an event at the nominal load switches nothing
+    sys = ToyDAE(c=-0.5)
+    m = np.array([1.0])
+    ev = DisturbanceEvent(bus=1, start=0.0, duration=0.25, load=-1.5)
+    traj = simulate(sys, m, 0.5, 0.05, events=(ev,))
+    assert traj.step_loads[0] != 0
+    assert set(traj.pre_event) == {0, 5}
+    assert traj.states[0, 1] == pytest.approx(-1.5 * traj.states[0, 0])
+    assert simulate(sys, m, 0.5, 0.05).pre_event == {}
+    ev = DisturbanceEvent(bus=1, start=0.25, duration=0.25, load=-0.5)
+    traj = simulate(sys, m, 0.75, 0.05, events=(ev,))
+    assert traj.pre_event == {}
+    assert len(traj.p_loads) == 1
+
+
 def test_event_must_align_with_grid():
     sys = ToyDAE()
     ev = DisturbanceEvent(bus=1, start=0.013, duration=0.2, load=-1.0)
-    with pytest.raises(ValueError, match="align"):
+    with pytest.raises(ValueError, match="event bound 0.013 is not a "
+                                         "multiple of dt=0.05"):
         simulate(sys, np.array([1.0]), 1.0, 0.05, events=(ev,))
     ev = DisturbanceEvent(bus=1, start=0.25, duration=1.0, load=-1.0)
-    with pytest.raises(ValueError, match="after t_f"):
+    with pytest.raises(ValueError, match="event bound 1.25 is past the end "
+                                         "of the trajectory at t=0.5"):
         simulate(sys, np.array([1.0]), 0.5, 0.05, events=(ev,))
 
 

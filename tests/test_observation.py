@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from gridest.integrator import simulate
+from gridest.integrator import grid_nodes, simulate
 from gridest.ninebus import N_BUS, DisturbanceEvent, ix_vre, state_names
-from gridest.observation import (NoiseModel, ObservationSet, grid_indices,
-                                 normal_stream, observation_partials,
-                                 observation_times, observe,
-                                 read_observations, synthesize,
-                                 synthesize_observations, trajectory_nodes,
-                                 write_observations, write_trajectory_csv)
+from gridest.observation import (NoiseModel, ObservationSet, normal_stream,
+                                 observation_partials, observation_times,
+                                 observe, read_observations, synthesize,
+                                 synthesize_observations, write_observations,
+                                 write_trajectory_csv)
 
 
 @pytest.fixture(scope="module")
@@ -37,17 +36,22 @@ def test_observation_times_grid():
 
 
 def test_grid_indices():
-    assert grid_indices(np.array([0.05, 0.1]), 0.01).tolist() == [5, 10]
+    assert grid_nodes(np.array([0.05, 0.1]), 0.01).tolist() == [5, 10]
     with pytest.raises(ValueError, match="observation time 0.013 is not a "
                                          "multiple of dt=0.01"):
-        grid_indices(np.array([0.05, 0.013, 0.017]), 0.01)
+        grid_nodes(np.array([0.05, 0.013, 0.017]), 0.01,
+                   what="observation time")
+    # the tolerance grows with t above 1 s, as for t_f and event bounds
+    assert grid_nodes([4 + 3e-9], 0.01).tolist() == [400]
+    with pytest.raises(ValueError, match=r"time 4\.0000001 is not a multiple"):
+        grid_nodes([4 + 1e-7], 0.01)
 
 
 def test_trajectory_nodes_stop_at_the_last_node():
-    assert trajectory_nodes(np.array([0.1, 0.3]), 0.01, 30).tolist() == [10, 30]
+    assert grid_nodes(np.array([0.1, 0.3]), 0.01, 0.3).tolist() == [10, 30]
     with pytest.raises(ValueError, match="observation time 0.31 is past the "
                                          "end of the trajectory at t=0.3"):
-        trajectory_nodes(np.array([0.1, 0.31, 0.4]), 0.01, 30)
+        grid_nodes(np.array([0.1, 0.31, 0.4]), 0.01, 0.3, "observation time")
 
 
 def test_observe_layout(short_traj):

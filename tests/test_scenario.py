@@ -1,4 +1,6 @@
 """Scenario configuration: defaults, validation, YAML round trip."""
+import re
+
 import numpy as np
 import pytest
 
@@ -66,8 +68,24 @@ def test_validation_errors():
 def test_disturbance_may_end_at_t_f():
     # the default event ends at 0.1 + 0.2, a rounding above 0.3
     assert ScenarioConfig(t_f=0.3).t_f == 0.3
-    with pytest.raises(ValueError, match="ends before the disturbance"):
+    with pytest.raises(ValueError, match=re.escape(
+            "disturbance bound 0.30000000000000004 is past the end of the "
+            "trajectory at t=0.29")):
         ScenarioConfig(t_f=0.29)
+
+
+def test_validation_rejects_off_grid_t_f_and_disturbance():
+    # both would fail only at the first simulate, inside a sweep row
+    with pytest.raises(ValueError, match="t_f 1.005 is not a multiple of "
+                                         "dt=0.01"):
+        ScenarioConfig(t_f=1.005)
+    with pytest.raises(ValueError, match="disturbance bound 0.105 is not a "
+                                         "multiple of dt=0.01"):
+        ScenarioConfig(disturbance=DisturbanceEvent(bus=5, start=0.105,
+                                                    duration=0.2, load=5.5))
+    with pytest.raises(ValueError, match="dt_obs 1e-12 is not a positive "
+                                         "multiple of dt=0.01"):
+        ScenarioConfig(dt_obs=1e-12)
 
 
 def test_validation_rejects_bad_truth_and_prior_mean():
