@@ -181,7 +181,7 @@ class Sensitivity:
         return replace(traj, states=traj.states + self.states @ dm,
                        pre_event={k: u + self.pre_event[k] @ dm
                                   for k, u in traj.pre_event.items()},
-                       newton_iters=0)
+                       newton_iters=0, newton_factorizations=0)
 
 
 def tangent_linear(system, traj: Trajectory, m: np.ndarray,

@@ -107,6 +107,7 @@ class AdjointObjective:
         self.n_adjoint = 0
         self.n_tangent = 0
         self.newton_iters = 0
+        self.newton_factorizations = 0
         self._latest = None    # (m, trajectory) of the latest forward solve
         self.anchor = None     # Sensitivity of the latest linearization
         self.anchor_gradient = None    # and the gradient it gave
@@ -117,6 +118,7 @@ class AdjointObjective:
         traj = simulate(self.system, m, self.t_f, self.dt, self.events,
                         predicted=predicted)
         self.newton_iters += traj.newton_iters
+        self.newton_factorizations += traj.newton_factorizations
         self._latest = (np.array(m, dtype=float), traj)
         return traj
 
@@ -227,9 +229,9 @@ class PosteriorSummary:
 
     Given m_true, construction computes the metrics err, tau and cns.
     Both back ends build it with at_map, which writes the MAP driver's
-    keys into stats; forward_solves, adjoint_solves, tangent_solves and
-    newton_iters are shared too, and the other keys are back-end
-    specific.
+    keys into stats; forward_solves, adjoint_solves, tangent_solves,
+    newton_iters and newton_factorizations are shared too, and the other
+    keys are back-end specific.
     """
     m_map: np.ndarray
     gamma_post: np.ndarray
@@ -306,5 +308,6 @@ def estimate_adjoint(system, obs: ObservationSet, noise: NoiseModel,
         "map_tangent_solves": map_tan,
         "hessian_tangent_solves": objective.n_tangent - map_tan,
         "newton_iters": objective.newton_iters,
+        "newton_factorizations": objective.newton_factorizations,
     }
     return PosteriorSummary.at_map(res, gpost, hess, "adjoint", m_true, stats)

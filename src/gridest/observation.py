@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtri
 
-from .integrator import grid_nodes
+from .integrator import GRID_TOL, grid_nodes
 from .ninebus import N_BUS, ix_vim, ix_vre
 
 RECT, POLAR = "rect", "polar"
@@ -90,8 +90,9 @@ class ObservationSet:
 
 
 def observation_times(t_f: float, dt_obs: float) -> np.ndarray:
-    """Grid of observation instants: multiples of dt_obs in (0, t_f]."""
-    n = int(np.floor(t_f / dt_obs + 1e-9))
+    """Grid of observation instants: multiples of dt_obs in (0, t_f],
+    t_f given the slack GRID_TOL max(1, |t_f|) of grid_nodes."""
+    n = int(np.floor((t_f + GRID_TOL * max(1.0, abs(t_f))) / dt_obs))
     if n < 1:
         raise ValueError("no observation times in (0, t_f]")
     return np.arange(1, n + 1) * dt_obs

@@ -293,15 +293,17 @@ def estimate_pce(system, obs, noise, prior: GaussianPrior, t_f: float,
     it, and goes with the next change to that benchmark.
     """
     grid_nodes(obs.times, dt, t_f, "observation time")
-    newton_iters = 0
+    newton_iters = newton_factorizations = 0
 
     def forward(m):
-        nonlocal newton_iters
+        nonlocal newton_iters, newton_factorizations
         traj = simulate(system, m, t_f, dt, events)
         newton_iters += traj.newton_iters
+        newton_factorizations += traj.newton_factorizations
         return observe(traj, obs.times, obs.buses, obs.coords)
 
     surrogate = build_surrogate(rule, order, forward, prior)
     summary = surrogate_map(surrogate, obs, noise, prior, m_true=m_true)
     summary.stats["newton_iters"] = newton_iters
+    summary.stats["newton_factorizations"] = newton_factorizations
     return summary, surrogate

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from least_squares import SHIFT, LeastSquares, shifted_linear
 
 import gridest.bayes
+import gridest.integrator
 import gridest.pce
 from gridest import lbfgs
 from gridest.bayes import (FD_REL_STEP, GaussianPrior, PosteriorSummary,
@@ -256,6 +257,28 @@ def test_estimate_adjoint_reports_newton_iterations(system, prior,
               for _ in range(2)]
     assert counts[0] > 0
     assert counts[1] == counts[0]
+
+
+@pytest.mark.parametrize("method", ["adjoint", "pce"])
+def test_estimates_report_newton_factorizations(system, prior, make_scenario,
+                                                monkeypatch, method):
+    # the stats key sums the LUs of every forward solve's Newton steps
+    # and projections: the integrator's lu_factor calls (the
+    # sensitivity passes factor through gridest.adjoint's own name)
+    obs, noise, events = make_scenario(0.5, dt_obs=0.1)
+    factor, calls = gridest.integrator.lu_factor, []
+
+    def counted(*args):
+        calls.append(args[1])
+        return factor(*args)
+
+    monkeypatch.setattr(gridest.integrator, "lu_factor", counted)
+    args = (system, obs, noise, prior, 0.5, 0.01, events)
+    summary = (estimate_adjoint(*args) if method == "adjoint"
+               else estimate_pce(*args)[0])
+    assert "algebraic re-solve" in calls
+    assert summary.stats["newton_factorizations"] == len(calls)
+    assert 0 < len(calls) < summary.stats["newton_iters"]
 
 
 @pytest.mark.parametrize("times, message", [

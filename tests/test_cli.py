@@ -143,7 +143,7 @@ def test_estimate_pce_json(tmp_path, method, rule):
     if rule is None:
         # the Laplace step makes no forward solve
         assert st["forward_solves"] == st["map_forward_solves"]
-    assert st["newton_iters"] > 0
+    assert 0 < st["newton_factorizations"] < st["newton_iters"]
 
 
 def test_estimate_matches_library(tmp_path, system, prior):

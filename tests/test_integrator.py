@@ -6,9 +6,10 @@ import pytest
 
 from gridest.adjoint import tangent_linear
 from gridest import integrator
-from gridest.integrator import (NEWTON_MAXIT, NEWTON_TOL, StepFailure,
-                                Trajectory, _newton, build_load_schedule,
-                                simulate, solve_algebraic, step_trapezoidal)
+from gridest.integrator import (CHORD_RHO, NEWTON_ACCEPT, NEWTON_MAXIT,
+                                NEWTON_TOL, StepFailure, Trajectory, _newton,
+                                build_load_schedule, simulate,
+                                solve_algebraic, step_trapezoidal)
 from gridest.ninebus import N_BUS, DisturbanceEvent
 from gridest.observation import ObservationSet, observation_times
 
@@ -177,7 +178,7 @@ def test_solve_algebraic_restores_consistency(system):
     u = system.steady_state()
     p, q = system.loads_at(0.15, (DisturbanceEvent(bus=5, start=0.1,
                                                    duration=0.2, load=5.5),))
-    v, f_v = solve_algebraic(system, u, 0.15, system.h_ref, p, q)
+    v, f_v, _ = solve_algebraic(system, u, 0.15, system.h_ref, p, q)
     assert np.array_equal(v[:21], u[:21])
     f = system.rhs(0.15, v, system.h_ref, p, q)
     assert np.max(np.abs(f[21:])) < 1e-10
@@ -209,8 +210,10 @@ class NewtonRecorder:
 
     def __init__(self, monkeypatch, residual, matrix):
         self._residual = residual
-        self.matrix = matrix
+        self._matrix = matrix
         self.norms = []
+        self.residual_points = []
+        self.matrix_points = []
         self.factorizations = 0
         self.solves = 0
         factor, solve = integrator.lu_factor, integrator.lu_solve
@@ -229,7 +232,18 @@ class NewtonRecorder:
     def residual(self, v):
         r = self._residual(v)
         self.norms.append(np.abs(r).max())
+        self.residual_points.append(v.copy())
         return r
+
+    def matrix(self, v):
+        self.matrix_points.append(v.copy())
+        return self._matrix(v)
+
+    def expected_factorizations(self, its):
+        """The updates the chord rule factors before: the first, and each
+        one after an update that cut the residual by less than CHORD_RHO."""
+        return [i for i in range(its)
+                if i == 0 or self.norms[i] > CHORD_RHO * self.norms[i - 1]]
 
 
 @pytest.mark.parametrize("start, exact", [([3.0, 1.5], False),
@@ -237,16 +251,43 @@ class NewtonRecorder:
                          ids=["far", "exact"])
 def test_newton_makes_no_update_once_the_tolerance_is_met(monkeypatch, start,
                                                           exact):
-    # v^3 = 8 elementwise: one factorization and one solve per update, an
+    # v^3 = 8 elementwise: one solve per update, one factorization for
+    # the solve plus one per refactor the CHORD_RHO rule calls for, an
     # update only after a residual above NEWTON_TOL, and a return at the
     # first residual that meets it
     rec = NewtonRecorder(monkeypatch, lambda v: v ** 3 - 8.0,
                          lambda v: np.diag(3.0 * v ** 2))
-    its = _newton(rec.residual, rec.matrix, np.array(start), "Newton", 0.0)
-    assert rec.factorizations == rec.solves == its == len(rec.norms) - 1
+    its, factored = _newton(rec.residual, rec.matrix, np.array(start),
+                            "Newton", 0.0)
+    assert rec.solves == its == len(rec.norms) - 1
+    assert rec.factorizations == factored == len(
+        rec.expected_factorizations(its))
     assert all(r > NEWTON_TOL for r in rec.norms[:-1])
     assert rec.norms[-1] <= NEWTON_TOL
     assert (its == 0) == exact
+    assert (factored == 0) == exact
+
+
+def test_chord_refactors_where_the_residual_falls_slower_than_rho(
+        monkeypatch):
+    # on v - 1 = 0 the matrix 1 + |v - 1| is exact only at the root: the
+    # chord cuts the residual by |v_f - 1| / (1 + |v_f - 1|) per update,
+    # with v_f the iterate it was factored at.  From v = 2 that is 1/2,
+    # 1/3 and 1/7, slower than CHORD_RHO, so the first three updates
+    # refactor at the current iterate; the fourth factors cut it by
+    # 0.023, so the chord keeps them to the end
+    rec = NewtonRecorder(monkeypatch, lambda v: v - 1.0,
+                         lambda v: np.diag(1.0 + np.abs(v - 1.0)))
+    its, factored = _newton(rec.residual, rec.matrix, np.array([2.0]),
+                            "Newton", 0.0)
+    at = rec.expected_factorizations(its)
+    assert at == [0, 1, 2, 3]
+    assert its > len(at) + 1
+    assert rec.factorizations == factored == len(at)
+    assert rec.solves == its
+    for point, i in zip(rec.matrix_points, at):
+        assert np.array_equal(point, rec.residual_points[i])
+    assert rec.norms[-1] <= NEWTON_TOL
 
 
 def test_newton_stalls_after_newton_maxit_updates(monkeypatch):
@@ -305,8 +346,8 @@ def test_step_hands_back_the_arrival_rhs(system):
         p, q = traj.p_loads[traj.step_loads[k]], traj.q_loads[traj.step_loads[k]]
         u_k = traj.states[k]
         f_k = system.rhs(traj.times[k], u_k, m, p, q)
-        u_next, f_next, _ = step_trapezoidal(system, u_k, traj.times[k],
-                                             traj.dt, m, p, q, f_k, u_k)
+        u_next, f_next, _, _ = step_trapezoidal(system, u_k, traj.times[k],
+                                                traj.dt, m, p, q, f_k, u_k)
         assert np.array_equal(
             f_next, system.rhs(traj.times[k + 1], u_next, m, p, q))
 
@@ -343,28 +384,96 @@ def test_simulate_never_repeats_an_rhs_call(system):
     assert not any(_same_call(a, b) for a, b in zip(calls, calls[1:]))
 
 
+def test_newton_factorizations_are_the_lu_calls_of_a_solve(monkeypatch,
+                                                           system):
+    rec = NewtonRecorder(monkeypatch, None, None)    # counts the LUs only
+    ev = DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5)
+    traj = simulate(system, system.h_ref, 0.5, 0.01, events=(ev,))
+    assert set(traj.pre_event) == {10, 30}
+    assert traj.newton_factorizations == rec.factorizations > 0
+
+
 def test_nine_bus_newton_iteration_count(system):
-    # 381 iterations over 200 steps: the extrapolated start leaves about
-    # two updates per step, and each solve stops at NEWTON_TOL
+    # one LU per step and one per projection at most: each solve factors
+    # once at its start, and the quadratic start leaves the chord close
+    # enough that refactors are rare.  The iteration bound, fixed before
+    # the first run, is 381 (full Newton from the linear start) plus 20%:
+    # the chord may trade LUs for more, cheaper updates, but not many more
     ev = DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5)
     traj = simulate(system, system.h_ref, 2.0, 0.01, events=(ev,))
-    assert traj.newton_iters <= 400
+    assert set(traj.pre_event) == {10, 30}
+    assert traj.newton_factorizations <= traj.n_steps + len(traj.pre_event)
+    assert traj.newton_iters <= 457
 
 
-def test_extrapolated_start_reaches_the_same_state(system):
-    ev = DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5)
-    m = system.h_ref
-    traj = simulate(system, m, 0.5, 0.01, events=(ev,))
-    for k in (11, 20, 31, 45):
+# Two solves of one step that stop at residuals within NEWTON_TOL differ
+# by the inverse Newton matrix applied to the difference of their final
+# residuals, at most 2 NEWTON_TOL; the bound allows that matrix an
+# inf-norm of 5.  A Newton that stopped at NEWTON_ACCEPT would leave
+# 100 times more room.
+STATE_GAP = 10.0 * NEWTON_TOL
+
+
+def _start(states, k, pre_event):
+    """simulate's Newton start for step k without a prediction."""
+    u = states[k]
+    if k == 0 or k in pre_event:
+        return u
+    if k == 1 or k - 1 in pre_event:
+        return 2.0 * u - states[k - 1]
+    return 3.0 * (u - states[k - 1]) + states[k - 2]
+
+
+def _resolved_steps(system, traj, m, start=lambda states, k, pre: states[k]):
+    """Each step k of traj re-solved from the departure state by default,
+    or from start(states, k, pre_event): (k, step_trapezoidal's result,
+    traj's arrival state), the arrival pre-switch at a projection node."""
+    for k in range(traj.n_steps):
         p, q = traj.p_loads[traj.step_loads[k]], traj.q_loads[traj.step_loads[k]]
         u_k = traj.states[k]
         f_k = system.rhs(traj.times[k], u_k, m, p, q)
-        args = (system, u_k, traj.times[k], traj.dt, m, p, q, f_k)
-        from_uk, _, its_uk = step_trapezoidal(*args, u_k)
-        extrap, _, its = step_trapezoidal(*args, 2.0 * u_k - traj.states[k - 1])
-        assert np.max(np.abs(extrap - from_uk)) <= 1e-13
-        assert np.array_equal(extrap, traj.states[k + 1])
-        assert its < its_uk
+        guess = start(traj.states, k, traj.pre_event)
+        yield k, step_trapezoidal(system, u_k, traj.times[k], traj.dt, m, p,
+                                  q, f_k, guess), traj.pre_event.get(
+                                      k + 1, traj.states[k + 1])
+
+
+def _start_gap(resolved, pre_event):
+    """Max over the resolved steps that leave no projection node of the
+    gap between the re-solved state and the arrival state."""
+    return max(np.max(np.abs(step[0] - arrival))
+               for k, step, arrival in resolved if k not in pre_event)
+
+
+ONE_EVENT = (DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5),)
+
+
+def test_extrapolated_start_reaches_the_same_state(system):
+    # every step of a 2 s run away from the projections: the state from
+    # the extrapolated start matches a re-solve from u_k within
+    # STATE_GAP, and re-solving from the start simulate uses reproduces
+    # it bit for bit in no more Newton iterations than from u_k, and in
+    # fewer where the start is quadratic and u_k is not already a root
+    m = system.h_ref
+    traj = simulate(system, m, 2.0, 0.01, events=ONE_EVENT)
+    pre = traj.pre_event
+    cold = list(_resolved_steps(system, traj, m))
+    assert _start_gap(cold, pre) <= STATE_GAP
+    for (k, step, arrival), (_, cold_step, _) in zip(
+            _resolved_steps(system, traj, m, _start), cold):
+        assert np.array_equal(step[0], arrival)
+        if k in pre:
+            continue
+        assert step[2] <= cold_step[2]
+        if k > 1 and k - 1 not in pre and cold_step[2] > 0:
+            assert step[2] < cold_step[2]
+
+
+def test_state_gap_catches_a_newton_that_stops_at_accept(monkeypatch, system):
+    monkeypatch.setattr(integrator, "NEWTON_TOL", NEWTON_ACCEPT)
+    traj = simulate(system, system.h_ref, 2.0, 0.01, events=ONE_EVENT)
+    resolved = _resolved_steps(system, traj, system.h_ref)
+    assert _start_gap(resolved, traj.pre_event) > STATE_GAP
 
 
 EVENT_CASES = {
@@ -375,6 +484,38 @@ EVENT_CASES = {
                    DisturbanceEvent(bus=8, start=0.3, duration=0.1, load=3.0)),
 }
 M0 = np.array([24.0, 6.0, 3.1])
+
+
+@pytest.mark.parametrize("case", ["event-at-t0", "two-events"])
+def test_quadratic_start_only_off_projections(monkeypatch, system, case):
+    # simulate starts each step as _start says, so the quadratic
+    # extrapolation is used only where neither node k nor node k-1 is a
+    # projection; the states, projections included, match full Newton
+    # (a refactor at every update) re-solved from each departure state
+    events = EVENT_CASES[case]
+    guesses = []
+
+    def recorded(*args):
+        guesses.append(args[-1].copy())
+        return step_trapezoidal(*args)
+
+    monkeypatch.setattr(integrator, "step_trapezoidal", recorded)
+    traj = simulate(system, M0, 0.5, 0.01, events=events)
+    monkeypatch.undo()
+    pre = traj.pre_event
+    assert set(pre) == ({0, 20} if case == "event-at-t0" else {10, 20, 30, 40})
+    assert len(guesses) == traj.n_steps
+    for k, guess in enumerate(guesses):
+        assert np.array_equal(guess, _start(traj.states, k, pre))
+
+    monkeypatch.setattr(integrator, "CHORD_RHO", 0.0)
+    for _, step, arrival in _resolved_steps(system, traj, M0):
+        assert np.max(np.abs(step[0] - arrival)) <= STATE_GAP
+    for k, u in pre.items():
+        li = traj.step_loads[k]
+        ref = solve_algebraic(system, u, traj.times[k], M0, traj.p_loads[li],
+                              traj.q_loads[li])[0]
+        assert np.max(np.abs(ref - traj.states[k])) <= STATE_GAP
 
 
 def _sensitivity(system, events, t_f=0.5, dt=0.01):

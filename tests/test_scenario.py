@@ -27,6 +27,14 @@ def test_defaults():
     assert ScenarioConfig().disturbance == cfg.disturbance
 
 
+def test_times_end_on_the_node_of_t_f():
+    # grid_nodes puts both horizons on node 400, so both observe at 4.0
+    for t_f in (4.0, 4.0 - 3e-9):
+        times = ScenarioConfig(t_f=t_f).times()
+        assert len(times) == 80
+        assert times[-1] == pytest.approx(4.0)
+
+
 def test_derived_helpers():
     cfg = ScenarioConfig(t_f=1.0)
     assert cfg.events() == (cfg.disturbance,)
