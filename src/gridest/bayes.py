@@ -53,7 +53,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import ndtr
 
 from .adjoint import backward_sweep, misfit, residual, tangent_linear
-from .integrator import grid_nodes, simulate
+from .integrator import NEWTON_TOL, grid_nodes, simulate
 from .lbfgs import at_roundoff_floor
 from .lbfgs import minimize as map_estimate
 from .observation import NoiseModel, ObservationSet
@@ -92,6 +92,13 @@ class AdjointObjective:
     from the anchor's prediction; predicted_gradient(m) costs one
     tangent-linear pass along it, and equals anchor_gradient at the
     anchor's m.
+
+    Each step of a forward solve stops at a residual within NEWTON_TOL,
+    so J depends on the Newton start to about
+    NEWTON_TOL ||Gn^-1 (f - d)||_1.  linearize sets value_noise to that
+    bound at its point (1.4e-7 at the 5 s MAP of the test data, where
+    anchored and cold solves at one m give J a few 1e-9 apart), and the
+    MAP driver's Armijo test allows it on each side of a comparison.
     """
 
     def __init__(self, system, obs: ObservationSet, noise: NoiseModel,
@@ -111,6 +118,7 @@ class AdjointObjective:
         self._latest = None    # (m, trajectory) of the latest forward solve
         self.anchor = None     # Sensitivity of the latest linearization
         self.anchor_gradient = None    # and the gradient it gave
+        self.value_noise = 0.0    # bound on the error of J, from linearize
 
     def simulate(self, m):
         self.n_forward += 1
@@ -151,7 +159,9 @@ class AdjointObjective:
             traj = self.simulate(m)
         jac, self.anchor, r, grad = self._tangent(traj, m)
         self.anchor_gradient = grad
-        j = 0.5 * float(r @ (r / self.noise.var)) + self.prior.neg_log(m)
+        wr = r / self.noise.var
+        self.value_noise = NEWTON_TOL * float(np.abs(wr).sum())
+        j = 0.5 * float(r @ wr) + self.prior.neg_log(m)
         return j, grad, gauss_newton_hessian(jac, self.noise.var, self.prior)
 
     def predicted_gradient(self, m: np.ndarray) -> np.ndarray:

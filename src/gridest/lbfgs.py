@@ -12,8 +12,17 @@ limited-memory BFGS loop is gone.
 * The step -H^-1 g is taken over the variables not held at
   H_LOWER_BOUND, capped where it first reaches the bound, and halved
   until it meets the Armijo condition (ARMIJO_C1, at most BACKTRACKS
-  trials).  A trial whose forward solve raises StepFailure counts as no
-  decrease.
+  trials), relaxed for the objective's value_noise.  A trial whose
+  forward solve raises StepFailure counts as no decrease.
+* value_noise bounds the error of a computed J, which for the adjoint
+  objective is the forward solve's Newton tolerance carried into the
+  misfit.  J at the iterate and at the trial may each be off by that
+  much, so a trial is accepted when
+  f_new <= f + ARMIJO_C1 alpha slope + 2 value_noise (the relaxed
+  Armijo condition of Berahas, Byrd & Nocedal, SIAM J. Optim. 29,
+  2019).  Near the MAP a Gauss-Newton step predicts a decrease below
+  that noise, and the strict test would reject every trial on the draw
+  of the noise alone.
 * Convergence is tested on the projected gradient, so an iterate resting
   on the bound with an outward-pointing gradient counts as stationary.
 
@@ -22,7 +31,10 @@ dropped to tol.  Large-scale objectives (a misfit summing thousands of
 squared residuals) hit double-precision limits first: once the gradient
 norm falls to roughly sqrt(eps * |f| * lambda_max), a Newton step
 changes f by less than one unit in the last place and no line search
-can verify descent.  The loop therefore also stops, not converged, when
+can verify descent.  An objective evaluated to a coarser value_noise
+has the same limit at that noise, which the relaxed Armijo test
+allows for: a trial within 2 value_noise of f is accepted rather than
+ending the loop.  The loop therefore also stops, not converged, when
 its gradient is at that floor for the model Hessian (at_roundoff_floor),
 when backtracking finds no decrease, or at max_iter.  The final floor
 verdict is made by bayes.PosteriorSummary.at_map from the MAP's Hessian.
@@ -62,7 +74,9 @@ def minimize(objective, m0: np.ndarray, tol: float = 1e-6,
     H_LOWER_BOUND.
 
     objective.linearize(m) gives (J, gradient, model Hessian) at an
-    iterate and objective.value(m) gives J at a trial point.  The result
+    iterate and objective.value(m) gives J at a trial point;
+    objective.value_noise, read after each linearization, bounds the
+    error of either J (0.0 for an exactly computed one).  The result
     holds the last point linearized.  Only a projected gradient at tol
     is converged; any other stop says why in message: "gradient at the
     roundoff floor", "backtracking found no decrease" or "max_iter
@@ -103,6 +117,7 @@ def minimize(objective, m0: np.ndarray, tol: float = 1e-6,
         if np.any(into):
             alpha = min(1.0, float(np.min((H_LOWER_BOUND - x[into]) / p[into])))
         slope = float(g @ p)
+        allowance = 2.0 * objective.value_noise
         for _ in range(BACKTRACKS):
             x_new = np.maximum(x + alpha * p, H_LOWER_BOUND)
             res.n_evals += 1
@@ -110,7 +125,7 @@ def minimize(objective, m0: np.ndarray, tol: float = 1e-6,
                 f_new = objective.value(x_new)
             except StepFailure:
                 f_new = np.inf
-            if f_new <= f + ARMIJO_C1 * alpha * slope:
+            if f_new <= f + ARMIJO_C1 * alpha * slope + allowance:
                 break
             alpha *= 0.5
         else:

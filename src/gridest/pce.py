@@ -198,8 +198,10 @@ class SurrogateObjective:
     value_grad.  The basis tables of the latest point are kept: the
     driver linearizes at the trial point it has just accepted, and
     surrogate_map takes the Hessian at the MAP, the point the driver
-    linearized last.
+    linearized last.  J is exact up to roundoff, so value_noise is 0.0.
     """
+
+    value_noise = 0.0
 
     def __init__(self, surrogate: Surrogate, obs, noise, prior: GaussianPrior):
         self.surrogate = surrogate

@@ -1,4 +1,5 @@
 """Trapezoidal DAE stepper: exact linear recurrence, order, events."""
+from math import comb
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 
 from gridest.adjoint import tangent_linear
 from gridest import integrator
-from gridest.integrator import (CHORD_RHO, NEWTON_ACCEPT, NEWTON_MAXIT,
-                                NEWTON_TOL, StepFailure, Trajectory, _newton,
+from gridest.integrator import (CHORD_RHO, EXTRAPOLATION_ORDER,
+                                NEWTON_ACCEPT, NEWTON_MAXIT, NEWTON_TOL,
+                                StepFailure, Trajectory, _newton,
                                 build_load_schedule, simulate,
                                 solve_algebraic, step_trapezoidal)
 from gridest.ninebus import N_BUS, DisturbanceEvent
@@ -395,15 +397,15 @@ def test_newton_factorizations_are_the_lu_calls_of_a_solve(monkeypatch,
 
 def test_nine_bus_newton_iteration_count(system):
     # one LU per step and one per projection at most: each solve factors
-    # once at its start, and the quadratic start leaves the chord close
-    # enough that refactors are rare.  The iteration bound, fixed before
-    # the first run, is 381 (full Newton from the linear start) plus 20%:
-    # the chord may trade LUs for more, cheaper updates, but not many more
+    # once at its start, and the extrapolated start leaves the chord
+    # close enough that refactors are rare.  The iteration bound, fixed
+    # before the first run, is 240 for 200 steps: about one update per
+    # step.  The quadratic start made 442, 2.2 per step
     ev = DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5)
     traj = simulate(system, system.h_ref, 2.0, 0.01, events=(ev,))
     assert set(traj.pre_event) == {10, 30}
     assert traj.newton_factorizations <= traj.n_steps + len(traj.pre_event)
-    assert traj.newton_iters <= 457
+    assert traj.newton_iters <= 240
 
 
 # Two solves of one step that stop at residuals within NEWTON_TOL differ
@@ -414,14 +416,24 @@ def test_nine_bus_newton_iteration_count(system):
 STATE_GAP = 10.0 * NEWTON_TOL
 
 
+def _order(k, pre_event):
+    """The order of simulate's extrapolation at node k: k less the last
+    restart (node 0 or a projection node at or before k), at most
+    EXTRAPOLATION_ORDER."""
+    restart = max([0] + [r for r in pre_event if r <= k])
+    return min(EXTRAPOLATION_ORDER, k - restart)
+
+
 def _start(states, k, pre_event):
-    """simulate's Newton start for step k without a prediction."""
-    u = states[k]
-    if k == 0 or k in pre_event:
+    """simulate's Newton start for step k without a prediction:
+    u_k + sum_j c_j (u_{k-j} - u_k), j = 1..p, c_j = (-1)^j C(p+1, j+1),
+    the sum taken as one dot product in node order."""
+    u, p = states[k], _order(k, pre_event)
+    if p == 0:
         return u
-    if k == 1 or k - 1 in pre_event:
-        return 2.0 * u - states[k - 1]
-    return 3.0 * (u - states[k - 1]) + states[k - 2]
+    c = np.array([(-1) ** j * comb(p + 1, j + 1) for j in range(p, 0, -1)],
+                 dtype=float)
+    return u + c @ (states[k - p:k] - u)
 
 
 def _resolved_steps(system, traj, m, start=lambda states, k, pre: states[k]):
@@ -453,7 +465,8 @@ def test_extrapolated_start_reaches_the_same_state(system):
     # the extrapolated start matches a re-solve from u_k within
     # STATE_GAP, and re-solving from the start simulate uses reproduces
     # it bit for bit in no more Newton iterations than from u_k, and in
-    # fewer where the start is quadratic and u_k is not already a root
+    # fewer where the start is of order 2 or more and u_k is not already
+    # a root
     m = system.h_ref
     traj = simulate(system, m, 2.0, 0.01, events=ONE_EVENT)
     pre = traj.pre_event
@@ -465,7 +478,7 @@ def test_extrapolated_start_reaches_the_same_state(system):
         if k in pre:
             continue
         assert step[2] <= cold_step[2]
-        if k > 1 and k - 1 not in pre and cold_step[2] > 0:
+        if _order(k, pre) >= 2 and cold_step[2] > 0:
             assert step[2] < cold_step[2]
 
 
@@ -487,11 +500,12 @@ M0 = np.array([24.0, 6.0, 3.1])
 
 
 @pytest.mark.parametrize("case", ["event-at-t0", "two-events"])
-def test_quadratic_start_only_off_projections(monkeypatch, system, case):
-    # simulate starts each step as _start says, so the quadratic
-    # extrapolation is used only where neither node k nor node k-1 is a
-    # projection; the states, projections included, match full Newton
-    # (a refactor at every update) re-solved from each departure state
+def test_extrapolation_restarts_at_projections(monkeypatch, system, case):
+    # simulate starts each step as _start says, so the extrapolation
+    # reaches back to no node before node 0 or the last projection, and
+    # reaches its full order between projections; the states,
+    # projections included, match full Newton (a refactor at every
+    # update) re-solved from each departure state
     events = EVENT_CASES[case]
     guesses = []
 
@@ -505,6 +519,8 @@ def test_quadratic_start_only_off_projections(monkeypatch, system, case):
     pre = traj.pre_event
     assert set(pre) == ({0, 20} if case == "event-at-t0" else {10, 20, 30, 40})
     assert len(guesses) == traj.n_steps
+    assert max(_order(k, pre) for k in range(traj.n_steps)) \
+        == EXTRAPOLATION_ORDER
     for k, guess in enumerate(guesses):
         assert np.array_equal(guess, _start(traj.states, k, pre))
 

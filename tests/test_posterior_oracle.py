@@ -13,12 +13,13 @@ over the nodes x_i and weights w_i of a standard-normal Gauss rule.  A
 Gaussian posterior and gives the mean and covariance with no random
 numbers, at 125 forward solves.
 
-Bounds, fixed before the first run: the MAP lies within 0.25 posterior
-standard deviations of the quadrature mean, and each Laplace variance
-within 10% of the quadrature one.  An earlier probe of this oracle read
-0.10 sd and 0.2-2.9% at 1, 2 and 5 s, and a 7^3 rule agreed with 5^3 to
-1e-3 in the variances at 1 s, so the bounds leave the Laplace error
-about 2.5x and 3.5x room, and the quadrature error none to speak of.  A
+Bounds, fixed before the first run of each horizon (1 s and 2 s): the
+MAP lies within 0.25 posterior standard deviations of the quadrature
+mean, and each Laplace variance within 10% of the quadrature one.  An
+earlier probe of this oracle read 0.10 sd and 0.2-2.9% at 1, 2 and
+5 s, and a 7^3 rule agreed with 5^3 to 1e-3 in the variances at 1 s,
+so the bounds leave the Laplace error about 2.5x and 3.5x room, and the
+quadrature error none to speak of.  A
 MAP that stopped short, or a Hessian that lost a factor or a term of
 its curvature, moves one of them well past its bound.
 """
@@ -44,12 +45,14 @@ def quadrature_posterior(objective, m_map, gamma_post):
     return mean, dev.T @ (weights[:, None] * dev)
 
 
-def test_adjoint_laplace_posterior_matches_quadrature_at_1s(system, prior,
-                                                            make_scenario):
-    obs, noise, events = make_scenario(1.0)
-    summary = estimate_adjoint(system, obs, noise, prior, 1.0, 0.01, events)
+def check_laplace_against_quadrature(system, prior, make_scenario, t_f):
+    """The adjoint MAP and Laplace covariance at t_f (observations every
+    0.05 s) against the quadrature posterior, within MAP_SD and
+    VARIANCE_REL."""
+    obs, noise, events = make_scenario(t_f)
+    summary = estimate_adjoint(system, obs, noise, prior, t_f, 0.01, events)
     assert summary.stats["converged"], summary.stats["message"]
-    objective = AdjointObjective(system, obs, noise, prior, 1.0, 0.01, events)
+    objective = AdjointObjective(system, obs, noise, prior, t_f, 0.01, events)
     mean, cov = quadrature_posterior(objective, summary.m_map,
                                      summary.gamma_post)
     assert objective.n_forward == 126
@@ -60,3 +63,14 @@ def test_adjoint_laplace_posterior_matches_quadrature_at_1s(system, prior,
           f"variance - 1: {np.round(variance_rel, 4)}")
     assert np.all(map_sd <= MAP_SD)
     assert np.all(np.abs(variance_rel) <= VARIANCE_REL)
+
+
+def test_adjoint_laplace_posterior_matches_quadrature_at_1s(system, prior,
+                                                            make_scenario):
+    check_laplace_against_quadrature(system, prior, make_scenario, 1.0)
+
+
+def test_adjoint_laplace_posterior_matches_quadrature_at_2s(system, prior,
+                                                            make_scenario):
+    # twice the steps of the 1 s case, under the same bounds
+    check_laplace_against_quadrature(system, prior, make_scenario, 2.0)
