@@ -33,6 +33,10 @@ below that.  The Hessian keeps the residual curvature, and the Laplace
 step costs three tangent-linear passes.  Both back ends end in
 PosteriorSummary.at_map, which makes the convergence verdict there.
 
+stats records the cost in solves: forward_solves (the MAP driver's
+n_evals; the Laplace step makes none), tangent_solves (iterations + 4),
+newton_iters and newton_factorizations.  No estimate sweeps the adjoint.
+
 Quality metrics for synthetic studies with known truth:
 
     Err = sqrt(1/n sum_i ((m_i - m_true,i)/m_true,i)^2)
@@ -111,7 +115,6 @@ class AdjointObjective:
         self.dt = dt
         self.events = tuple(events)
         self.n_forward = 0
-        self.n_adjoint = 0
         self.n_tangent = 0
         self.newton_iters = 0
         self.newton_factorizations = 0
@@ -136,7 +139,6 @@ class AdjointObjective:
 
     def gradient(self, m: np.ndarray) -> np.ndarray:
         traj = self.simulate(m)
-        self.n_adjoint += 1
         return backward_sweep(self.system, traj, m, self.obs, self.noise,
                               prior=self.prior)
 
@@ -180,26 +182,24 @@ def neg_log_posterior(system, m, obs, noise, prior, t_f, dt, events=()):
     return misfit(traj, obs, noise) + prior.neg_log(m)
 
 
-def laplace_covariance(m_map: np.ndarray, grad_fn, grad_map=None):
+def laplace_covariance(m_map: np.ndarray, grad_fn, grad_map):
     """Gpost = H^-1 with H from one-sided differences of the gradient.
 
-    Column j is (grad_fn(m_map + h e_j) - grad_map) / h, with h about
-    FD_REL_STEP |m_j| and rounded so that m_map + h e_j is exact.
-    grad_map is the gradient at m_map; without it one more grad_fn call
-    computes it.  The raw FD Hessian is checked for symmetry (relative
-    infinity norm) before symmetrizing, then factorized; a
+    Column j is (grad_fn(m_map + h e_j) - grad_map) / h, with grad_map
+    the gradient at m_map and h about FD_REL_STEP |m_j|, rounded so that
+    m_map + h e_j is exact.  The raw FD Hessian is checked for symmetry
+    (relative infinity norm) before symmetrizing, then factorized; a
     non-positive-definite Hessian raises with the offending eigenvalues
     (the MAP point is then not a proper minimum, or the FD step is
     unsuitable).
     """
     m_map = np.asarray(m_map, dtype=float)
-    g0 = grad_fn(m_map) if grad_map is None else grad_map
     n = m_map.size
     hess = np.empty((n, n))
     for j in range(n):
         mp = m_map.copy()
         mp[j] += FD_REL_STEP * max(abs(m_map[j]), 1e-8)
-        hess[:, j] = (grad_fn(mp) - g0) / (mp[j] - m_map[j])
+        hess[:, j] = (grad_fn(mp) - grad_map) / (mp[j] - m_map[j])
     asym = np.linalg.norm(hess - hess.T, np.inf) / max(np.linalg.norm(hess, np.inf), 1e-30)
     if asym > FD_SYM_TOL:
         raise RuntimeError(f"FD Hessian asymmetry {asym:.2e} exceeds {FD_SYM_TOL:.0e}")
@@ -239,9 +239,9 @@ class PosteriorSummary:
 
     Given m_true, construction computes the metrics err, tau and cns.
     Both back ends build it with at_map, which writes the MAP driver's
-    keys into stats; forward_solves, adjoint_solves, tangent_solves,
-    newton_iters and newton_factorizations are shared too, and the other
-    keys are back-end specific.
+    keys into stats, next to one solve record: forward_solves,
+    tangent_solves, newton_iters and newton_factorizations.  The pce
+    back end adds rule, order, n_starts and n_converged_starts.
     """
     m_map: np.ndarray
     gamma_post: np.ndarray
@@ -295,28 +295,30 @@ class PosteriorSummary:
         Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def check_data(obs: ObservationSet, noise: NoiseModel, t_f: float,
+               dt: float) -> None:
+    """Reject, before any solve, observation times off the integrator's
+    grid or past t_f, and a noise model whose length is not the data's."""
+    grid_nodes(obs.times, dt, t_f, "observation time")
+    if noise.var.size != obs.size:
+        raise ValueError(f"{noise.var.size} noise variances for {obs.size} "
+                         f"observations")
+
+
 def estimate_adjoint(system, obs: ObservationSet, noise: NoiseModel,
                      prior: GaussianPrior, t_f: float, dt: float, events=(),
                      m_true=None) -> PosteriorSummary:
     """Full adjoint-based pipeline: MAP point then Laplace covariance."""
-    grid_nodes(obs.times, dt, t_f, "observation time")
+    check_data(obs, noise, t_f, dt)
     objective = AdjointObjective(system, obs, noise, prior, t_f, dt, events)
     res = map_estimate(objective, prior.mean.copy())
-    map_fwd, map_adj = objective.n_forward, objective.n_adjoint
-    map_tan = objective.n_tangent
-
     # map_estimate returns the last point it linearized
     assert np.array_equal(objective.anchor.m, res.x)
     gpost, hess = laplace_covariance(res.x, objective.predicted_gradient,
                                      objective.anchor_gradient)
     stats = {
         "forward_solves": objective.n_forward,
-        "adjoint_solves": objective.n_adjoint,
         "tangent_solves": objective.n_tangent,
-        "map_forward_solves": map_fwd,
-        "map_adjoint_solves": map_adj,
-        "map_tangent_solves": map_tan,
-        "hessian_tangent_solves": objective.n_tangent - map_tan,
         "newton_iters": objective.newton_iters,
         "newton_factorizations": objective.newton_factorizations,
     }

@@ -126,7 +126,6 @@ def _report(summary) -> str:
     st = summary.stats
     lines.append(f"  cost: {st['iterations']} iterations, "
                  f"{st['forward_solves']} forward solves, "
-                 f"{st['adjoint_solves']} adjoint solves, "
                  f"{st['tangent_solves']} tangent-linear solves, "
                  f"converged: {st['converged']}")
     return "\n".join(lines)
@@ -149,12 +148,12 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+_SWEEP_COSTS = ("iterations", "forward_solves", "tangent_solves")
 _SWEEP_FIELDS = ["index", "t_f", "dt", "dt_obs", "load", "noise_var", "seed",
                  "method", *(f"m_map_{i + 1}" for i in range(N_MACH)),
                  "trace_gamma_post", "err", "tau",
                  *(f"cns_{i + 1}" for i in range(N_MACH)),
-                 "iterations", "forward_solves", "adjoint_solves",
-                 "tangent_solves", "converged"]
+                 *_SWEEP_COSTS, "converged"]
 
 
 def _derived_seed(master: int, index: int) -> int:
@@ -167,14 +166,12 @@ def _sweep_one(packed):
     system = load_system()
     _, obs, noise = _synth(cfg, system)
     s = run_estimate(cfg, system, obs, noise)
-    st = s.stats
     load = cfg.disturbance.load if cfg.disturbance is not None else 0.0
     return [index, _fmt(cfg.t_f), _fmt(cfg.dt), _fmt(cfg.dt_obs), _fmt(load),
             _fmt(cfg.noise_var), cfg.seed, cfg.method, *map(_fmt, s.m_map),
             _fmt(np.trace(s.gamma_post)), _fmt(s.err), _fmt(s.tau),
-            *map(_fmt, s.cns),
-            st["iterations"], st["forward_solves"], st["adjoint_solves"],
-            st["tangent_solves"], int(st["converged"])]
+            *map(_fmt, s.cns), *(s.stats[k] for k in _SWEEP_COSTS),
+            int(s.stats["converged"])]
 
 
 def cmd_sweep(args) -> int:
@@ -194,8 +191,8 @@ def cmd_sweep(args) -> int:
             if dist is None:
                 raise SystemExit("--load-list requires a disturbance")
             dist = replace(dist, load=load)
-        scenarios.append((i, cfg.with_overrides(
-            t_f=t_f, dt_obs=dt_obs, noise_var=nv, disturbance=dist,
+        scenarios.append((i, replace(
+            cfg, t_f=t_f, dt_obs=dt_obs, noise_var=nv, disturbance=dist,
             seed=_derived_seed(cfg.seed, i))))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

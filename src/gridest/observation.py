@@ -275,6 +275,9 @@ def read_observations(path) -> tuple[ObservationSet, NoiseModel]:
                          values=values, coords=coords, meta=meta)
     if noise_var.size == 1:
         noise_var = np.full(obs.size, noise_var[0])
+    elif noise_var.size != obs.size:
+        raise ValueError(f"{path}: {noise_var.size} noise variances for "
+                         f"{obs.size} observations")
     return obs, NoiseModel(var=noise_var)
 
 

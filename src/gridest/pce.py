@@ -14,9 +14,10 @@ picks both the nodes and the fit of the coefficients:
   QR, solving V C = F.
 
 Each quadrature/collocation node costs exactly one forward simulation;
-the count is recorded on the surrogate.  The induced negative log
-posterior is a polynomial with closed-form gradient and Hessian, so the
-surrogate MAP needs no further simulations and its Laplace covariance
+the count is recorded on the surrogate and is the estimate's
+forward_solves.  The induced negative log posterior is a polynomial
+with closed-form gradient and Hessian, so the surrogate MAP needs no
+further simulations (tangent_solves is 0) and its Laplace covariance
 is the analytic Hessian inverse.  The MAP is one run of the bounded
 Gauss-Newton driver of the adjoint back end (lbfgs.minimize), from the
 same start, the prior mean, with the same bayes.gauss_newton_hessian;
@@ -31,10 +32,10 @@ from math import comb
 import numpy as np
 from scipy.linalg import qr
 
-from .bayes import (GaussianPrior, PosteriorSummary, gauss_newton_hessian,
-                    hessian_inverse)
+from .bayes import (GaussianPrior, PosteriorSummary, check_data,
+                    gauss_newton_hessian, hessian_inverse)
 from .hermite import basis_derivatives, basis_matrix, gauss_hermite, multi_index_set
-from .integrator import grid_nodes, simulate
+from .integrator import simulate
 from .lbfgs import minimize
 from .observation import observe
 
@@ -110,8 +111,8 @@ def stochastic_testing_select(xi: np.ndarray, weights: np.ndarray,
     the prior mean dominate the selection (pivoting still rejects rows
     that add no new information).  This anchors the interpolant where
     the posterior mass lives instead of at the outermost tensor
-    corners.  Returns (xi_sel, V, cond) with V the K x K (unscaled)
-    collocation matrix.
+    corners.  Returns (xi_sel, V) with V the K x K (unscaled)
+    collocation matrix, which must be well conditioned.
     """
     k_total = indices.shape[0]
     if xi.shape[0] < k_total:
@@ -125,7 +126,7 @@ def stochastic_testing_select(xi: np.ndarray, weights: np.ndarray,
     if cond > _COND_LIMIT:
         raise np.linalg.LinAlgError(
             f"collocation matrix is numerically singular (cond = {cond:.2e})")
-    return xi[sel], v_sel, cond
+    return xi[sel], v_sel
 
 
 @dataclass
@@ -137,7 +138,6 @@ class Surrogate:
     order: int
     rule: str                    # one of PCE_RULES
     n_forward: int               # forward simulations spent building it
-    cond: float = 0.0            # collocation cond(V), stochastic-testing
 
     def evaluate(self, m) -> np.ndarray:
         """Surrogate observables at one parameter point, shape (q,)."""
@@ -173,9 +173,8 @@ def build_surrogate(rule: str, order: int, forward,
     indices = multi_index_set(n, order)
     xi, weights = sparse_rule(n, order + 1) if rule == "sparse" \
         else tensor_rule(n, order)
-    cond = 0.0
     if rule == "stochastic-testing":
-        xi, v_sel, cond = stochastic_testing_select(xi, weights, indices)
+        xi, v_sel = stochastic_testing_select(xi, weights, indices)
         f_rows = _evaluate_forward(forward, unstandardize(xi, prior))
         coeffs = np.linalg.solve(v_sel, f_rows)
     else:
@@ -185,7 +184,7 @@ def build_surrogate(rule: str, order: int, forward,
     if not np.all(np.isfinite(coeffs)):
         raise RuntimeError("surrogate coefficients are not finite")
     return Surrogate(indices=indices, coeffs=coeffs, prior=prior, order=order,
-                     rule=rule, n_forward=xi.shape[0], cond=cond)
+                     rule=rule, n_forward=xi.shape[0])
 
 
 class SurrogateObjective:
@@ -263,22 +262,22 @@ def surrogate_map(surrogate: Surrogate, obs, noise, prior: GaussianPrior,
     One run of the MAP driver (lbfgs.minimize) from the start the
     adjoint back end uses.  The Hessian at the MAP gives both the
     roundoff-floor verdict (in at_map) and the covariance, its inverse.
+    stats holds the rule, the order, the surrogate's forward solves and
+    no tangent-linear pass next to the driver's keys.
     """
     objective = SurrogateObjective(surrogate, obs, noise, prior)
     res = minimize(objective, prior.mean, tol=_MAP_TOL, max_iter=_MAP_MAX_ITER)
     hess = objective.hessian(res.x)
     stats = {
-        "method": "pce",
         "rule": surrogate.rule,
         "order": surrogate.order,
         "forward_solves": surrogate.n_forward,
-        "adjoint_solves": 0,
         "tangent_solves": 0,
-        "collocation_condition": surrogate.cond,
-        "n_starts": 1,
+        "n_starts": 1,    # always 1; kept while perfbench/ reads it
     }
     summary = PosteriorSummary.at_map(res, hessian_inverse(hess), hess, "pce",
                                       m_true, stats)
+    # repeats converged; kept while perfbench/ reads it
     summary.stats["n_converged_starts"] = int(summary.stats["converged"])
     return summary
 
@@ -290,11 +289,12 @@ def estimate_pce(system, obs, noise, prior: GaussianPrior, t_f: float,
     """Full surrogate pipeline: build from simulations, then MAP.
 
     rule is one of PCE_RULES (see build_surrogate).  Returns
-    (PosteriorSummary, Surrogate).  seed is unused, as the MAP draws no
+    (PosteriorSummary, Surrogate); stats adds the Newton iterations and
+    factorizations of the node solves.  seed is unused, as the MAP draws no
     random numbers; it stays only because perfbench/workloads.py passes
     it, and goes with the next change to that benchmark.
     """
-    grid_nodes(obs.times, dt, t_f, "observation time")
+    check_data(obs, noise, t_f, dt)
     newton_iters = newton_factorizations = 0
 
     def forward(m):

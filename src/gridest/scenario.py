@@ -7,7 +7,7 @@ override individual fields with flags.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -131,8 +131,3 @@ class ScenarioConfig:
         if not isinstance(d, dict):
             raise ValueError(f"{path}: expected a mapping at top level")
         return cls.from_dict(d)
-
-    def with_overrides(self, **kw) -> "ScenarioConfig":
-        """New config with the given fields replaced (None values ignored)."""
-        kw = {k: v for k, v in kw.items() if v is not None}
-        return replace(self, **kw) if kw else self

@@ -118,3 +118,45 @@ def test_workload_scenarios_are_valid_configs():
         for sc in (*workloads.ADJOINT_SCENARIOS[profile],
                    workloads.PCE_SCENARIO[profile]):
             assert ctx.config(sc).t_f == sc.t_f
+
+
+# the back end whose stats each reader sees, by the top-level class or
+# function around the read: a workload, or the tracer's note on
+# pce.surrogate_map
+STATS_READERS = {"AdjointStudy": "adjoint", "PceBuild": "pce",
+                 "_surrogate_map_note": "pce"}
+
+
+def _stats_reads():
+    """(file, line, scope, key) for every stats["key"] subscript in the
+    benchmark's workloads.py and tracing.py; scope names the top-level
+    definition around it."""
+    reads = []
+    for name in ("workloads.py", "tracing.py"):
+        tree = ast.parse((PERFBENCH / name).read_text())
+        for top in tree.body:
+            reads += [(name, node.lineno, getattr(top, "name", None),
+                       node.slice.value)
+                      for node in ast.walk(top)
+                      if isinstance(node, ast.Subscript)
+                      and isinstance(node.slice, ast.Constant)
+                      and "stats" in (getattr(node.value, "id", None),
+                                      getattr(node.value, "attr", None))]
+    return reads
+
+
+def test_benchmark_stats_keys_exist(system, prior, make_scenario):
+    # run_rounds counts only RuntimeError, ValueError and ArithmeticError
+    # as a failed estimate: a missing key would stop the whole run
+    reads = _stats_reads()
+    assert {("AdjointStudy", "converged"), ("PceBuild", "n_starts"),
+            ("_surrogate_map_note", "n_converged_starts")} \
+        <= {(scope, key) for _, _, scope, key in reads}
+    assert not [r for r in reads if r[2] not in STATS_READERS]
+    obs, noise, events = make_scenario(0.5, dt_obs=0.1)
+    args = (system, obs, noise, prior, 0.5, 0.01, events)
+    stats = {"adjoint": gridest.estimate_adjoint(*args).stats,
+             "pce": gridest.estimate_pce(*args)[0].stats}
+    missing = [(f, line, key) for f, line, scope, key in reads
+               if key not in stats[STATS_READERS[scope]]]
+    assert not missing

@@ -277,11 +277,12 @@ def test_read_requires_sidecar(tmp_path, short_traj):
         read_observations(path)
 
 
-def _write_one_row(path, columns, bus, coords):
+def _write_one_row(path, columns, bus, coords, noise_var=None):
     """A one-row observations CSV and its sidecar, written by hand."""
     path.write_text(f"time,bus,{columns}\n0.1,{bus},1.0,0.0\n")
     path.with_suffix(".csv.meta.json").write_text(json.dumps(
-        {"coords": coords, "noise_var": {"iid": 1e-4}, "meta": {}}))
+        {"coords": coords, "noise_var": noise_var or {"iid": 1e-4},
+         "meta": {}}))
 
 
 def test_read_rejects_bus_outside_network(tmp_path):
@@ -312,3 +313,16 @@ def test_read_rejects_columns_that_disagree_with_sidecar(tmp_path):
     _write_one_row(path, "v_mag,v_ang", 1, "rect")
     with pytest.raises(ValueError, match="sidecar"):
         read_observations(path)
+
+
+def test_read_rejects_noise_variances_of_the_wrong_length(tmp_path):
+    # one row holds two observations: one variance or two, nothing else
+    path = tmp_path / "obs.csv"
+    for var in ([1e-4], [1e-4, 2e-4]):
+        _write_one_row(path, "v_re,v_im", 1, "rect", var)
+        assert read_observations(path)[1].var.size == 2
+    for var in ([1e-4] * 3, [1e-4] * 5):
+        _write_one_row(path, "v_re,v_im", 1, "rect", var)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: {len(var)} noise variances for 2 observations")):
+            read_observations(path)

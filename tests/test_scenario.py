@@ -1,5 +1,6 @@
 """Scenario configuration: defaults, validation, YAML round trip."""
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,7 +107,7 @@ def test_validation_rejects_bad_truth_and_prior_mean():
     with pytest.raises(ValueError, match="prior_mean"):
         ScenarioConfig(prior_mean=(0.05, 6.0, 3.1))
     with pytest.raises(ValueError, match="prior_mean"):
-        ScenarioConfig().with_overrides(prior_mean=(24.0, 6.0, -3.1))
+        replace(ScenarioConfig(), prior_mean=(24.0, 6.0, -3.1))
     # the bound itself is a valid start
     assert ScenarioConfig(prior_mean=(0.1, 6.0, 3.1)).prior_mean[0] == 0.1
 
@@ -162,15 +163,14 @@ def test_to_dict_structure():
     assert ScenarioConfig.from_dict(d) == cfg
 
 
-def test_with_overrides():
+def test_replace():
     cfg = ScenarioConfig()
-    new = cfg.with_overrides(t_f=2.0, seed=7, method="pce")
+    new = replace(cfg, t_f=2.0, seed=7, method="pce")
     assert new.t_f == 2.0
     assert new.seed == 7
     assert new.method == "pce"
-    # None entries mean "keep", and the original is untouched
-    same = cfg.with_overrides(t_f=None)
-    assert same.t_f == cfg.t_f
+    # the original is untouched
+    assert cfg.t_f == 5.0
     assert cfg.seed == 1234
     with pytest.raises(ValueError):
-        cfg.with_overrides(t_f=0.2)  # re-validated after the merge
+        replace(cfg, t_f=0.2)  # re-validated after the merge
