@@ -48,9 +48,7 @@ values pressed against 0/1 flag an over-confident or biased fit.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -287,12 +285,6 @@ class PosteriorSummary:
             out["metrics"] = {"err": self.err, "tau": self.tau,
                               "cns": self.cns.tolist()}
         return out
-
-    def to_json(self, path: str | Path, extra: dict | None = None) -> None:
-        doc = self.to_dict()
-        if extra:
-            doc.update(extra)
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def check_data(obs: ObservationSet, noise: NoiseModel, t_f: float,

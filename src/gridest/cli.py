@@ -1,13 +1,12 @@
 """Command-line interface: simulate, synthesize, estimate, sweep, check.
 
-Every output file starts with a reproducibility header (resolved config
-plus package version) and all numbers are written with repr-precision,
-so a rerun with the same config and seed is byte-identical.
+Every output file records the package version and resolved config and
+is written by observation.write_csv or write_json at repr precision, so
+a rerun with the same config and seed is byte-identical.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -22,17 +21,11 @@ from .bayes import AdjointObjective, PosteriorSummary, estimate_adjoint
 from .integrator import grid_nodes, simulate
 from .ninebus import N_BUS, N_MACH, load_system, state_names
 from .observation import (ObservationSet, observe, read_observations,
-                          synthesize_observations, write_observation_csv,
-                          write_observations, write_trajectory_csv)
+                          synthesize_observations, write_csv, write_json,
+                          write_observation_csv, write_observations,
+                          write_trajectory_csv)
 from .pce import PCE_RULES, estimate_pce
 from .scenario import DEFAULT_DISTURBANCE, METHODS, ScenarioConfig
-
-FMT = "{:.17g}"
-
-
-def _fmt(x) -> str:
-    return FMT.format(float(x))
-
 
 def _header_lines(cfg: ScenarioConfig) -> list[str]:
     return [f"gridest {__version__}",
@@ -141,8 +134,8 @@ def cmd_estimate(args) -> int:
         raise SystemExit(f"--data {args.data} does not fit the scenario "
                          f"(dt={cfg.dt}, t_f={cfg.t_f}): {exc}") from None
     summary = run_estimate(cfg, system, obs, noise)
-    summary.to_json(args.out, extra={"config": cfg.to_dict(),
-                                     "version": __version__})
+    write_json(args.out, {**summary.to_dict(), "config": cfg.to_dict(),
+                          "version": __version__})
     print(_report(summary))
     print(f"wrote {args.out}")
     return 0
@@ -167,10 +160,9 @@ def _sweep_one(packed):
     _, obs, noise = _synth(cfg, system)
     s = run_estimate(cfg, system, obs, noise)
     load = cfg.disturbance.load if cfg.disturbance is not None else 0.0
-    return [index, _fmt(cfg.t_f), _fmt(cfg.dt), _fmt(cfg.dt_obs), _fmt(load),
-            _fmt(cfg.noise_var), cfg.seed, cfg.method, *map(_fmt, s.m_map),
-            _fmt(np.trace(s.gamma_post)), _fmt(s.err), _fmt(s.tau),
-            *map(_fmt, s.cns), *(s.stats[k] for k in _SWEEP_COSTS),
+    return [index, cfg.t_f, cfg.dt, cfg.dt_obs, load, cfg.noise_var, cfg.seed,
+            cfg.method, *s.m_map, np.trace(s.gamma_post), s.err, s.tau,
+            *s.cns, *(s.stats[k] for k in _SWEEP_COSTS),
             int(s.stats["converged"])]
 
 
@@ -199,12 +191,7 @@ def cmd_sweep(args) -> int:
             rows = list(pool.map(_sweep_one, scenarios))
     else:
         rows = [_sweep_one(s) for s in scenarios]
-    with open(args.out, "w", newline="") as fh:
-        for line in _header_lines(cfg):
-            fh.write(f"# {line}\n")
-        w = csv.writer(fh)
-        w.writerow(_SWEEP_FIELDS)
-        w.writerows(rows)
+    write_csv(args.out, _SWEEP_FIELDS, rows, _header_lines(cfg))
     print(f"wrote {len(rows)} scenario rows to {args.out}")
     return 0
 
@@ -249,6 +236,15 @@ def _positive(text: str) -> float:
     if not x > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return x
+
+
+def _at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+    return integer
 
 
 def _scenario_flags(p: argparse.ArgumentParser) -> None:
@@ -301,13 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-var-list", dest="noise_var_list", type=float,
                    nargs="*")
     p.add_argument("--out", default="sweep.csv")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("gradient-check",
                        help="both sensitivity gradients vs central differences")
     _scenario_flags(p)
-    p.add_argument("--n-random", dest="n_random", type=int, default=0)
+    p.add_argument("--n-random", dest="n_random", type=_at_least(0), default=0)
     p.add_argument("--fd-step", dest="fd_step", type=_positive, default=1e-6)
     p.add_argument("--tol", type=float, default=1e-5)
     p.set_defaults(func=cmd_gradient_check)

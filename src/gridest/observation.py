@@ -49,8 +49,6 @@ class NoiseModel:
 
     @classmethod
     def iid(cls, variance: float, n: int) -> "NoiseModel":
-        if variance <= 0:
-            raise ValueError("noise variance must be positive")
         return cls(var=np.full(n, float(variance)))
 
     def __post_init__(self):
@@ -143,59 +141,62 @@ def normal_stream(seed: int, n: int) -> np.ndarray:
 
 def synthesize(f_true: np.ndarray, noise: NoiseModel, seed: int) -> np.ndarray:
     """d = f + eta with eta ~ N(0, diag(var)) from the documented stream."""
-    var = np.broadcast_to(noise.var, f_true.shape)
-    return f_true + np.sqrt(var) * normal_stream(seed, f_true.size)
+    return f_true + np.sqrt(noise.var) * normal_stream(seed, f_true.size)
 
 
 def synthesize_observations(traj, times, noise: NoiseModel, seed: int,
-                            buses=None, coords: str = RECT,
-                            meta: dict | None = None) -> ObservationSet:
+                            buses=None, coords: str = RECT) -> ObservationSet:
     """Simulate the measurement process on an existing trajectory."""
     if buses is None:
         buses = np.arange(N_BUS)
     f = observe(traj, times, buses, coords)
-    if noise.var.size == 1:
-        noise = NoiseModel.iid(float(noise.var[0]), f.size)
     if noise.var.size != f.size:
         raise ValueError("noise variance length does not match observables")
-    d = synthesize(f, noise, seed)
-    info = {"seed": int(seed)}
-    if meta:
-        info.update(meta)
     return ObservationSet(times=np.asarray(times, float),
                           buses=np.asarray(buses, int),
-                          values=d, coords=coords, meta=info)
+                          values=synthesize(f, noise, seed), coords=coords,
+                          meta={"seed": int(seed)})
 
 
 # ----------------------------------------------------------------------
-# file formats: CSV (time, bus, comp0, comp1) + JSON sidecar with the
-# noise/seed/config metadata
+# file formats, all written by write_csv and write_json: CSV (time, bus,
+# comp0, comp1) + JSON sidecar with the noise/seed/config metadata
 
-def write_observation_csv(obs: ObservationSet, path, header_lines=()) -> None:
-    """The CSV alone: header lines, column row, then time-major rows."""
-    values = obs.values.reshape(len(obs.times), len(obs.buses), 2)
+def write_csv(path, columns, rows, header_lines=()) -> None:
+    """Each header line as a `# ` comment, the column row, then the rows.
+    Floats, numpy's included, are written at repr precision (.17g), so
+    they read back bit-exactly; everything else as csv writes it."""
     with open(path, "w", newline="") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         w = csv.writer(fh)
-        w.writerow(["time", "bus", *_COMPONENTS[obs.coords]])
-        for t, row in zip(obs.times, values):
-            for b, (x0, x1) in zip(obs.buses, row):
-                w.writerow([f"{t:.17g}", b + 1, f"{x0:.17g}", f"{x1:.17g}"])
+        w.writerow(columns)
+        w.writerows([f"{x:.17g}" if isinstance(x, (float, np.floating)) else x
+                     for x in row] for row in rows)
+
+
+def write_json(path, doc) -> None:
+    """doc with indent 2, sorted keys and a trailing newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def write_observation_csv(obs: ObservationSet, path, header_lines=()) -> None:
+    """The CSV alone: header lines, column row, then time-major rows."""
+    values = obs.values.reshape(len(obs.times), len(obs.buses), 2)
+    write_csv(path, ["time", "bus", *_COMPONENTS[obs.coords]],
+              ((t, b + 1, x0, x1) for t, row in zip(obs.times, values)
+               for b, (x0, x1) in zip(obs.buses, row)), header_lines)
 
 
 def write_trajectory_csv(traj, path, state_names, header_lines=()) -> None:
     """Dump a trajectory as CSV: time, all states, bus |V| and angle."""
     polar = observe(traj, traj.times, coords=POLAR).reshape(-1, N_BUS, 2)
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        w = csv.writer(fh)
-        w.writerow(["time"] + list(state_names)
-                   + [f"vmag_{b + 1}" for b in range(N_BUS)]
-                   + [f"vang_{b + 1}" for b in range(N_BUS)])
-        for t, u, v in zip(traj.times, traj.states, polar):
-            w.writerow([f"{x:.17g}" for x in (t, *u, *v[:, 0], *v[:, 1])])
+    write_csv(path, ["time", *state_names,
+                     *(f"vmag_{b + 1}" for b in range(N_BUS)),
+                     *(f"vang_{b + 1}" for b in range(N_BUS))],
+              ((t, *u, *v[:, 0], *v[:, 1])
+               for t, u, v in zip(traj.times, traj.states, polar)),
+              header_lines)
 
 
 def write_observations(obs: ObservationSet, noise: NoiseModel, path,
@@ -207,14 +208,9 @@ def write_observations(obs: ObservationSet, noise: NoiseModel, path,
         noise_field = {"iid": float(noise.var[0])}
     else:
         noise_field = noise.var.tolist()
-    sidecar = {
-        "coords": obs.coords,
-        "noise_var": noise_field,
-        "meta": _jsonable(obs.meta),
-    }
-    with open(path.with_suffix(path.suffix + ".meta.json"), "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path.with_suffix(path.suffix + ".meta.json"),
+               {"coords": obs.coords, "noise_var": noise_field,
+                "meta": obs.meta})
 
 
 def read_observations(path) -> tuple[ObservationSet, NoiseModel]:
@@ -279,15 +275,3 @@ def read_observations(path) -> tuple[ObservationSet, NoiseModel]:
         raise ValueError(f"{path}: {noise_var.size} noise variances for "
                          f"{obs.size} observations")
     return obs, NoiseModel(var=noise_var)
-
-
-def _jsonable(d):
-    out = {}
-    for k, v in d.items():
-        if isinstance(v, np.ndarray):
-            out[k] = v.tolist()
-        elif isinstance(v, (np.integer, np.floating)):
-            out[k] = v.item()
-        else:
-            out[k] = v
-    return out

@@ -61,6 +61,7 @@ class ScenarioConfig:
             raise ValueError(
                 f"dt_obs {self.dt_obs!r} is not a positive multiple of "
                 f"dt={self.dt}")
+        observation_times(self.t_f, self.dt_obs)
         if self.disturbance is not None:
             grid_nodes([self.disturbance.start, self.disturbance.end],
                        self.dt, self.t_f, what="disturbance bound")

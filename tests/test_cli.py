@@ -58,6 +58,14 @@ def test_simulate_writes_trajectory_and_observables(tmp_path):
     assert np.all(np.hypot(vals[:, 0], vals[:, 1]) < 1.2)
 
 
+def test_simulate_with_no_observation_times_writes_nothing(tmp_path):
+    # the config rejects the grid before the trajectory file is written
+    with pytest.raises(ValueError, match="no observation times"):
+        _run(["simulate", "--t-f", "0.5", "--dt-obs", "1.0",
+              "--out-prefix", tmp_path / "case"])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_synth_data_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert _run(["synth-data", *FAST, "--out", a]) == 0
@@ -350,6 +358,22 @@ def test_gradient_check_rejects_nonpositive_fd_step(capsys, step):
         _run(["gradient-check", *FAST, f"--fd-step={step}"])
     assert exc.value.code == 2
     assert "--fd-step: must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--jobs", "0"], "--jobs: must be >= 1, got 0"),
+    (["sweep", "--jobs", "-4"], "--jobs: must be >= 1, got -4"),
+    (["gradient-check", "--n-random", "-2"],
+     "--n-random: must be >= 0, got -2"),
+])
+def test_count_flags_reject_out_of_range(tmp_path, monkeypatch, capsys,
+                                        argv, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        _run([*argv, *FAST])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_version_flag(capsys):

@@ -1,8 +1,10 @@
 """Observation extraction, noise synthesis, and the CSV data formats."""
+import ast
 import csv
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ from gridest.ninebus import N_BUS, DisturbanceEvent, ix_vre, state_names
 from gridest.observation import (NoiseModel, ObservationSet, normal_stream,
                                  observation_partials, observation_times,
                                  observe, read_observations, synthesize,
-                                 synthesize_observations, write_observations,
-                                 write_trajectory_csv)
+                                 synthesize_observations, write_csv,
+                                 write_observations, write_trajectory_csv)
 
 
 @pytest.fixture(scope="module")
@@ -129,14 +131,15 @@ def test_synthesize_noise_scales_with_std():
 def test_synthesize_observations_metadata(short_traj):
     times = observation_times(0.4, 0.05)
     noise = NoiseModel.iid(1e-4, 2 * N_BUS * len(times))
-    obs = synthesize_observations(short_traj, times, noise, seed=99,
-                                  meta={"tag": "x"})
+    obs = synthesize_observations(short_traj, times, noise, seed=99)
     assert obs.size == 2 * N_BUS * 8
-    assert obs.meta["seed"] == 99
-    assert obs.meta["tag"] == "x"
-    with pytest.raises(ValueError):
-        synthesize_observations(short_traj, times,
-                                NoiseModel(var=np.full(7, 1e-4)), seed=0)
+    assert obs.meta == {"seed": 99}
+    # one variance per observable: a one-entry model is not broadcast,
+    # since both estimators would reject it after synthesis
+    for n in (7, 1):
+        with pytest.raises(ValueError, match="noise variance length"):
+            synthesize_observations(short_traj, times,
+                                    NoiseModel(var=np.full(n, 1e-4)), seed=0)
 
 
 def test_noise_model_validation():
@@ -168,8 +171,7 @@ def test_observation_set_validation():
 def test_csv_round_trip(tmp_path, short_traj):
     times = observation_times(0.4, 0.1)
     noise = NoiseModel.iid(1e-4, 2 * N_BUS * len(times))
-    obs = synthesize_observations(short_traj, times, noise, seed=1234,
-                                  meta={"note": "rt"})
+    obs = synthesize_observations(short_traj, times, noise, seed=1234)
     path = tmp_path / "obs.csv"
     write_observations(obs, noise, path, header_lines=("generated",))
     assert path.read_text().startswith("# generated\n")
@@ -178,8 +180,7 @@ def test_csv_round_trip(tmp_path, short_traj):
     assert np.allclose(back.times, obs.times)
     assert np.array_equal(back.buses, obs.buses)
     assert back.coords == obs.coords
-    assert back.meta["seed"] == 1234
-    assert back.meta["note"] == "rt"
+    assert back.meta == {"seed": 1234}
     assert noise_back.var.shape == (obs.size,)
     assert np.allclose(noise_back.var, 1e-4)
 
@@ -219,6 +220,68 @@ def test_trajectory_csv_round_trip(tmp_path, system):
     # derived magnitude column consistent with the stored voltages
     vre, vim = traj.states[:, 27], traj.states[:, 28]
     assert np.allclose(vals[:, 46], np.hypot(vre, vim))
+
+
+def test_write_csv_format(tmp_path):
+    floats = [0.1 + 0.2, np.float64(1.0) / 3.0, np.float32(0.1), 1e-300]
+    path = tmp_path / "x.csv"
+    write_csv(path, ["a", "b", "c", "d"],
+              [floats, [7, np.int64(-3), "adjoint", "x,y"]],
+              header_lines=("one", "two"))
+    lines = path.read_text().splitlines()
+    assert lines[:3] == ["# one", "# two", "a,b,c,d"]
+    with open(path) as fh:
+        rows = list(csv.reader(r for r in fh if not r.startswith("#")))
+    assert [float(x) for x in rows[1]] == [float(x) for x in floats]
+    assert rows[1][0] == "0.30000000000000004"
+    assert rows[2] == ["7", "-3", "adjoint", "x,y"]
+
+
+# the one place each output format is written
+WRITERS = {"observation.write_csv", "observation.write_json",
+           "scenario.ScenarioConfig.save"}
+_WRITE_CALLS = {("csv", "writer"), ("json", "dump")}
+
+
+def _writes(call: ast.Call) -> bool:
+    """Whether a call writes a file: open or Path.open in a writing mode,
+    write_text, write_bytes, csv.writer or json.dump."""
+    f = call.func
+    method = isinstance(f, ast.Attribute)
+    name = f.attr if method else getattr(f, "id", None)
+    owner = getattr(f.value, "id", None) if method else None
+    if name in ("write_text", "write_bytes") or (owner, name) in _WRITE_CALLS:
+        return True
+    if name != "open":
+        return False
+    args = call.args[0 if method else 1:]     # the mode follows open's path
+    mode = next((k.value for k in call.keywords if k.arg == "mode"),
+                args[0] if args else ast.Constant("r"))
+    return not isinstance(mode, ast.Constant) or \
+        bool(set(str(mode.value)) & set("wax+"))
+
+
+def _writing_scopes(node, scope):
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        if isinstance(child, ast.Call) and _writes(child):
+            yield scope, child.lineno
+        yield from _writing_scopes(child, inner)
+
+
+def test_only_the_format_writers_write_files():
+    import gridest
+    found = set()
+    for path in sorted(Path(gridest.__file__).parent.glob("*.py")):
+        found |= set(_writing_scopes(ast.parse(path.read_text()), path.stem))
+    stray = sorted(f"{scope}:{line}" for scope, line in found
+                   if scope not in WRITERS)
+    assert not stray, f"files written outside the format writers: {stray}"
+    # the walk sees each writer, so it would see another
+    assert {scope for scope, _ in found} == WRITERS
 
 
 def test_read_rejects_repeated_row(tmp_path, short_traj):

@@ -95,6 +95,10 @@ def test_validation_rejects_off_grid_t_f_and_disturbance():
     with pytest.raises(ValueError, match="dt_obs 1e-12 is not a positive "
                                          "multiple of dt=0.01"):
         ScenarioConfig(dt_obs=1e-12)
+    # a cadence longer than the horizon observes nothing
+    with pytest.raises(ValueError, match=re.escape(
+            "no observation times in (0, t_f]")):
+        ScenarioConfig(t_f=0.5, dt_obs=1.0)
 
 
 def test_validation_rejects_bad_truth_and_prior_mean():
