@@ -31,7 +31,8 @@ the one-sided difference it is O(h) in the Hessian; FD_REL_STEP keeps
 both near 1e-7 relative, while the roundoff of the difference stays
 below that.  The Hessian keeps the residual curvature, and the Laplace
 step costs three tangent-linear passes.  Both back ends end in
-PosteriorSummary.at_map, which makes the convergence verdict there.
+PosteriorSummary.at_map, which takes the MAP driver's convergence
+verdict (its Newton decrement test) as the estimate's.
 
 stats records the cost in solves: forward_solves (the MAP driver's
 n_evals; the Laplace step makes none), tangent_solves (iterations + 4),
@@ -56,9 +57,8 @@ from scipy.special import ndtr
 
 from .adjoint import backward_sweep, misfit, residual, tangent_linear
 from .integrator import NEWTON_TOL, grid_nodes, simulate
-from .lbfgs import at_roundoff_floor
 from .lbfgs import minimize as map_estimate
-from .observation import NoiseModel, ObservationSet
+from .observation import NoiseModel, ObservationSet, check_noise_length
 
 FD_REL_STEP = 1e-7     # relative one-sided step, Laplace Hessian
 FD_SYM_TOL = 1e-3      # largest relative asymmetry of that Hessian
@@ -257,15 +257,14 @@ class PosteriorSummary:
                                                    self.m_true)
 
     @classmethod
-    def at_map(cls, res, gpost, hess, method, m_true, stats):
-        """The summary at the MAP driver's result res; hess is the Hessian
-        there and gpost its inverse.  converged: the driver met its
-        tolerance, or stopped at the roundoff floor that hess certifies
-        (at_roundoff_floor).  The driver's keys, one history record per
-        iterate among them, come ahead of the back end's stats."""
-        converged = res.converged or at_roundoff_floor(res, hess)
+    def at_map(cls, res, gpost, method, m_true, stats):
+        """The summary at the MAP driver's result res, with gpost the
+        Laplace covariance there.  converged is the driver's verdict:
+        its Newton decrement fell to its tolerance.  The driver's keys,
+        one history record per iterate among them, come ahead of the
+        back end's stats."""
         driver = {"iterations": res.iterations, "n_evals": res.n_evals,
-                  "converged": converged, "message": res.message,
+                  "converged": res.converged, "message": res.message,
                   "final_grad_norm": res.grad_norm, "objective": res.fun,
                   "history": res.history}
         return cls(m_map=res.x, gamma_post=gpost, method=method,
@@ -292,9 +291,7 @@ def check_data(obs: ObservationSet, noise: NoiseModel, t_f: float,
     """Reject, before any solve, observation times off the integrator's
     grid or past t_f, and a noise model whose length is not the data's."""
     grid_nodes(obs.times, dt, t_f, "observation time")
-    if noise.var.size != obs.size:
-        raise ValueError(f"{noise.var.size} noise variances for {obs.size} "
-                         f"observations")
+    check_noise_length(obs, noise)
 
 
 def estimate_adjoint(system, obs: ObservationSet, noise: NoiseModel,
@@ -306,12 +303,12 @@ def estimate_adjoint(system, obs: ObservationSet, noise: NoiseModel,
     res = map_estimate(objective, prior.mean.copy())
     # map_estimate returns the last point it linearized
     assert np.array_equal(objective.anchor.m, res.x)
-    gpost, hess = laplace_covariance(res.x, objective.predicted_gradient,
-                                     objective.anchor_gradient)
+    gpost, _ = laplace_covariance(res.x, objective.predicted_gradient,
+                                  objective.anchor_gradient)
     stats = {
         "forward_solves": objective.n_forward,
         "tangent_solves": objective.n_tangent,
         "newton_iters": objective.newton_iters,
         "newton_factorizations": objective.newton_factorizations,
     }
-    return PosteriorSummary.at_map(res, gpost, hess, "adjoint", m_true, stats)
+    return PosteriorSummary.at_map(res, gpost, "adjoint", m_true, stats)

@@ -23,24 +23,23 @@ limited-memory BFGS loop is gone.
   2019).  Near the MAP a Gauss-Newton step predicts a decrease below
   that noise, and the strict test would reject every trial on the draw
   of the noise alone.
-* Convergence is tested on the projected gradient, so an iterate resting
-  on the bound with an outward-pointing gradient counts as stationary.
+* Convergence is tested over the same free variables, so an iterate
+  resting on the bound with an outward-pointing gradient can stop.
 
-Termination: converged means the projected gradient infinity norm
-dropped to tol.  Large-scale objectives (a misfit summing thousands of
-squared residuals) hit double-precision limits first: once the gradient
-norm falls to roughly sqrt(eps * |f| * lambda_max), a Newton step
-changes f by less than one unit in the last place and no line search
-can verify descent.  An objective evaluated to a coarser value_noise
-has the same limit at that noise, which the relaxed Armijo test
-allows for: a trial within 2 value_noise of f is accepted rather than
-ending the loop.  The loop therefore also stops, not converged, when
-its gradient is at that floor for the model Hessian (at_roundoff_floor),
-when backtracking finds no decrease, or at max_iter.  The final floor
-verdict is made by bayes.PosteriorSummary.at_map from the MAP's Hessian.
+Termination: converged means the Newton decrement over the free
+variables F, lambda^2 = g_F^T H_FF^-1 g_F, dropped to decrement_tol
+(Boyd & Vandenberghe, Convex Optimization, 2004, sec. 9.5.1).  H is the
+model Hessian, whose inverse is the Gauss-Newton posterior covariance,
+so lambda is the length of the next step in posterior standard
+deviations and J is within about lambda^2 / 2 of its minimum: the
+default DECREMENT_TOL = 1e-6 stops about 1e-3 sd from the MAP, far
+below anything the posterior resolves.  The test costs nothing, since
+the step solves with H_FF anyway.  The loop also stops, not converged,
+when backtracking finds no decrease or at max_iter.
 
-One record per iterate (value, gradient norm, step length, cumulative
-evaluations) is kept in history for machine-readable logging.
+One record per iterate (value, gradient norm, Newton decrement, step
+length, cumulative evaluations) is kept in history for machine-readable
+logging.
 """
 from __future__ import annotations
 
@@ -53,7 +52,7 @@ from .integrator import StepFailure
 H_LOWER_BOUND = 0.1    # physical safety net for the optimizer (seconds)
 ARMIJO_C1 = 1e-4       # sufficient decrease of a Gauss-Newton step
 BACKTRACKS = 10        # trial points per Gauss-Newton step
-_EPS = float(np.finfo(float).eps)
+DECREMENT_TOL = 1e-6   # lambda^2 at which the MAP is converged
 
 
 @dataclass
@@ -68,7 +67,7 @@ class OptimizeResult:
     history: list[dict] = field(default_factory=list)
 
 
-def minimize(objective, m0: np.ndarray, tol: float = 1e-6,
+def minimize(objective, m0: np.ndarray, decrement_tol: float = DECREMENT_TOL,
              max_iter: int = 50) -> OptimizeResult:
     """Minimize the objective from m0 by Gauss-Newton steps kept above
     H_LOWER_BOUND.
@@ -77,10 +76,10 @@ def minimize(objective, m0: np.ndarray, tol: float = 1e-6,
     iterate and objective.value(m) gives J at a trial point;
     objective.value_noise, read after each linearization, bounds the
     error of either J (0.0 for an exactly computed one).  The result
-    holds the last point linearized.  Only a projected gradient at tol
-    is converged; any other stop says why in message: "gradient at the
-    roundoff floor", "backtracking found no decrease" or "max_iter
-    reached".  n_evals counts the points at which J was computed.
+    holds the last point linearized.  Only a Newton decrement at
+    decrement_tol is converged; any other stop says why in message:
+    "backtracking found no decrease" or "max_iter reached".  n_evals
+    counts the points at which J was computed.
     """
     x = np.array(m0, dtype=float)
     if np.any(x < H_LOWER_BOUND):
@@ -92,25 +91,24 @@ def minimize(objective, m0: np.ndarray, tol: float = 1e-6,
     alpha = None
     while True:
         at_bound = x <= H_LOWER_BOUND + 1e-12
-        held = at_bound & (g >= 0.0)
+        free = ~(at_bound & (g >= 0.0))
+        newton = np.linalg.solve(hess[np.ix_(free, free)], g[free])
+        decrement = float(g[free] @ newton)
         res.x, res.fun = x, f
-        res.grad_norm = float(np.linalg.norm(np.where(held, 0.0, g), np.inf))
+        res.grad_norm = float(np.linalg.norm(np.where(free, g, 0.0), np.inf))
         res.history.append({"iter": res.iterations, "fun": f,
-                            "grad_norm": res.grad_norm, "step": alpha,
+                            "grad_norm": res.grad_norm,
+                            "decrement": decrement, "step": alpha,
                             "evals": res.n_evals})
-        if res.grad_norm <= tol:
+        if decrement <= decrement_tol:
             res.converged = True
-            res.message = "projected gradient below tolerance"
-            return res
-        if at_roundoff_floor(res, hess):
-            res.message = "gradient at the roundoff floor"
+            res.message = "Newton decrement below tolerance"
             return res
         if res.iterations >= max_iter:
             return res
 
-        free = ~held
         p = np.zeros_like(x)
-        p[free] = -np.linalg.solve(hess[np.ix_(free, free)], g[free])
+        p[free] = -newton
         p[at_bound & (p < 0.0)] = 0.0
         into = p < 0.0
         alpha = 1.0
@@ -134,16 +132,3 @@ def minimize(objective, m0: np.ndarray, tol: float = 1e-6,
         x = x_new
         f, g, hess = objective.linearize(x)
         res.iterations += 1
-
-
-def at_roundoff_floor(res: OptimizeResult, hess: np.ndarray) -> bool:
-    """True when res stopped with its gradient at the roundoff floor.
-
-    hess is the exact (or finite-difference) Hessian at res.x.  The
-    floor is 10 sqrt(eps max(1, |f|) lambda_max), see the module
-    docstring; a Hessian with no positive eigenvalue certifies nothing.
-    """
-    lam = float(np.linalg.eigvalsh(hess)[-1])
-    if lam <= 0.0:
-        return False
-    return bool(res.grad_norm <= 10.0 * np.sqrt(_EPS * max(1.0, abs(res.fun)) * lam))

@@ -52,11 +52,6 @@ DELTA, OMEGA, EQP, EDP, EFD, RF, VR = range(7)
 _X_LABELS = ("delta", "omega", "eqp", "edp", "efd", "rf", "vr")
 
 
-def ix_x(mach: int, comp: int) -> int:
-    """Flat index of differential state `comp` of machine `mach`."""
-    return 7 * mach + comp
-
-
 def ix_id(mach: int) -> int:
     return N_X + 2 * mach
 

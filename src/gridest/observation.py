@@ -199,9 +199,19 @@ def write_trajectory_csv(traj, path, state_names, header_lines=()) -> None:
               header_lines)
 
 
+def check_noise_length(obs: ObservationSet, noise: NoiseModel) -> None:
+    """Reject a noise model whose length is not the observations'."""
+    if noise.var.size != obs.size:
+        raise ValueError(f"{noise.var.size} noise variances for {obs.size} "
+                         f"observations")
+
+
 def write_observations(obs: ObservationSet, noise: NoiseModel, path,
                        header_lines=()) -> None:
-    """The CSV plus its JSON sidecar with the noise model and metadata."""
+    """The CSV plus its JSON sidecar with the noise model and metadata.
+    A noise model of the wrong length is rejected before either file is
+    written."""
+    check_noise_length(obs, noise)
     path = Path(path)
     write_observation_csv(obs, path, header_lines)
     if noise.var.size > 1 and np.all(noise.var == noise.var[0]):

@@ -104,9 +104,6 @@ class ScenarioConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def save(self, path) -> None:
-        Path(path).write_text(yaml.safe_dump(self.to_dict(), sort_keys=True))
-
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
         d = dict(d)

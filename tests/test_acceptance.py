@@ -83,8 +83,7 @@ def test_criterion_03_conjugate_gaussian_oracle():
         # translated by SHIFT, so that the prior means in [-1, 1] lie
         # above the MAP driver's lower bound
         objective = shifted_linear(a, d, noise_var, prior)
-        res = minimize(objective, objective.prior.mean.copy(), tol=1e-10,
-                       max_iter=200)
+        res = minimize(objective, objective.prior.mean.copy(), max_iter=200)
         assert np.max(np.abs(res.x - SHIFT - m_post)) < 1e-6
         gpost, _ = laplace_covariance(res.x, objective.gradient,
                                       objective.gradient(res.x))

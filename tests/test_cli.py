@@ -6,6 +6,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+import yaml
 
 import gridest.bayes
 import gridest.cli
@@ -204,7 +205,7 @@ def test_estimate_names_data_past_t_f(tmp_path, monkeypatch):
 def test_config_file_with_flag_overrides(tmp_path):
     cfg = ScenarioConfig(t_f=0.5, dt_obs=0.1, seed=555)
     cfg_path = tmp_path / "scenario.yaml"
-    cfg.save(cfg_path)
+    cfg_path.write_text(yaml.safe_dump(cfg.to_dict(), sort_keys=True))
     a = tmp_path / "a.csv"
     _run(["synth-data", "--config", cfg_path, "--out", a])
     obs, _ = read_observations(a)
@@ -223,7 +224,9 @@ def test_config_file_with_flag_overrides(tmp_path):
         "bus": 7, "start": 0.2, "duration": 0.1, "load": 6.5}
     # a file without a disturbance starts the flags from the default event
     none_path = tmp_path / "none.yaml"
-    ScenarioConfig(t_f=0.5, dt_obs=0.1, disturbance=None).save(none_path)
+    none_path.write_text(yaml.safe_dump(
+        ScenarioConfig(t_f=0.5, dt_obs=0.1, disturbance=None).to_dict(),
+        sort_keys=True))
     assert "disturbance: null" in none_path.read_text()
     d = tmp_path / "d.csv"
     _run(["synth-data", "--config", none_path, "--load", "7.0", "--out", d])

@@ -5,20 +5,21 @@ import yaml
 
 from gridest.ninebus import (DELTA, EDP, EQP, N_BUS, N_MACH, N_STATE, N_X,
                              N_Y, OMEGA, DisturbanceEvent, GeneratorParams,
-                             ix_id, ix_iq, ix_vre, ix_vim, ix_x, load_system,
+                             ix_id, ix_iq, ix_vre, ix_vim, load_system,
                              state_names)
 
 
 def test_dimensions_and_index_helpers():
     assert (N_X, N_Y, N_STATE) == (21, 24, 45)
-    assert ix_x(0, DELTA) == 0
-    assert ix_x(1, OMEGA) == 8
-    assert ix_x(2, EQP) == 16
+    # differential state comp of machine mach sits at 7 * mach + comp
+    names = state_names()
+    assert names[7 * 0 + DELTA] == "delta_1"
+    assert names[7 * 1 + OMEGA] == "omega_2"
+    assert names[7 * 2 + EQP] == "eqp_3"
     assert ix_id(0) == 21
     assert ix_iq(2) == 26
     assert ix_vre(0) == 27
     assert ix_vim(8) == 44
-    names = state_names()
     assert len(names) == N_STATE
     assert names[0] == "delta_1"
     assert names[ix_id(0)] == "id_1"
@@ -192,7 +193,7 @@ def test_jac_m_matches_finite_differences(system):
     # inertia enters the speed equations only
     rows = np.max(np.abs(jac), axis=1)
     nonzero = np.flatnonzero(rows > 0)
-    assert set(nonzero) <= {ix_x(i, OMEGA) for i in range(N_MACH)}
+    assert set(nonzero) <= {7 * i + OMEGA for i in range(N_MACH)}
 
 
 def _reference_jac_m(system, u, m, p_load, q_load):

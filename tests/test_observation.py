@@ -197,6 +197,20 @@ def test_csv_round_trip_heteroscedastic(tmp_path, short_traj):
     assert np.allclose(noise_back.var, var, rtol=1e-15)
 
 
+@pytest.mark.parametrize("var", [np.full(7, 1e-4),
+                                 np.linspace(1e-4, 7e-4, 7), np.array([1e-4])],
+                         ids=["equal", "unequal", "one"])
+def test_write_observations_rejects_noise_of_the_wrong_length(tmp_path, var):
+    # 8 values: a 7-entry model of equal variances would read back as 8,
+    # one of unequal variances would not read back; neither file is written
+    obs = ObservationSet(times=[0.1, 0.2], buses=[0, 1], values=np.zeros(8))
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError,
+                       match=f"{var.size} noise variances for 8 observations"):
+        write_observations(obs, NoiseModel(var=var), path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_trajectory_csv_round_trip(tmp_path, system):
     ev = DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5)
     traj = simulate(system, system.h_ref, 0.3, 0.01, events=(ev,))
@@ -238,8 +252,7 @@ def test_write_csv_format(tmp_path):
 
 
 # the one place each output format is written
-WRITERS = {"observation.write_csv", "observation.write_json",
-           "scenario.ScenarioConfig.save"}
+WRITERS = {"observation.write_csv", "observation.write_json"}
 _WRITE_CALLS = {("csv", "writer"), ("json", "dump")}
 
 
