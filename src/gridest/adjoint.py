@@ -93,7 +93,8 @@ def misfit_state_gradients(traj: Trajectory, obs: ObservationSet,
 def _linearized_steps(system, traj: Trajectory, m: np.ndarray,
                       names: tuple[str, str], reverse: bool = False):
     """The linearization of traj at m, step by step, in time order or
-    reversed: for step k, under its loads, (k, (F_u, F_m) at node k's
+    reversed: for step k, under its load-set matrix
+    traj.load_sets[traj.step_loads[k]], (k, (F_u, F_m) at node k's
     stored state, (F_u, F_m) at the arrival state, the Newton matrix's
     LU, g_y's LU at a projection node k or None).  The arrival state is
     pre-switch at a projection node; the stored one is post-switch.
@@ -105,16 +106,14 @@ def _linearized_steps(system, traj: Trajectory, m: np.ndarray,
     latest = None, None     # (node, (F_u, F_m)) evaluated last
     steps = range(traj.n_steps)
     for k in reversed(steps) if reverse else steps:
-        li = traj.step_loads[k]
-        p, q = traj.p_loads[li], traj.q_loads[li]
+        loads = traj.load_sets[traj.step_loads[k]]
         jac = {}
         for node in (k + 1, k) if reverse else (k, k + 1):
             if latest[0] != node or node in traj.pre_event:
-                t = traj.times[node]
                 u = (traj.states[k] if node == k
                      else traj.pre_event.get(node, traj.states[node]))
-                latest = node, (system.jac_u(t, u, m, p, q),
-                                system.jac_m(t, u, m, p, q))
+                latest = node, (system.jac_u(u, m, loads),
+                                system.jac_m(u, m))
             jac[node] = latest[1]
         step_lu = lu_factor(newton_matrix(system, jac[k + 1][0], traj.dt),
                             names[0], traj.times[k + 1])

@@ -56,7 +56,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import ndtr
 
 from .adjoint import backward_sweep, misfit, residual, tangent_linear
-from .integrator import NEWTON_TOL, grid_nodes, simulate
+from .integrator import grid_nodes, simulate
 from .lbfgs import minimize as map_estimate
 from .observation import NoiseModel, ObservationSet, check_noise_length
 
@@ -75,8 +75,10 @@ class GaussianPrior:
         object.__setattr__(self, "var", np.asarray(self.var, dtype=float))
         if self.mean.shape != self.var.shape:
             raise ValueError("prior mean/var shape mismatch")
-        if np.any(self.var <= 0):
-            raise ValueError("prior variances must be positive")
+        if not np.all(np.isfinite(self.mean)):
+            raise ValueError("prior mean must be finite")
+        if not np.all(np.isfinite(self.var) & (self.var > 0)):
+            raise ValueError("prior variances must be positive and finite")
 
     def neg_log(self, m: np.ndarray) -> float:
         r = m - self.mean
@@ -94,13 +96,6 @@ class AdjointObjective:
     from the anchor's prediction; predicted_gradient(m) costs one
     tangent-linear pass along it, and equals anchor_gradient at the
     anchor's m.
-
-    Each step of a forward solve stops at a residual within NEWTON_TOL,
-    so J depends on the Newton start to about
-    NEWTON_TOL ||Gn^-1 (f - d)||_1.  linearize sets value_noise to that
-    bound at its point (1.4e-7 at the 5 s MAP of the test data, where
-    anchored and cold solves at one m give J a few 1e-9 apart), and the
-    MAP driver's Armijo test allows it on each side of a comparison.
     """
 
     def __init__(self, system, obs: ObservationSet, noise: NoiseModel,
@@ -119,7 +114,6 @@ class AdjointObjective:
         self._latest = None    # (m, trajectory) of the latest forward solve
         self.anchor = None     # Sensitivity of the latest linearization
         self.anchor_gradient = None    # and the gradient it gave
-        self.value_noise = 0.0    # bound on the error of J, from linearize
 
     def simulate(self, m):
         self.n_forward += 1
@@ -159,9 +153,7 @@ class AdjointObjective:
             traj = self.simulate(m)
         jac, self.anchor, r, grad = self._tangent(traj, m)
         self.anchor_gradient = grad
-        wr = r / self.noise.var
-        self.value_noise = NEWTON_TOL * float(np.abs(wr).sum())
-        j = 0.5 * float(r @ wr) + self.prior.neg_log(m)
+        j = 0.5 * float(r @ (r / self.noise.var)) + self.prior.neg_log(m)
         return j, grad, gauss_newton_hessian(jac, self.noise.var, self.prior)
 
     def predicted_gradient(self, m: np.ndarray) -> np.ndarray:

@@ -42,13 +42,15 @@ leaves the discrete adjoint exact.
 
 Every time that meets the grid (t_f, event bounds, observation times)
 is mapped to its node by grid_nodes, so load-switch events coincide
-with grid points.  Load set 0 is the nominal one, to which the initial
-equilibrium belongs, and node k is a switching instant when its load
-set differs from node k-1's (node 0's from set 0).  There the
-differential states are continuous while the algebraic variables jump:
-they are re-solved under the new load set (consistency projection).
-The trajectory stores the post-switch state as the state of that node
-and keeps the pre-switch one alongside for the adjoint.
+with grid points.  The schedule builds each load set's matrix once
+(system.load_set) and hands it to every rhs and jac_u call under that
+set.  Load set 0 is the nominal one, to which the initial equilibrium
+belongs, and node k is a switching instant when its load set differs
+from node k-1's (node 0's from set 0).  There the differential states
+are continuous while the algebraic variables jump: they are re-solved
+under the new load set (consistency projection).  The trajectory
+stores the post-switch state as the state of that node and keeps the
+pre-switch one alongside for the adjoint.
 """
 from __future__ import annotations
 
@@ -78,9 +80,9 @@ class Trajectory:
 
     states[k] is the (consistent) state at times[k]; for event nodes the
     pre-switch state is kept in pre_event.  step_loads[k] gives the
-    index into (p_loads, q_loads) of the load set active on
-    [times[k], times[k+1]); set 0 is the nominal one, under which
-    states[0] is the equilibrium.  newton_iters counts the Newton
+    index into load_sets, the stacked load-set matrices, of the set
+    active on [times[k], times[k+1]); set 0 is the nominal one, under
+    which states[0] is the equilibrium.  newton_iters counts the Newton
     updates of the steps, newton_factorizations the LUs of every Newton
     solve, projections included.
     """
@@ -88,8 +90,7 @@ class Trajectory:
     states: np.ndarray
     dt: float
     step_loads: np.ndarray
-    p_loads: np.ndarray
-    q_loads: np.ndarray
+    load_sets: np.ndarray
     pre_event: dict[int, np.ndarray] = field(default_factory=dict)
     newton_iters: int = 0
     newton_factorizations: int = 0
@@ -122,7 +123,9 @@ def grid_nodes(times, dt: float, t_f: float | None = None,
 
 
 def build_load_schedule(system, events, dt: float, t_f: float):
-    """Map each step interval to a load set, the nominal one first.
+    """Map each step interval to a load set, the nominal one first:
+    (load_sets, step_loads), with one system.load_set matrix per
+    distinct (p, q) and step_loads[k] the set of step k.
 
     t_f and the event bounds must lie on the grid, the bounds within
     [0, t_f].
@@ -135,21 +138,17 @@ def build_load_schedule(system, events, dt: float, t_f: float):
                                  what="event bound").tolist())
     bounds = sorted(bounds)
 
-    p_nom, q_nom = system.loads_at(0.0)
-    p_list, q_list = [p_nom], [q_nom]
+    sets = [system.loads_at(0.0)]    # distinct (p, q), the nominal first
     step_loads = np.empty(n, dtype=int)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        t_mid = (lo + 0.5) * dt
-        p, q = system.loads_at(t_mid, events)
-        for idx, (pp, qq) in enumerate(zip(p_list, q_list)):
-            if np.array_equal(pp, p) and np.array_equal(qq, q):
-                step_loads[lo:hi] = idx
-                break
-        else:
-            p_list.append(p)
-            q_list.append(q)
-            step_loads[lo:hi] = len(p_list) - 1
-    return np.array(p_list), np.array(q_list), step_loads
+        p, q = system.loads_at((lo + 0.5) * dt, events)
+        same = [np.array_equal(pp, p) and np.array_equal(qq, q)
+                for pp, qq in sets]
+        if not any(same):
+            sets.append((p, q))
+            same.append(True)
+        step_loads[lo:hi] = same.index(True)
+    return np.array([system.load_set(p, q) for p, q in sets]), step_loads
 
 
 def newton_matrix(system, fu: np.ndarray, dt: float) -> np.ndarray:
@@ -229,16 +228,17 @@ def _residual_weights(n_state: int, n_x: int, dt: float) -> np.ndarray:
 
 
 def step_trapezoidal(system, u_k: np.ndarray, t_k: float, dt: float,
-                     m: np.ndarray, p_load: np.ndarray, q_load: np.ndarray,
-                     f_k: np.ndarray, u_guess: np.ndarray):
-    """One implicit step from (t_k, u_k); returns
-    (u_{k+1}, f_{k+1}, newton_iters, newton_factorizations).
+                     m: np.ndarray, loads: np.ndarray, f_k: np.ndarray,
+                     u_guess: np.ndarray):
+    """One implicit step from (t_k, u_k) under the load-set matrix
+    loads; returns (u_{k+1}, f_{k+1}, newton_iters,
+    newton_factorizations).
 
-    f_k is the caller's cached RHS at the departure state and u_guess
-    the Newton start.  The returned state satisfies the step equations
-    with residual inf-norm below NEWTON_ACCEPT (typically near machine
-    precision); f_{k+1} is the RHS there, from the final residual
-    evaluation.
+    t_k only names the step in a StepFailure.  f_k is the caller's
+    cached RHS at the departure state and u_guess the Newton start.  The
+    returned state satisfies the step equations with residual inf-norm
+    below NEWTON_ACCEPT (typically near machine precision); f_{k+1} is
+    the RHS there, from the final residual evaluation.
 
     The residual is built in one reused vector as
     M (v - u_k) - w (M f_k + f(v)): the trapezoidal rows, and -g(v)
@@ -255,7 +255,7 @@ def step_trapezoidal(system, u_k: np.ndarray, t_k: float, dt: float,
 
     def residual(v):
         nonlocal f_v
-        f_v = system.rhs(t_next, v, m, p_load, q_load)
+        f_v = system.rhs(v, m, loads)
         np.subtract(v, u_k, out=phi)
         np.multiply(phi, mass, out=phi)
         wf = f_kx + f_v
@@ -264,7 +264,7 @@ def step_trapezoidal(system, u_k: np.ndarray, t_k: float, dt: float,
         return phi
 
     def matrix(v):
-        return newton_matrix(system, system.jac_u(t_next, v, m, p_load, q_load), dt)
+        return newton_matrix(system, system.jac_u(v, m, loads), dt)
 
     v = u_guess.copy()
     its, factored = _newton(residual, matrix, v, "Newton", t_next)
@@ -272,24 +272,27 @@ def step_trapezoidal(system, u_k: np.ndarray, t_k: float, dt: float,
 
 
 def solve_algebraic(system, u: np.ndarray, t: float, m: np.ndarray,
-                    p_load: np.ndarray, q_load: np.ndarray) -> np.ndarray:
-    """Re-solve g(x, y) = 0 for y with the differential states frozen.
+                    loads: np.ndarray) -> np.ndarray:
+    """Re-solve g(x, y) = 0 for y with the differential states frozen,
+    under the load-set matrix loads.
 
-    Used at load switches; Newton on the algebraic block from u.
-    Returns the consistent state, the RHS there, from the final
-    residual evaluation, and the LU factorizations Newton made.
+    Used at load switches; Newton on the algebraic block from u, which
+    t only names in a StepFailure.  Returns the consistent state, the
+    RHS there, from the final residual evaluation, and the LU
+    factorizations Newton made.
     """
     n_x = system.n_x
     v = u.copy()
     f_v = None
 
-    def residual(y):
+    # Newton updates y = v[n_x:] in place, so both read v
+    def residual(_y):
         nonlocal f_v
-        f_v = system.rhs(t, v, m, p_load, q_load)
+        f_v = system.rhs(v, m, loads)
         return f_v[n_x:]
 
     _, factored = _newton(
-        residual, lambda y: system.jac_u(t, v, m, p_load, q_load)[n_x:, n_x:],
+        residual, lambda _y: system.jac_u(v, m, loads)[n_x:, n_x:],
         v[n_x:], "algebraic re-solve", t)
     return v, f_v, factored
 
@@ -323,7 +326,7 @@ def simulate(system, m: np.ndarray, t_f: float, dt: float,
     if dt <= 0 or t_f <= 0:
         raise ValueError("dt and t_f must be positive")
 
-    p_loads, q_loads, step_loads = build_load_schedule(system, events, dt, t_f)
+    load_sets, step_loads = build_load_schedule(system, events, dt, t_f)
     n = len(step_loads)
     times = np.arange(n + 1) * dt
     states = np.empty((n + 1, len(system.mass)))
@@ -336,26 +339,25 @@ def simulate(system, m: np.ndarray, t_f: float, dt: float,
     if predicted is not None:
         if not (np.array_equal(predicted.times, times)
                 and np.array_equal(predicted.step_loads, step_loads)
-                and np.array_equal(predicted.p_loads, p_loads)
-                and np.array_equal(predicted.q_loads, q_loads)):
+                and np.array_equal(predicted.load_sets, load_sets)):
             raise ValueError("predicted trajectory has another grid or "
                              "load schedule than the solve")
         base, arrive = predicted.states, predicted.pre_event
 
     for k in range(n):
         li = step_loads[k]
-        p, q = p_loads[li], q_loads[li]
+        loads = load_sets[li]
         # the equilibrium belongs to load set 0, so an event active from
         # t=0 switches the manifold before the first step
         if li != (step_loads[k - 1] if k > 0 else 0):
             # load switch at node k: project onto the new manifold
             pre_event[k] = states[k].copy()
             states[k], f_k, factored = solve_algebraic(
-                system, states[k], times[k], m, p, q)
+                system, states[k], times[k], m, loads)
             total_factored += factored
             restart = k
         elif k == 0:
-            f_k = system.rhs(times[k], states[k], m, p, q)
+            f_k = system.rhs(states[k], m, loads)
         # f_k comes from the last step or projection, and Newton starts
         # from the extrapolated distance to the prediction, of an order
         # that reaches back no further than the last restart (y jumped
@@ -366,12 +368,12 @@ def simulate(system, m: np.ndarray, t_f: float, dt: float,
             d_k = d_k + _extrapolation(order) @ (dist[k - order:k] - d_k)
         guess = arrive.get(k + 1, base[k + 1]) + d_k
         states[k + 1], f_k, its, factored = step_trapezoidal(
-            system, states[k], times[k], dt, m, p, q, f_k, guess)
+            system, states[k], times[k], dt, m, loads, f_k, guess)
         total_newton += its
         total_factored += factored
 
     return Trajectory(times=times, states=states, dt=dt,
-                      step_loads=step_loads, p_loads=p_loads,
-                      q_loads=q_loads, pre_event=pre_event,
+                      step_loads=step_loads, load_sets=load_sets,
+                      pre_event=pre_event,
                       newton_iters=total_newton,
                       newton_factorizations=total_factored)

@@ -14,16 +14,19 @@ y block.  The semi-explicit DAE reads
 
     dx/dt = h(x, y; m),   0 = g(x, y),
 
-written throughout as M du/dt = F(t, u; m) with M = diag(I, 0) and
-F = (h, g).  The estimated parameter vector m holds the three inertia
-constants H_i (seconds); all other constants come from the data file.
+written throughout as M du/dt = F(u; m) with M = diag(I, 0) and
+F = (h, g).  The model is autonomous: F does not read the time.  The
+estimated parameter vector m holds the three inertia constants H_i
+(seconds); all other constants come from the data file.
 
 Loads are constant-admittance injections: a bus consuming (P, Q) at
 the initial power-flow voltage V0 is modeled by the fixed admittance
 Y_L = (P - jQ)/|V0|^2, so its actual consumption scales with
 (|V|/|V0|)^2 during transients.  A disturbance temporarily replaces
 the active-power value P used to form that admittance at one bus; it
-enters F only through that bus's current-balance rows.  (A true
+enters F only through that bus's current-balance rows.  rhs and jac_u
+take the load set as its matrix, load_set(p_load, q_load): the constant
+part of F_u with the load admittances folded in.  (A true
 constant-power load would make the large disturbances studied here
 statically infeasible: the network cannot deliver 5.5 pu behind the
 transient reactances at any voltage.)
@@ -91,6 +94,10 @@ class DisturbanceEvent:
     def __post_init__(self):
         if not 1 <= self.bus <= N_BUS:
             raise ValueError(f"event bus {self.bus} outside 1..{N_BUS}")
+        for name in ("start", "duration", "load"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"event {name} {getattr(self, name)!r} "
+                                 "is not finite")
         if self.start < 0:
             raise ValueError("event start must be >= 0")
         if self.duration <= 0:
@@ -161,13 +168,10 @@ class NineBusSystem:
 
     The constructor solves the initial power flow and sets the
     mechanical torques, exciter references and load admittances, so the
-    object is ready on return and its model data never change
-    afterwards.  The one thing that grows is a memo of load-set
-    matrices: the constant part of F_u with the load admittances of one
-    (p_load, q_load) folded in, built on first use and keyed by the
-    bytes of the two load vectors.  All evaluation methods (rhs, jac_u,
-    jac_m) are pure functions of their arguments, the memo only saves
-    work, so a single instance can be shared across threads/processes.
+    object is ready on return and never changes afterwards.  load_set
+    and the evaluation methods (rhs, jac_u, jac_m) are pure functions of
+    their arguments, so a single instance can be shared across
+    threads/processes.
     """
 
     def __init__(self, network: NetworkData, gens: GeneratorParams,
@@ -247,7 +251,6 @@ class NineBusSystem:
         self._load_idx = np.ravel_multi_index(
             (np.concatenate((rv, rv, iv, iv)), np.concatenate((rv, iv, rv, iv))),
             j0.shape)
-        self._load_sets = {}
 
     def _build_equilibrium(self):
         """Solve the power flow and build the consistent equilibrium state.
@@ -320,21 +323,32 @@ class NineBusSystem:
                 p[ev.bus - 1] = ev.load
         return p, q
 
+    def load_set(self, p_load: np.ndarray, q_load: np.ndarray) -> np.ndarray:
+        """The matrix of one load set: the constant part of F_u minus the
+        load admittances Y_L = (P - jQ) / |V0|^2 in the network rows."""
+        gl = p_load * self._inv_v0_sq
+        bl = q_load * self._inv_v0_sq
+        jl = self._jtemplate.copy()
+        # a zero load subtracts 0
+        jl.reshape(-1)[self._load_idx] -= np.concatenate((gl, bl, -bl, gl))
+        return jl
+
     # ------------------------------------------------------------------
     # DAE right-hand side and Jacobians (F convention: M du/dt = F)
 
-    def rhs(self, t: float, u: np.ndarray, m: np.ndarray,
-            p_load: np.ndarray, q_load: np.ndarray) -> np.ndarray:
-        """F(t, u; m) = (h, g): differential RHS rows plus algebraic residuals.
+    def rhs(self, u: np.ndarray, m: np.ndarray,
+            loads: np.ndarray) -> np.ndarray:
+        """F(u; m) = (h, g) under the load-set matrix loads: differential
+        RHS rows plus algebraic residuals.
 
-        The load-set matrix holds every constant-coefficient term of F,
-        the load currents included.  F is that matrix times u plus, per
-        machine on Python floats, -omega_s in the angle row, the swing
-        row, exciter saturation, the terminal-voltage feedback, -v_d and
-        -v_q in the stator rows and the generator injection.
+        loads holds every constant-coefficient term of F, the load
+        currents included.  F is that matrix times u plus, per machine on
+        Python floats, -omega_s in the angle row, the swing row, exciter
+        saturation, the terminal-voltage feedback, -v_d and -v_q in the
+        stator rows and the generator injection.
         """
         ws = self.omega_s
-        f = self._load_set(p_load, q_load) @ u
+        f = loads @ u
         uu = u.tolist()
         vals = []
         for (xo, s0, s1, rv, iv, d, xqd, ke, te, sat_a, sat_b, ka_ta), m_i, \
@@ -356,11 +370,12 @@ class NineBusSystem:
         f[self._rhs_idx] += vals
         return f
 
-    def jac_u(self, t: float, u: np.ndarray, m: np.ndarray,
-              p_load: np.ndarray, q_load: np.ndarray) -> np.ndarray:
-        """dF/du as a dense (45, 45) array.
+    def jac_u(self, u: np.ndarray, m: np.ndarray,
+              loads: np.ndarray) -> np.ndarray:
+        """dF/du under the load-set matrix loads, as a dense (45, 45)
+        array.
 
-        The load-set matrix plus 20 state-dependent entries per machine,
+        A copy of loads with 20 state-dependent entries per machine,
         computed on Python floats and written at the flat positions listed
         in _build_template.
         """
@@ -390,34 +405,15 @@ class NineBusSystem:
                 # generator current injection into the network rows
                 sd, cd, cur_d * cd - cur_q * sd,
                 -cd, sd, cur_d * sd + cur_q * cd)
-        jac = self._load_set(p_load, q_load).copy()
+        jac = loads.copy()
         jac.reshape(-1)[self._jac_idx] = vals
         return jac
 
-    def _load_set(self, p_load: np.ndarray, q_load: np.ndarray) -> np.ndarray:
-        """The template minus the load admittances Y_L = (P - jQ) / |V0|^2
-        in the network rows, memoised per load set.
-
-        Keyed by value, so a load array changed in place between calls
-        finds its own matrix.  A run has few load sets, so the memo stays
-        small; two threads racing on a new set build equal matrices.
-        """
-        key = (p_load.tobytes(), q_load.tobytes())
-        jl = self._load_sets.get(key)
-        if jl is None:
-            gl = p_load * self._inv_v0_sq
-            bl = q_load * self._inv_v0_sq
-            jl = self._jtemplate.copy()
-            # a zero load subtracts 0
-            jl.reshape(-1)[self._load_idx] -= np.concatenate((gl, bl, -bl, gl))
-            self._load_sets[key] = jl
-        return jl
-
-    def jac_m(self, t: float, u: np.ndarray, m: np.ndarray,
-              p_load: np.ndarray, q_load: np.ndarray) -> np.ndarray:
+    def jac_m(self, u: np.ndarray, m: np.ndarray) -> np.ndarray:
         """dF/dm as a dense (45, 3) array, nonzero only in the three swing
         rows: -ws / (2 m_i^2) times machine i's accelerating torque,
-        computed on Python floats like rhs and written into zeros."""
+        computed on Python floats like rhs and written into zeros.  The
+        loads do not enter it."""
         ws = self.omega_s
         uu = u.tolist()
         jac = np.zeros((N_STATE, self.n_param))

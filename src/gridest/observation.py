@@ -53,8 +53,8 @@ class NoiseModel:
 
     def __post_init__(self):
         self.var = np.atleast_1d(np.asarray(self.var, dtype=float))
-        if np.any(self.var <= 0):
-            raise ValueError("noise variance must be positive")
+        if not np.all(np.isfinite(self.var) & (self.var > 0)):
+            raise ValueError("noise variance must be positive and finite")
 
 
 @dataclass

@@ -43,7 +43,6 @@ from .observation import observe
 PCE_RULES = ("stochastic-testing", "tensor", "sparse")
 
 _MAP_DECREMENT_TOL = 1e-8    # J within about 5e-9 of the surrogate minimum
-_MAP_MAX_ITER = 200
 _COND_LIMIT = 1e12
 
 
@@ -198,10 +197,8 @@ class SurrogateObjective:
     value_grad.  The basis tables of the latest point are kept: the
     driver linearizes at the trial point it has just accepted, and
     surrogate_map takes the Hessian at the MAP, the point the driver
-    linearized last.  J is exact up to roundoff, so value_noise is 0.0.
+    linearized last.
     """
-
-    value_noise = 0.0
 
     def __init__(self, surrogate: Surrogate, obs, noise, prior: GaussianPrior):
         self.surrogate = surrogate
@@ -267,8 +264,7 @@ def surrogate_map(surrogate: Surrogate, obs, noise, prior: GaussianPrior,
     tangent-linear pass next to the driver's keys.
     """
     objective = SurrogateObjective(surrogate, obs, noise, prior)
-    res = minimize(objective, prior.mean, decrement_tol=_MAP_DECREMENT_TOL,
-                   max_iter=_MAP_MAX_ITER)
+    res = minimize(objective, prior.mean, decrement_tol=_MAP_DECREMENT_TOL)
     stats = {
         "rule": surrogate.rule,
         "order": surrogate.order,

@@ -53,6 +53,10 @@ class ScenarioConfig:
         self.prior_mean = tuple(float(x) for x in self.prior_mean)
         self.prior_var = tuple(float(x) for x in self.prior_var)
         self.m_true = tuple(float(x) for x in self.m_true)
+        for name in ("t_f", "dt", "dt_obs", "noise_var", "prior_mean",
+                     "prior_var", "m_true"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name}={getattr(self, name)!r} is not finite")
         if self.t_f <= 0 or self.dt <= 0 or self.dt_obs <= 0:
             raise ValueError("t_f, dt and dt_obs must be positive")
         # the integrator's checks, before any solve

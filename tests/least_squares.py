@@ -16,20 +16,15 @@ class LeastSquares:
     """residual(m) gives r and jacobian(m) gives dr/dm; noise_var is Gn's
     diagonal (a scalar or one entry per residual).  The objective records
     every point it is asked about, and with fail_trials > 0 the first that
-    many trial points fail like a forward solve that does not converge.
-    value_noise is the driver's bound on the error of J, and trial_error
-    the error of J at every trial point, as of a forward solve stopped at
-    its Newton tolerance."""
+    many trial points fail like a forward solve that does not converge."""
 
     def __init__(self, residual, jacobian, noise_var=1.0, prior=None,
-                 fail_trials=0, value_noise=0.0, trial_error=0.0):
+                 fail_trials=0):
         self.residual = residual
         self.jacobian = jacobian
         self.noise_var = noise_var
         self.prior = prior
         self.fail_trials = fail_trials
-        self.value_noise = value_noise
-        self.trial_error = trial_error
         self.points = []
 
     @classmethod
@@ -65,7 +60,7 @@ class LeastSquares:
         if self.fail_trials > 0:
             self.fail_trials -= 1
             raise StepFailure("Newton at t=0.1 stalled")
-        return self.fun(m) + self.trial_error
+        return self.fun(m)
 
     def linearize(self, m):
         self.points.append(m.copy())

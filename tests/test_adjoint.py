@@ -410,21 +410,22 @@ def test_sensitivity_passes_carry_their_jacobians(system, events,
 
 
 class JacobianFault:
-    """The system, with jac_u spoiled at one node: an algebraic row set
-    to zero (singular) or one NaN entry, at time t under the loads p."""
+    """The system, with jac_u spoiled at one evaluation: an algebraic row
+    set to zero (singular) or one NaN entry, at the state u under the
+    load-set matrix loads."""
 
     ROW = ix_vre(4)
 
-    def __init__(self, system, t, p_load, fault):
+    def __init__(self, system, u, loads, fault):
         self._system = system
-        self.t, self.p_load, self.fault = t, p_load, fault
+        self.u, self.loads, self.fault = u, loads, fault
 
     def __getattr__(self, name):
         return getattr(self._system, name)
 
-    def jac_u(self, t, u, m, p, q):
-        jac = self._system.jac_u(t, u, m, p, q)
-        if t == self.t and np.array_equal(p, self.p_load):
+    def jac_u(self, u, m, loads):
+        jac = self._system.jac_u(u, m, loads)
+        if np.array_equal(u, self.u) and np.array_equal(loads, self.loads):
             if self.fault == "singular":
                 jac[self.ROW] = 0.0
             else:
@@ -441,13 +442,13 @@ FAULT_NODES = {
 
 
 def _faulty_passes(system, small_case, node, fault):
-    """The two passes on a clean trajectory, with jac_u spoiled at node
-    under the loads of the step leaving it."""
+    """The two passes on a clean trajectory, with jac_u spoiled at node's
+    stored state under the loads of the step leaving it."""
     obs, noise = small_case
     m = PRIOR.mean
     traj = simulate(system, m, T_F, DT, events=EVENTS)
-    bad = JacobianFault(system, traj.times[node],
-                        traj.p_loads[traj.step_loads[node]], fault)
+    bad = JacobianFault(system, traj.states[node],
+                        traj.load_sets[traj.step_loads[node]], fault)
     return (lambda: tangent_linear(bad, traj, m, obs),
             lambda: backward_sweep(bad, traj, m, obs, noise)), traj.times[node]
 

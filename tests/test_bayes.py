@@ -187,6 +187,12 @@ def test_gaussian_prior_validation():
         GaussianPrior(mean=np.zeros(3), var=np.ones(2))
     with pytest.raises(ValueError):
         GaussianPrior(mean=np.zeros(2), var=np.array([1.0, 0.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="variances must be positive "
+                                             "and finite"):
+            GaussianPrior(mean=np.zeros(2), var=np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="mean must be finite"):
+            GaussianPrior(mean=np.array([bad, 0.0]), var=np.ones(2))
     prior = GaussianPrior(mean=np.array([1.0, 2.0]), var=np.array([4.0, 1.0]))
     assert prior.neg_log(np.array([3.0, 3.0])) == pytest.approx(
         0.5 * (4.0 / 4.0 + 1.0), rel=1e-14)

@@ -67,6 +67,14 @@ def test_simulate_with_no_observation_times_writes_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_synth_data_rejects_a_nan_noise_variance(tmp_path):
+    # it used to write a CSV of nan values that estimate then refused
+    with pytest.raises(ValueError, match="^noise_var=nan is not finite$"):
+        _run(["synth-data", "--t-f", "1", "--noise-var", "nan",
+              "--out", tmp_path / "d.csv"])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_synth_data_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert _run(["synth-data", *FAST, "--out", a]) == 0

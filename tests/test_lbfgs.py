@@ -163,30 +163,6 @@ def test_backtracking_without_decrease_stops():
     assert res.iterations == 0
 
 
-@pytest.mark.parametrize("trial_error, converged", [(2e-9, True),
-                                                     (6e-9, False)])
-def test_armijo_allows_twice_the_value_noise(trial_error, converged):
-    # J = 1.25e-9 at the start, 0 at the minimum, but every trial's J is
-    # trial_error too high, as a forward solve stopped at its Newton
-    # tolerance can make it: no step shows a strict decrease.  A trial
-    # within 2 value_noise = 4e-9 of f is accepted and the next
-    # linearization converges; one 6e-9 above the minimum is not.  The
-    # start's decrement is 2.5e-9, below DECREMENT_TOL, so the loop is
-    # made to stop tighter to take the step
-    a = np.array([2.0, 3.0])
-    objective = LeastSquares.linear(np.eye(2), a, value_noise=2e-9,
-                                    trial_error=trial_error)
-    res = minimize(objective, a + np.array([3e-5, 4e-5]), decrement_tol=1e-10)
-    assert res.converged == converged
-    if converged:
-        assert res.iterations == 1 and res.n_evals == 2
-        assert res.history[1]["step"] == 1.0
-        assert np.allclose(res.x, a, rtol=0.0, atol=1e-15)
-    else:
-        assert res.message == "backtracking found no decrease"
-        assert res.iterations == 0
-
-
 def test_history_records():
     res = minimize(_rosenbrock(), ROSENBROCK_START)
     h = res.history

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 import yaml
 
-from gridest.ninebus import (DELTA, EDP, EQP, N_BUS, N_MACH, N_STATE, N_X,
+from gridest.ninebus import (DELTA, EQP, N_BUS, N_MACH, N_STATE, N_X,
                              N_Y, OMEGA, DisturbanceEvent, GeneratorParams,
                              ix_id, ix_iq, ix_vre, ix_vim, load_system,
                              state_names)
@@ -36,9 +36,9 @@ def test_mass_is_semi_explicit(system):
 
 def test_steady_state_is_equilibrium_for_any_inertia(system):
     u0 = system.steady_state()
-    p, q = system.network.p_load, system.network.q_load
+    loads = system.load_set(system.network.p_load, system.network.q_load)
     for m in (system.h_ref, 2.0 * system.h_ref, np.array([5.0, 3.0, 1.0])):
-        f = system.rhs(0.0, u0, m, p, q)
+        f = system.rhs(u0, m, loads)
         assert np.max(np.abs(f)) < 1e-9
 
 
@@ -118,7 +118,7 @@ def test_rhs_matches_reference(system, loads):
         u = system.steady_state() + 1e-2 * rng.standard_normal(N_STATE)
         m = rng.uniform(1.0, 30.0, N_MACH)
         ref = _reference_rhs(system, u, m, p, q)
-        f = system.rhs(0.0, u, m, p, q)
+        f = system.rhs(u, m, system.load_set(p, q))
         assert np.max(np.abs(f - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -127,15 +127,15 @@ def test_jac_u_matches_finite_differences(system):
     u = system.steady_state() + 1e-2 * rng.standard_normal(N_STATE)
     m = system.h_ref
     for loads in LOAD_SETS.values():
-        p, q = loads(system)
-        jac = system.jac_u(0.0, u, m, p, q)
+        load_set = system.load_set(*loads(system))
+        jac = system.jac_u(u, m, load_set)
         h = 1e-7
         cols = rng.choice(N_STATE, size=12, replace=False)
         for j in cols:
             e = np.zeros(N_STATE)
             e[j] = h
-            fd = (system.rhs(0.0, u + e, m, p, q)
-                  - system.rhs(0.0, u - e, m, p, q)) / (2 * h)
+            fd = (system.rhs(u + e, m, load_set)
+                  - system.rhs(u - e, m, load_set)) / (2 * h)
             assert np.max(np.abs(jac[:, j] - fd)) < 1e-5
 
 
@@ -150,10 +150,11 @@ def _reference_jac_u(system, u, m, p_load, q_load, h=1e-7):
     return jac
 
 
-def test_load_set_memo_follows_the_load_values():
+def test_load_set_follows_the_load_values():
     # nominal, event, nominal again, then the event loads written into
-    # the nominal array in place: a memo keyed by object identity, or
-    # one that ignores the loads, hands back another set's matrix
+    # the nominal array in place: each matrix is built from the values
+    # the arrays hold when load_set is called, so rhs and jac_u under it
+    # match the reference at those values
     system = load_system()
     rng = np.random.default_rng(14)
     u = system.steady_state() + 1e-2 * rng.standard_normal(N_STATE)
@@ -163,10 +164,11 @@ def test_load_set_memo_follows_the_load_values():
     assert not np.array_equal(p_nom, p_ev)
 
     def check(p):
+        loads = system.load_set(p, q)
         ref = _reference_rhs(system, u, m, p, q)
-        f = system.rhs(0.0, u, m, p, q)
+        f = system.rhs(u, m, loads)
         assert np.max(np.abs(f - ref)) <= 1e-12 * np.max(np.abs(ref))
-        jac = system.jac_u(0.0, u, m, p, q)
+        jac = system.jac_u(u, m, loads)
         assert np.max(np.abs(jac - _reference_jac_u(system, u, m, p, q))) < 1e-5
 
     check(p_nom)
@@ -180,15 +182,15 @@ def test_jac_m_matches_finite_differences(system):
     rng = np.random.default_rng(12)
     u = system.steady_state() + 1e-2 * rng.standard_normal(N_STATE)
     m = np.array([20.0, 5.0, 2.5])
-    p, q = system.network.p_load, system.network.q_load
-    jac = system.jac_m(0.0, u, m, p, q)
+    loads = system.load_set(system.network.p_load, system.network.q_load)
+    jac = system.jac_m(u, m)
     assert jac.shape == (N_STATE, N_MACH)
     h = 1e-6
     for j in range(N_MACH):
         e = np.zeros(N_MACH)
         e[j] = h
-        fd = (system.rhs(0.0, u, m + e, p, q)
-              - system.rhs(0.0, u, m - e, p, q)) / (2 * h)
+        fd = (system.rhs(u, m + e, loads)
+              - system.rhs(u, m - e, loads)) / (2 * h)
         assert np.max(np.abs(jac[:, j] - fd)) < 1e-6
     # inertia enters the speed equations only
     rows = np.max(np.abs(jac), axis=1)
@@ -197,30 +199,25 @@ def test_jac_m_matches_finite_differences(system):
 
 
 def _reference_jac_m(system, u, m, p_load, q_load):
-    """dF/dm written with numpy from the swing equation."""
-    gens = system.gens
-    ws = system.omega_s
-    omega = u[OMEGA:N_X:7]
-    eqp = u[EQP:N_X:7]
-    edp = u[EDP:N_X:7]
-    cur_d = u[N_X:N_X + 2 * N_MACH:2]
-    cur_q = u[N_X + 1:N_X + 2 * N_MACH:2]
-    te = edp * cur_d + eqp * cur_q + (gens.xqp - gens.xdp) * cur_d * cur_q
-    accel = system.tm - te - gens.d * (omega - ws) / ws
+    """dF/dm from the reference F under the loads: m enters only the
+    swing rows, as ws / (2 m_i) times the accelerating torque, so row i
+    has the derivative -F_i / m_i."""
+    f = _reference_rhs(system, u, m, p_load, q_load)
     jac = np.zeros((N_STATE, N_MACH))
-    jac[OMEGA:N_X:7, :] = np.diag(-ws / (2.0 * m ** 2) * accel)
+    jac[OMEGA:N_X:7, :] = np.diag(-f[OMEGA:N_X:7] / m)
     return jac
 
 
 @pytest.mark.parametrize("loads", LOAD_SETS.values(), ids=LOAD_SETS.keys())
 def test_jac_m_matches_reference(system, loads):
+    # jac_m takes no load set: it is dF/dm under every one
     rng = np.random.default_rng(15)
     p, q = loads(system)
     for _ in range(5):
         u = system.steady_state() + 1e-2 * rng.standard_normal(N_STATE)
         m = rng.uniform(1.0, 30.0, N_MACH)
         ref = _reference_jac_m(system, u, m, p, q)
-        jac = system.jac_m(0.0, u, m, p, q)
+        jac = system.jac_m(u, m)
         assert jac.shape == ref.shape
         assert np.max(np.abs(jac - ref)) <= 1e-15 * np.max(np.abs(ref))
 
@@ -234,6 +231,13 @@ def test_event_validation():
         DisturbanceEvent(bus=5, start=-0.1, duration=0.2, load=5.5)
     with pytest.raises(ValueError):
         DisturbanceEvent(bus=5, start=0.1, duration=0.0, load=5.5)
+    for field in ("start", "duration", "load"):
+        for bad in (np.nan, np.inf):
+            kwargs = dict(bus=5, start=0.1, duration=0.2, load=5.5)
+            kwargs[field] = bad
+            with pytest.raises(ValueError, match=f"event {field} .* is not "
+                                                 "finite"):
+                DisturbanceEvent(**kwargs)
     ev = DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5)
     assert ev.end == pytest.approx(0.3)
 

@@ -147,6 +147,9 @@ def test_noise_model_validation():
         NoiseModel.iid(0.0, 5)
     with pytest.raises(ValueError):
         NoiseModel(var=np.array([1e-4, 0.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            NoiseModel(var=np.array([1e-4, bad]))
     nm = NoiseModel(var=1e-4)
     assert nm.var.shape == (1,)
 

@@ -73,6 +73,17 @@ def test_validation_errors():
         ScenarioConfig(pce_order=0)
     with pytest.raises(ValueError, match="order"):
         ScenarioConfig(pce_order=6)
+    # a positivity test written as x <= 0 lets NaN through; inf overflowed
+    # in the grid check or passed as a variance
+    nan, inf = float("nan"), float("inf")
+    for field, value in (("t_f", inf), ("t_f", nan), ("dt", nan),
+                         ("dt_obs", inf), ("noise_var", nan),
+                         ("noise_var", inf), ("prior_mean", (nan, 6.0, 3.1)),
+                         ("prior_var", (5.76, inf, 0.09)),
+                         ("prior_var", (5.76, 0.36, nan)),
+                         ("m_true", (23.64, 6.40, nan))):
+        with pytest.raises(ValueError, match=f"^{field}=.* is not finite$"):
+            ScenarioConfig(**{field: value})
 
 
 def test_disturbance_may_end_at_t_f():
