@@ -11,9 +11,7 @@ tangent-linear pass, giving the gradient J_f^T Gn^-1 (f - d) +
 Gpr^-1 (m - m_pr) and the model Hessian J_f^T Gn^-1 J_f + Gpr^-1
 (gauss_newton_hessian; Bui-Thanh, Ghattas, Martin & Stadler, SIAM J.
 Sci. Comput. 35, 2013).  The residual at the MAP is small, so the loop
-converges in a handful of iterations.  Each trial forward solve starts
-Newton from the trajectory that the latest tangent-linear pass predicts
-(adjoint.Sensitivity), which is good to O(|dm|^2).
+converges in a handful of iterations.
 
 The posterior covariance is the Laplace approximation
 Gpost = (Hessian of J at the MAP)^-1.  The model Hessian leaves out the
@@ -92,10 +90,10 @@ class AdjointObjective:
     value(m) costs one forward simulation; linearize(m) costs one
     tangent-linear pass, plus a forward simulation unless m is the point
     of the latest one, and makes that pass the anchor and its gradient
-    anchor_gradient.  Every forward solve after the first starts Newton
-    from the anchor's prediction; predicted_gradient(m) costs one
-    tangent-linear pass along it, and equals anchor_gradient at the
-    anchor's m.
+    anchor_gradient.  predicted_gradient(m) costs one tangent-linear
+    pass along the anchor's predicted trajectory, and equals
+    anchor_gradient at the anchor's m.  Every forward solve is cold, so
+    J(m) depends on m alone.
     """
 
     def __init__(self, system, obs: ObservationSet, noise: NoiseModel,
@@ -117,9 +115,7 @@ class AdjointObjective:
 
     def simulate(self, m):
         self.n_forward += 1
-        predicted = None if self.anchor is None else self.anchor.predict(m)
-        traj = simulate(self.system, m, self.t_f, self.dt, self.events,
-                        predicted=predicted)
+        traj = simulate(self.system, m, self.t_f, self.dt, self.events)
         self.newton_iters += traj.newton_iters
         self.newton_factorizations += traj.newton_factorizations
         self._latest = (np.array(m, dtype=float), traj)

@@ -37,25 +37,32 @@ _EVENT_FLAGS = {"bus": "--bus", "start": "--event-start",
 
 
 def _load_config(args) -> ScenarioConfig:
-    cfg = (ScenarioConfig.from_file(args.config) if args.config
-           else ScenarioConfig())
-    over = dict(t_f=args.t_f, dt=args.dt, dt_obs=args.dt_obs,
-                noise_var=args.noise_var, seed=args.seed, method=args.method,
-                pce_order=args.pce_order, pce_rule=args.pce_rule)
-    over = {k: v for k, v in over.items() if v is not None}
-    event = {"bus": args.bus, "start": args.event_start,
-             "duration": args.event_duration, "load": args.load}
-    event = {k: v for k, v in event.items() if v is not None}
-    if args.no_disturbance:
-        if event:
-            raise SystemExit("--no-disturbance conflicts with "
-                             + ", ".join(_EVENT_FLAGS[k] for k in event))
-        over["disturbance"] = None
-    elif event:
-        over["disturbance"] = replace(
-            cfg.disturbance or DEFAULT_DISTURBANCE, **event)
-    # one replace: the grid checks see the new dt and disturbance together
-    return replace(cfg, **over) if over else cfg
+    """The scenario of the config file and flags.  A scenario that
+    ScenarioConfig or DisturbanceEvent rejects ends the command with
+    its message."""
+    try:
+        cfg = (ScenarioConfig.from_file(args.config) if args.config
+               else ScenarioConfig())
+        over = dict(t_f=args.t_f, dt=args.dt, dt_obs=args.dt_obs,
+                    noise_var=args.noise_var, seed=args.seed,
+                    method=args.method, pce_order=args.pce_order,
+                    pce_rule=args.pce_rule)
+        over = {k: v for k, v in over.items() if v is not None}
+        event = {"bus": args.bus, "start": args.event_start,
+                 "duration": args.event_duration, "load": args.load}
+        event = {k: v for k, v in event.items() if v is not None}
+        if args.no_disturbance:
+            if event:
+                raise SystemExit("--no-disturbance conflicts with "
+                                 + ", ".join(_EVENT_FLAGS[k] for k in event))
+            over["disturbance"] = None
+        elif event:
+            over["disturbance"] = replace(
+                cfg.disturbance or DEFAULT_DISTURBANCE, **event)
+        # one replace: the grid checks see the new dt and disturbance together
+        return replace(cfg, **over) if over else cfg
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def _synth(cfg: ScenarioConfig, system):
@@ -207,10 +214,9 @@ def cmd_gradient_check(args) -> int:
     worst = np.zeros(2)
     print("  point                        adjoint    tangent-linear"
           "  (max rel err)")
+    objective = AdjointObjective(system, obs, noise, cfg.prior(), cfg.t_f,
+                                 cfg.dt, cfg.events())
     for m in points:
-        # one objective per point: linearize's anchor moves later Newton starts
-        objective = AdjointObjective(system, obs, noise, cfg.prior(), cfg.t_f,
-                                     cfg.dt, cfg.events())
         g_adj = objective.gradient(m)
         g_fd = np.empty_like(g_adj)
         for i in range(m.size):

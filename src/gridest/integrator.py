@@ -10,32 +10,31 @@ algebraic residual) and is algebraically equivalent to applying the
 rule to M du/dt = F on consistent states.  Each step solves the
 nonlinear system by chord Newton on the matrix M - dt/2 F_u (algebraic
 rows unscaled): one LU at the start guess, refactored only where the
-residual stalls (see _newton).  Newton starts from a predicted
-trajectory T~ plus the extrapolation of the solve's distance to it,
-d_k = u_k - T~_k, by the polynomial of order p through d_{k-p}..d_k:
+residual stalls (see _newton).  Newton starts from the extrapolation
+of the solve's own states by the polynomial of order p through
+u_{k-p}..u_k:
 
-    u_{k+1}^0 = T~_{k+1} + d_k + sum_{j=1..p} c_j (d_{k-j} - d_k),
+    u_{k+1}^0 = u_k + sum_{j=1..p} c_j (u_{k-j} - u_k),
     c_j = (-1)^j C(p+1, j+1),
 
 with p = min(EXTRAPOLATION_ORDER, k - r), r the last restart: node 0
-or a projection node, where the algebraic states jump (T~_{k+1} is the
-arrival state, pre-switch at a projection node).  p = 2 is the
-quadratic start 3 d_k - 3 d_{k-1} + d_{k-2}, p = 1 the linear one.
-Written as differences from d_k, the start is exactly d_k on a constant
-trajectory, so an undisturbed solve makes no update.  The order is 5:
-over the 27 nodes of an order-2 tensor rule at 2 s and dt = 0.01, the
-updates per step were 2.24, 1.96, 1.58, 1.06 and 1.05 for p = 2..6, at
-0.96 LUs per step for each, and p = 5 was no worse than p = 2 for any
-dt from 0.001 to 0.1.  Without a prediction T~ = 0; a prediction good
-to O(|dm|^2), such as the tangent-linear one of adjoint.Sensitivity,
-leaves Newton far less to do.  The close start is what lets one LU last
-the solve: a 2 s solve of the 9-bus model takes 1.05 updates and 0.96
-LUs per step, where full Newton from the linear start took 1.9 of each.
-Newton returns at the first residual that meets NEWTON_TOL, which is
-already near roundoff.  A step hands back F at its arrival state, taken
-from its final residual evaluation, so the next step does not evaluate
-it again.  The load-switch projection runs the same Newton loop on the
-algebraic block and hands back F at the post-switch state the same way.
+or a projection node, where the algebraic states jump.  p = 2 is the
+quadratic start 3 u_k - 3 u_{k-1} + u_{k-2}, p = 1 the linear one.
+Written as differences from u_k, the start is exactly u_k on a constant
+trajectory, so an undisturbed solve makes no update.  At p = 0 the
+start is the departure state, whose F the step already holds.  The
+order is 5: over the 27 nodes of an order-2 tensor rule at 2 s and
+dt = 0.01, the updates per step were 2.24, 1.96, 1.58, 1.06 and 1.05
+for p = 2..6, at 0.96 LUs per step for each, and p = 5 was no worse
+than p = 2 for any dt from 0.001 to 0.1.  The close start is what lets
+one LU last the solve: a 2 s solve of the 9-bus model takes 1.05
+updates and 0.96 LUs per step, where full Newton from the linear start
+took 1.9 of each.  Newton returns at the first residual that meets
+NEWTON_TOL, which is already near roundoff.  A step hands back F at its
+arrival state, taken from its final residual evaluation, so the next
+step does not evaluate it again.  The load-switch projection runs the
+same Newton loop on the algebraic block and hands back F at the
+post-switch state the same way.
 The sensitivity passes factor their own Newton matrices at the
 converged states, so the chord moves states only within NEWTON_TOL and
 leaves the discrete adjoint exact.
@@ -229,16 +228,18 @@ def _residual_weights(n_state: int, n_x: int, dt: float) -> np.ndarray:
 
 def step_trapezoidal(system, u_k: np.ndarray, t_k: float, dt: float,
                      m: np.ndarray, loads: np.ndarray, f_k: np.ndarray,
-                     u_guess: np.ndarray):
+                     u_guess: np.ndarray | None = None):
     """One implicit step from (t_k, u_k) under the load-set matrix
     loads; returns (u_{k+1}, f_{k+1}, newton_iters,
     newton_factorizations).
 
     t_k only names the step in a StepFailure.  f_k is the caller's
-    cached RHS at the departure state and u_guess the Newton start.  The
-    returned state satisfies the step equations with residual inf-norm
-    below NEWTON_ACCEPT (typically near machine precision); f_{k+1} is
-    the RHS there, from the final residual evaluation.
+    cached RHS at the departure state and u_guess the Newton start; with
+    none, Newton starts from u_k and its first residual takes F there
+    from f_k, with no rhs call.  The returned state satisfies the step
+    equations with residual inf-norm below NEWTON_ACCEPT (typically near
+    machine precision); f_{k+1} is the RHS there, from the final
+    residual evaluation.
 
     The residual is built in one reused vector as
     M (v - u_k) - w (M f_k + f(v)): the trapezoidal rows, and -g(v)
@@ -252,10 +253,12 @@ def step_trapezoidal(system, u_k: np.ndarray, t_k: float, dt: float,
     w = _residual_weights(len(mass), system.n_x, dt)
     phi = np.empty_like(u_k)
     f_v = None
+    held = f_k if u_guess is None else None    # F at the start, if known
 
     def residual(v):
-        nonlocal f_v
-        f_v = system.rhs(v, m, loads)
+        nonlocal f_v, held
+        f_v = system.rhs(v, m, loads) if held is None else held
+        held = None
         np.subtract(v, u_k, out=phi)
         np.multiply(phi, mass, out=phi)
         wf = f_kx + f_v
@@ -266,7 +269,7 @@ def step_trapezoidal(system, u_k: np.ndarray, t_k: float, dt: float,
     def matrix(v):
         return newton_matrix(system, system.jac_u(v, m, loads), dt)
 
-    v = u_guess.copy()
+    v = (u_k if u_guess is None else u_guess).copy()
     its, factored = _newton(residual, matrix, v, "Newton", t_next)
     return v, f_v, its, factored
 
@@ -300,7 +303,7 @@ def solve_algebraic(system, u: np.ndarray, t: float, m: np.ndarray,
 @functools.lru_cache(maxsize=None)
 def _extrapolation(order: int) -> np.ndarray:
     """c_j = (-1)^j C(p+1, j+1) of the order-p extrapolation
-    d_k + sum_j c_j (d_{k-j} - d_k), j = 1..p, in node order (j = p
+    u_k + sum_j c_j (u_{k-j} - u_k), j = 1..p, in node order (j = p
     first)."""
     c = np.array([(-1) ** j * comb(order + 1, j + 1)
                   for j in range(order, 0, -1)], dtype=float)
@@ -309,14 +312,12 @@ def _extrapolation(order: int) -> np.ndarray:
 
 
 def simulate(system, m: np.ndarray, t_f: float, dt: float,
-             events=(), predicted: Trajectory | None = None) -> Trajectory:
+             events=()) -> Trajectory:
     """Forward solve from the stored equilibrium over [0, t_f].
 
     The initial state is the steady state, so the trajectory departs
     from equilibrium only through the events.  Cost: n_steps Newton
-    solves plus one algebraic projection per load switch.  `predicted`,
-    a trajectory on the same grid and load schedule, only moves the
-    Newton starts (see the module docstring).
+    solves plus one algebraic projection per load switch.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (system.n_param,):
@@ -333,16 +334,6 @@ def simulate(system, m: np.ndarray, t_f: float, dt: float,
     states[0] = system.steady_state()
     pre_event: dict[int, np.ndarray] = {}
     total_newton = total_factored = restart = 0
-    dist = np.empty_like(states)    # d_k = u_k - T~_k
-    # the prediction T~: post-switch states, and pre-switch arrival states
-    base, arrive = np.zeros_like(states), {}
-    if predicted is not None:
-        if not (np.array_equal(predicted.times, times)
-                and np.array_equal(predicted.step_loads, step_loads)
-                and np.array_equal(predicted.load_sets, load_sets)):
-            raise ValueError("predicted trajectory has another grid or "
-                             "load schedule than the solve")
-        base, arrive = predicted.states, predicted.pre_event
 
     for k in range(n):
         li = step_loads[k]
@@ -359,14 +350,14 @@ def simulate(system, m: np.ndarray, t_f: float, dt: float,
         elif k == 0:
             f_k = system.rhs(states[k], m, loads)
         # f_k comes from the last step or projection, and Newton starts
-        # from the extrapolated distance to the prediction, of an order
-        # that reaches back no further than the last restart (y jumped
-        # at a projection node)
-        d_k = np.subtract(states[k], base[k], out=dist[k])
+        # from the extrapolated states, of an order that reaches back no
+        # further than the last restart (y jumped at a projection node);
+        # at order 0 from u_k itself
         order = min(EXTRAPOLATION_ORDER, k - restart)
+        guess = None
         if order:
-            d_k = d_k + _extrapolation(order) @ (dist[k - order:k] - d_k)
-        guess = arrive.get(k + 1, base[k + 1]) + d_k
+            u_k = states[k]
+            guess = u_k + _extrapolation(order) @ (states[k - order:k] - u_k)
         states[k + 1], f_k, its, factored = step_trapezoidal(
             system, states[k], times[k], dt, m, loads, f_k, guess)
         total_newton += its

@@ -13,12 +13,7 @@ limited-memory BFGS loop is gone.
   H_LOWER_BOUND, capped where it first reaches the bound, and halved
   until it meets the Armijo condition f_new <= f + ARMIJO_C1 alpha slope
   (at most BACKTRACKS trials).  A trial whose forward solve raises
-  StepFailure counts as no decrease.  The adjoint objective's J moves
-  with the forward solve's Newton start (anchored and cold solves at
-  the 5 s MAP of the test data give J a few 1e-9 apart), but a step
-  taken before the decrement stop predicts a decrease of at least
-  DECREMENT_TOL / 2 = 5e-7, so the test needs no allowance for that
-  error.
+  StepFailure counts as no decrease.
 * Convergence is tested over the same free variables, so an iterate
   resting on the bound with an outward-pointing gradient can stop.
 

@@ -10,9 +10,10 @@ from least_squares import SHIFT, LeastSquares, shifted_linear
 import gridest.bayes
 import gridest.integrator
 import gridest.pce
-from gridest.bayes import (FD_REL_STEP, GaussianPrior, PosteriorSummary,
-                           estimate_adjoint, laplace_covariance, map_estimate,
-                           metrics, neg_log_posterior)
+from gridest.bayes import (FD_REL_STEP, AdjointObjective, GaussianPrior,
+                           PosteriorSummary, estimate_adjoint,
+                           laplace_covariance, map_estimate, metrics,
+                           neg_log_posterior)
 from gridest.lbfgs import DECREMENT_TOL, H_LOWER_BOUND
 from gridest.ninebus import DisturbanceEvent
 from gridest.observation import NoiseModel, ObservationSet, write_json
@@ -227,6 +228,19 @@ def test_neg_log_posterior_consistency(system, prior, make_scenario):
     from gridest.integrator import simulate
     traj = simulate(system, prior.mean, 0.5, 0.01, events)
     assert j == pytest.approx(misfit(traj, obs, noise), rel=1e-12)
+
+
+def test_objective_value_depends_on_m_alone(system, prior, make_scenario):
+    # every forward solve is cold, so a linearization at another point
+    # leaves J(m) bit for bit where neg_log_posterior puts it
+    obs, noise, events = make_scenario(0.5, dt_obs=0.1)
+    objective = AdjointObjective(system, obs, noise, prior, 0.5, 0.01,
+                                 events)
+    m = prior.mean * np.array([0.95, 1.05, 1.1])
+    j = neg_log_posterior(system, m, obs, noise, prior, 0.5, 0.01, events)
+    assert objective.value(m) == j
+    objective.linearize(prior.mean)
+    assert objective.value(m) == j
 
 
 def test_estimate_adjoint_small_scenario(system, prior, make_scenario):

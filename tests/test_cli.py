@@ -61,7 +61,7 @@ def test_simulate_writes_trajectory_and_observables(tmp_path):
 
 def test_simulate_with_no_observation_times_writes_nothing(tmp_path):
     # the config rejects the grid before the trajectory file is written
-    with pytest.raises(ValueError, match="no observation times"):
+    with pytest.raises(SystemExit, match="no observation times"):
         _run(["simulate", "--t-f", "0.5", "--dt-obs", "1.0",
               "--out-prefix", tmp_path / "case"])
     assert list(tmp_path.iterdir()) == []
@@ -69,7 +69,7 @@ def test_simulate_with_no_observation_times_writes_nothing(tmp_path):
 
 def test_synth_data_rejects_a_nan_noise_variance(tmp_path):
     # it used to write a CSV of nan values that estimate then refused
-    with pytest.raises(ValueError, match="^noise_var=nan is not finite$"):
+    with pytest.raises(SystemExit, match="^noise_var=nan is not finite$"):
         _run(["synth-data", "--t-f", "1", "--noise-var", "nan",
               "--out", tmp_path / "d.csv"])
     assert list(tmp_path.iterdir()) == []
@@ -283,7 +283,7 @@ def test_dt_flag_checks_only_the_resolved_disturbance(tmp_path):
     assert _header_config(b)["dt"] == 0.04
     assert _header_config(b)["disturbance"]["start"] == 0.2
     # with the default event kept, the resolved config is off the grid
-    with pytest.raises(ValueError, match=re.escape(
+    with pytest.raises(SystemExit, match=re.escape(
             "disturbance bound 0.1 is not a multiple of dt=0.04")):
         _run(["synth-data", *grid, "--out", tmp_path / "c.csv"])
 
