@@ -183,16 +183,22 @@ def cmd_sweep(args) -> int:
     grid = list(product(
         axes["t_f"] or [cfg.t_f], axes["dt_obs"] or [cfg.dt_obs],
         axes["load"] or [None], axes["noise_var"] or [cfg.noise_var]))
+    # every row is built, and so checked, before the first solve: a value
+    # that ScenarioConfig or DisturbanceEvent rejects ends the command
+    # with its message and no file
     scenarios = []
-    for i, (t_f, dt_obs, load, nv) in enumerate(grid):
-        dist = cfg.disturbance
-        if load is not None:
-            if dist is None:
-                raise SystemExit("--load-list requires a disturbance")
-            dist = replace(dist, load=load)
-        scenarios.append((i, replace(
-            cfg, t_f=t_f, dt_obs=dt_obs, noise_var=nv, disturbance=dist,
-            seed=_derived_seed(cfg.seed, i))))
+    try:
+        for i, (t_f, dt_obs, load, nv) in enumerate(grid):
+            dist = cfg.disturbance
+            if load is not None:
+                if dist is None:
+                    raise SystemExit("--load-list requires a disturbance")
+                dist = replace(dist, load=load)
+            scenarios.append((i, replace(
+                cfg, t_f=t_f, dt_obs=dt_obs, noise_var=nv, disturbance=dist,
+                seed=_derived_seed(cfg.seed, i))))
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_one, scenarios))

@@ -162,11 +162,13 @@ def newton_matrix(system, fu: np.ndarray, dt: float) -> np.ndarray:
 def lu_factor(a: np.ndarray, where: str, t: float):
     """LU factors of the square matrix a by dgetrf, for lu_solve.
 
-    A singular a (dgetrf's info > 0) raises StepFailure naming where and
-    t.  dgetrf does not flag NaN: a NaN entry gives non-finite factors
-    without complaint, so callers check what they solve for.
+    A Fortran-ordered a is factored in place, with no copy; any other
+    layout is copied first.  A singular a (dgetrf's info > 0) raises
+    StepFailure naming where and t.  dgetrf does not flag NaN: a NaN
+    entry gives non-finite factors without complaint, so callers check
+    what they solve for.
     """
-    lu, piv, info = dgetrf(a)
+    lu, piv, info = dgetrf(a, overwrite_a=True)
     if info > 0:
         raise StepFailure(f"{where} at t={t:.6g}: singular matrix")
     return lu, piv

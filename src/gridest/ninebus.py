@@ -163,15 +163,48 @@ def _build_ybus(branches) -> np.ndarray:
     return y
 
 
+def _jac_entries(xp, uu, consts, m_i: float, ws: float) -> tuple:
+    """One machine's 20 state-dependent entries of dF/du, in jac_idx
+    order.  uu[i] is state component i: a float with xp = math (jac_u),
+    or an array over a stack of states with xp = numpy (jac_u_entries).
+    consts is the machine's row of NineBusSystem._mach_consts."""
+    xo, s0, s1, rv, iv, d, xqd, ke, te, sat_a, sat_b, ka_ta = consts
+    delta, efd = uu[xo + DELTA], uu[xo + EFD]
+    cur_d, cur_q = uu[s0], uu[s1]
+    vre_g, vim_g = uu[rv], uu[iv]
+    sd, cd = xp.sin(delta), xp.cos(delta)
+    vmag = xp.hypot(vre_g, vim_g)
+    c = ws / (2.0 * m_i)
+    se_slope = sat_a * xp.exp(sat_b * efd) * (1.0 + sat_b * efd)
+    return (
+        # swing row (depends on m)
+        -c * d / ws, -c * cur_q, -c * cur_d,
+        -c * (uu[xo + EDP] + xqd * cur_q),
+        -c * (uu[xo + EQP] + xqd * cur_d),
+        # exciter saturation, terminal-voltage feedback
+        -(ke + se_slope) / te, -ka_ta * vre_g / vmag,
+        -ka_ta * vim_g / vmag,
+        # stator rows: -d(v_d, v_q)/d(delta, Vre, Vim)
+        -(vre_g * cd + vim_g * sd), -sd, cd,
+        vre_g * sd - vim_g * cd, -cd, -sd,
+        # generator current injection into the network rows
+        sd, cd, cur_d * cd - cur_q * sd,
+        -cd, sd, cur_d * sd + cur_q * cd)
+
+
 class NineBusSystem:
     """Model object, built at its equilibrium in one step.
 
     The constructor solves the initial power flow and sets the
     mechanical torques, exciter references and load admittances, so the
     object is ready on return and never changes afterwards.  load_set
-    and the evaluation methods (rhs, jac_u, jac_m) are pure functions of
-    their arguments, so a single instance can be shared across
-    threads/processes.
+    and the evaluation methods are pure functions of their arguments, so
+    a single instance can be shared across threads/processes.  rhs and
+    jac_u take one state, on Python floats, for the forward Newton;
+    jac_u_entries (F_u's state-dependent entries) and jac_m take a stack
+    of states, on numpy arrays, for a sensitivity pass along a stored
+    trajectory.  Both F_u evaluations write the same formulas,
+    _jac_entries, at the same positions, jac_idx.
     """
 
     def __init__(self, network: NetworkData, gens: GeneratorParams,
@@ -193,15 +226,16 @@ class NineBusSystem:
     # construction helpers
 
     def _build_template(self):
-        """Constant part of F_u, and the positions rhs and jac_u write.
+        """Constant part of F_u, and the positions rhs and the F_u
+        entries are written at.
 
-        rhs_rows and entries follow the order in which rhs and jac_u
-        compute their per-machine terms.
+        rhs_rows and entries follow the order in which rhs and
+        _jac_entries compute their per-machine terms.
         """
         gens = self.gens
         j0 = np.zeros((N_STATE, N_STATE))
         rhs_rows, entries = [], []
-        # per machine, the indices and constants rhs and jac_u read as floats
+        # per machine, the indices and constants rhs and _jac_entries read
         self._mach_consts = []
         for i in range(N_MACH):
             xo = 7 * i
@@ -247,7 +281,7 @@ class NineBusSystem:
         self._jtemplate = j0
         rv, iv = ix_vre(np.arange(N_BUS)), ix_vim(np.arange(N_BUS))
         self._rhs_idx = np.array(rhs_rows)
-        self._jac_idx = np.ravel_multi_index(np.array(entries).T, j0.shape)
+        self.jac_idx = np.ravel_multi_index(np.array(entries).T, j0.shape)
         self._load_idx = np.ravel_multi_index(
             (np.concatenate((rv, rv, iv, iv)), np.concatenate((rv, iv, rv, iv))),
             j0.shape)
@@ -373,56 +407,43 @@ class NineBusSystem:
     def jac_u(self, u: np.ndarray, m: np.ndarray,
               loads: np.ndarray) -> np.ndarray:
         """dF/du under the load-set matrix loads, as a dense (45, 45)
-        array.
-
-        A copy of loads with 20 state-dependent entries per machine,
-        computed on Python floats and written at the flat positions listed
-        in _build_template.
-        """
+        array: a copy of loads with the state-dependent entries of
+        _jac_entries, on Python floats, written at jac_idx."""
         ws = self.omega_s
         uu = u.tolist()
         vals = []
-        for (xo, s0, s1, rv, iv, d, xqd, ke, te, sat_a, sat_b,
-             ka_ta), m_i in zip(self._mach_consts, m.tolist()):
-            delta, efd = uu[xo + DELTA], uu[xo + EFD]
-            cur_d, cur_q = uu[s0], uu[s1]
-            vre_g, vim_g = uu[rv], uu[iv]
-            sd, cd = math.sin(delta), math.cos(delta)
-            vmag = math.hypot(vre_g, vim_g)
-            c = ws / (2.0 * m_i)
-            se_slope = sat_a * math.exp(sat_b * efd) * (1.0 + sat_b * efd)
-            vals += (
-                # swing row (depends on m)
-                -c * d / ws, -c * cur_q, -c * cur_d,
-                -c * (uu[xo + EDP] + xqd * cur_q),
-                -c * (uu[xo + EQP] + xqd * cur_d),
-                # exciter saturation, terminal-voltage feedback
-                -(ke + se_slope) / te, -ka_ta * vre_g / vmag,
-                -ka_ta * vim_g / vmag,
-                # stator rows: -d(v_d, v_q)/d(delta, Vre, Vim)
-                -(vre_g * cd + vim_g * sd), -sd, cd,
-                vre_g * sd - vim_g * cd, -cd, -sd,
-                # generator current injection into the network rows
-                sd, cd, cur_d * cd - cur_q * sd,
-                -cd, sd, cur_d * sd + cur_q * cd)
+        for consts, m_i in zip(self._mach_consts, m.tolist()):
+            vals += _jac_entries(math, uu, consts, m_i, ws)
         jac = loads.copy()
-        jac.reshape(-1)[self._jac_idx] = vals
+        jac.reshape(-1)[self.jac_idx] = vals
         return jac
 
-    def jac_m(self, u: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """dF/dm as a dense (45, 3) array, nonzero only in the three swing
-        rows: -ws / (2 m_i^2) times machine i's accelerating torque,
-        computed on Python floats like rhs and written into zeros.  The
+    def jac_u_entries(self, states: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """The state-dependent entries of dF/du at each row of the stack
+        states (n, 45), as an (n, 60) array in jac_idx order: the
+        formulas of jac_u, evaluated on node arrays.  F_u at state k
+        under a load set is that set's matrix with row k written at
+        jac_idx."""
+        ws = self.omega_s
+        vals = []
+        for consts, m_i in zip(self._mach_consts, m.tolist()):
+            vals += _jac_entries(np, states.T, consts, m_i, ws)
+        return np.stack(np.broadcast_arrays(*vals), axis=1)
+
+    def jac_m(self, states: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """dF/dm at each row of the stack states (n, 45), as a dense
+        (n, 45, 3) array, nonzero only in the three swing rows:
+        -ws / (2 m_i^2) times machine i's accelerating torque.  The
         loads do not enter it."""
         ws = self.omega_s
-        uu = u.tolist()
-        jac = np.zeros((N_STATE, self.n_param))
+        uu = states.T
+        jac = np.zeros((len(states), N_STATE, self.n_param))
         for i, ((xo, s0, s1, _, _, d, xqd, *_), m_i, tm) in enumerate(zip(
                 self._mach_consts, m.tolist(), self.tm.tolist())):
             cur_d, cur_q = uu[s0], uu[s1]
             torque = uu[xo + EDP] * cur_d + uu[xo + EQP] * cur_q \
                 + xqd * cur_d * cur_q
-            jac[xo + OMEGA, i] = -ws / (2.0 * m_i * m_i) * (
+            jac[:, xo + OMEGA, i] = -ws / (2.0 * m_i * m_i) * (
                 tm - torque - d * (uu[xo + OMEGA] - ws) / ws)
         return jac
 

@@ -11,7 +11,8 @@ from gridest.adjoint import (backward_sweep, misfit, misfit_state_gradients,
 from gridest.bayes import (AdjointObjective, GaussianPrior, hessian_inverse,
                            laplace_covariance, map_estimate)
 from gridest.integrator import StepFailure, simulate
-from gridest.ninebus import N_BUS, DisturbanceEvent, ix_vre
+from gridest.ninebus import (EDP, EQP, N_BUS, N_STATE, OMEGA, DisturbanceEvent,
+                             ix_id, ix_iq, ix_vim, ix_vre)
 from gridest.observation import (POLAR, RECT, NoiseModel, ObservationSet,
                                  observation_times, observe,
                                  synthesize_observations)
@@ -354,11 +355,14 @@ def test_prediction_error_is_second_order(system, coords, events):
 
 
 class JacobianCounter:
-    """The system, with its jac_u and jac_m calls counted."""
+    """The system, with the states its Jacobian evaluations take counted:
+    one per jac_u call, the rows of the stack per jac_u_entries or jac_m
+    call; `stacks` counts the stacked calls."""
 
     def __init__(self, system):
         self._system = system
         self.calls = Counter()
+        self.stacks = 0
 
     def __getattr__(self, name):
         return getattr(self._system, name)
@@ -367,9 +371,15 @@ class JacobianCounter:
         self.calls["jac_u"] += 1
         return self._system.jac_u(*args)
 
-    def jac_m(self, *args):
-        self.calls["jac_m"] += 1
-        return self._system.jac_m(*args)
+    def jac_u_entries(self, states, m):
+        self.calls["jac_u_entries"] += len(states)
+        self.stacks += 1
+        return self._system.jac_u_entries(states, m)
+
+    def jac_m(self, states, m):
+        self.calls["jac_m"] += len(states)
+        self.stacks += 1
+        return self._system.jac_m(states, m)
 
 
 CARRY_CASES = {"one-event": EVENTS,
@@ -381,8 +391,9 @@ CARRY_CASES = {"one-event": EVENTS,
                          ids=CARRY_CASES.keys())
 def test_sensitivity_passes_carry_their_jacobians(system, events,
                                                   monkeypatch):
-    # one Jacobian pair per node, one more at each pre-switch arrival
-    # state, and one LU per step and per projection, none by solve
+    # F_u's entries and F_m at each node, and again at each pre-switch
+    # arrival state, in one stacked call each; one LU per step and per
+    # projection, none by solve
     obs, noise = _observed_case(system, RECT, events)
     m = PRIOR.mean
     traj = simulate(system, m, T_F, DT, events=events)
@@ -404,33 +415,57 @@ def test_sensitivity_passes_carry_their_jacobians(system, events,
         counter = JacobianCounter(system)
         n_lu.clear()
         run(counter)
-        assert counter.calls == {"jac_u": traj.n_steps + 1 + arrivals,
+        assert counter.calls == {"jac_u_entries": traj.n_steps + 1 + arrivals,
                                  "jac_m": traj.n_steps + 1 + arrivals}
+        assert counter.stacks == 2
         assert n_lu["lu"] == traj.n_steps + len(traj.pre_event)
 
 
+def _entry(system, row, col):
+    """The column of F_u's entry (row, col) in jac_u_entries."""
+    return int(np.flatnonzero(system.jac_idx == row * N_STATE + col)[0])
+
+
 class JacobianFault:
-    """The system, with jac_u spoiled at one evaluation: an algebraic row
-    set to zero (singular) or one NaN entry, at the state u under the
-    load-set matrix loads."""
+    """The system, with F_u's entries spoiled at the state u.
 
-    ROW = ix_vre(4)
+    A pass takes F_u's constant part from the trajectory's load sets, so
+    a fault reaches its matrices only through jac_u_entries.  "nan" sets
+    one entry, machine 1's current injection into bus 1 (row Vre_1,
+    column Id_1), to NaN: it is in the Newton matrix and in g_y.
+    "singular" makes both matrices singular through machine 1's entries:
+    - the Newton matrix's swing row holds entries only, 1 - dt/2 F_u on
+      the diagonal, so it vanishes when the diagonal entry is 2/dt and
+      the other four are 0;
+    - no row or column of g_y holds entries only.  An infinite current
+      injection in Id_1, g_y's first column, is LU's first pivot, which
+      drops its row and column (every multiplier x/inf is 0).  With the
+      stator resistance 0 and the stator-voltage entries 0, the q-axis
+      stator row is then empty.
+    """
 
-    def __init__(self, system, u, loads, fault):
+    def __init__(self, system, u, fault):
         self._system = system
-        self.u, self.loads, self.fault = u, loads, fault
+        self.u, self.fault = u, fault
 
     def __getattr__(self, name):
         return getattr(self._system, name)
 
-    def jac_u(self, u, m, loads):
-        jac = self._system.jac_u(u, m, loads)
-        if np.array_equal(u, self.u) and np.array_equal(loads, self.loads):
-            if self.fault == "singular":
-                jac[self.ROW] = 0.0
-            else:
-                jac[self.ROW, self.ROW] = np.nan
-        return jac
+    def jac_u_entries(self, states, m):
+        entries = self._system.jac_u_entries(states, m)
+        system, om = self._system, OMEGA
+        inject = _entry(system, ix_vre(0), ix_id(0))
+        for k in np.flatnonzero((states == self.u).all(axis=1)):
+            if self.fault == "nan":
+                entries[k, inject] = np.nan
+                continue
+            for col in (EQP, EDP, ix_id(0), ix_iq(0)):
+                entries[k, _entry(system, om, col)] = 0.0
+            entries[k, _entry(system, om, om)] = 2.0 / DT
+            entries[k, inject] = np.inf
+            for col in (ix_vre(0), ix_vim(0)):
+                entries[k, _entry(system, ix_iq(0), col)] = 0.0
+        return entries
 
 
 # (node, where a singular Jacobian stops the tangent pass, and the sweep):
@@ -442,13 +477,12 @@ FAULT_NODES = {
 
 
 def _faulty_passes(system, small_case, node, fault):
-    """The two passes on a clean trajectory, with jac_u spoiled at node's
-    stored state under the loads of the step leaving it."""
+    """The two passes on a clean trajectory, with F_u's entries spoiled
+    at node's stored state."""
     obs, noise = small_case
     m = PRIOR.mean
     traj = simulate(system, m, T_F, DT, events=EVENTS)
-    bad = JacobianFault(system, traj.states[node],
-                        traj.load_sets[traj.step_loads[node]], fault)
+    bad = JacobianFault(system, traj.states[node], fault)
     return (lambda: tangent_linear(bad, traj, m, obs),
             lambda: backward_sweep(bad, traj, m, obs, noise)), traj.times[node]
 

@@ -329,6 +329,22 @@ def test_sweep_empty_grid_fails(tmp_path):
               "--out", tmp_path / "y.csv"])
 
 
+@pytest.mark.parametrize("axis, message", [
+    pytest.param(["--t-f-list", "0.5", "0.055"],
+                 "t_f 0.055 is not a multiple of dt=0.01", id="t_f"),
+    pytest.param(["--noise-var-list", "1e-4", "-1"],
+                 "noise_var must be positive", id="noise_var"),
+])
+def test_sweep_rejects_a_bad_row_before_any_solve(tmp_path, monkeypatch,
+                                                  axis, message):
+    # the valid first row is not solved either: every row is checked first
+    monkeypatch.setattr(gridest.cli, "_sweep_one", _no_solve)
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit, match="^" + re.escape(message) + "$"):
+        _run(["sweep", *axis, "--out", out])
+    assert not out.exists()
+
+
 def test_gradient_check_passes(capsys):
     rc = _run(["gradient-check", *FAST, "--n-random", "1"])
     assert rc == 0

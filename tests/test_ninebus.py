@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 import yaml
 
+from gridest.integrator import simulate
 from gridest.ninebus import (DELTA, EQP, N_BUS, N_MACH, N_STATE, N_X,
                              N_Y, OMEGA, DisturbanceEvent, GeneratorParams,
                              ix_id, ix_iq, ix_vre, ix_vim, load_system,
@@ -183,7 +184,7 @@ def test_jac_m_matches_finite_differences(system):
     u = system.steady_state() + 1e-2 * rng.standard_normal(N_STATE)
     m = np.array([20.0, 5.0, 2.5])
     loads = system.load_set(system.network.p_load, system.network.q_load)
-    jac = system.jac_m(u, m)
+    jac = system.jac_m(u[None], m)[0]
     assert jac.shape == (N_STATE, N_MACH)
     h = 1e-6
     for j in range(N_MACH):
@@ -217,9 +218,42 @@ def test_jac_m_matches_reference(system, loads):
         u = system.steady_state() + 1e-2 * rng.standard_normal(N_STATE)
         m = rng.uniform(1.0, 30.0, N_MACH)
         ref = _reference_jac_m(system, u, m, p, q)
-        jac = system.jac_m(u, m)
+        jac = system.jac_m(u[None], m)[0]
         assert jac.shape == ref.shape
         assert np.max(np.abs(jac - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+# disturbed trajectories whose projection nodes include node 0 and two
+# separate switches
+STACK_CASES = {
+    "one-event": (DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5),),
+    "event-at-t0": (DisturbanceEvent(bus=5, start=0.0, duration=0.2,
+                                     load=5.5),),
+    "two-events": (DisturbanceEvent(bus=5, start=0.1, duration=0.1, load=5.5),
+                   DisturbanceEvent(bus=8, start=0.3, duration=0.1, load=3.0)),
+}
+
+
+@pytest.mark.parametrize("events", STACK_CASES.values(), ids=STACK_CASES.keys())
+def test_stacked_jacobians_match_the_single_state_ones(system, events):
+    # at every node and every pre-switch state: jac_u_entries against
+    # jac_u's entries, jac_m against the swing rows of rhs, -F_i / m_i
+    m = np.array([22.0, 6.5, 2.9])
+    traj = simulate(system, m, 0.5, 0.01, events)
+    assert len(traj.pre_event) == 2 * len(events)
+    states = np.vstack((traj.states, *traj.pre_event.values()))
+    entries = system.jac_u_entries(states, m)
+    fm = system.jac_m(states, m)
+    assert entries.shape == (len(states), len(system.jac_idx))
+    assert fm.shape == (len(states), N_STATE, N_MACH)
+    loads = traj.load_sets[0]
+    swing = OMEGA + 7 * np.arange(N_MACH)
+    for u, e, f in zip(states, entries, fm):
+        single = system.jac_u(u, m, loads).reshape(-1)[system.jac_idx]
+        assert np.all(np.abs(e - single) <= 1e-15 * np.abs(single))
+        ref = np.zeros((N_STATE, N_MACH))
+        ref[swing, np.arange(N_MACH)] = -system.rhs(u, m, loads)[swing] / m
+        assert np.all(np.abs(f - ref) <= 1e-15 * np.abs(ref))
 
 
 def test_event_validation():
