@@ -6,6 +6,13 @@ produce a MAP point with a Laplace (inverse-Hessian) covariance: a
 discrete-adjoint gradient pipeline and a polynomial-chaos surrogate
 pipeline.
 """
+import os
+
+# one BLAS thread unless the environment sets a count, before numpy
+# loads: threads make the model's 45x45 factorizations slower and noisier
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .ninebus import NineBusSystem, DisturbanceEvent, load_system
 from .integrator import Trajectory, simulate
 from .observation import (NoiseModel, ObservationSet, observation_times,

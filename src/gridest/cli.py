@@ -18,12 +18,11 @@ import numpy as np
 
 from . import __version__
 from .bayes import AdjointObjective, PosteriorSummary, estimate_adjoint
-from .integrator import grid_nodes, simulate
+from .integrator import grid_nodes
 from .ninebus import N_BUS, N_MACH, load_system, state_names
 from .observation import (ObservationSet, observe, read_observations,
-                          synthesize_observations, write_csv, write_json,
-                          write_observation_csv, write_observations,
-                          write_trajectory_csv)
+                          write_csv, write_json, write_observation_csv,
+                          write_observations, write_trajectory_csv)
 from .pce import PCE_RULES, estimate_pce
 from .scenario import DEFAULT_DISTURBANCE, METHODS, ScenarioConfig
 
@@ -43,11 +42,9 @@ def _load_config(args) -> ScenarioConfig:
     try:
         cfg = (ScenarioConfig.from_file(args.config) if args.config
                else ScenarioConfig())
-        over = dict(t_f=args.t_f, dt=args.dt, dt_obs=args.dt_obs,
-                    noise_var=args.noise_var, seed=args.seed,
-                    method=args.method, pce_order=args.pce_order,
-                    pce_rule=args.pce_rule)
-        over = {k: v for k, v in over.items() if v is not None}
+        over = {k: getattr(args, k) for k in (
+            "t_f", "dt", "dt_obs", "noise_var", "seed", "method",
+            "pce_order", "pce_rule") if getattr(args, k) is not None}
         event = {"bus": args.bus, "start": args.event_start,
                  "duration": args.event_duration, "load": args.load}
         event = {k: v for k, v in event.items() if v is not None}
@@ -65,23 +62,11 @@ def _load_config(args) -> ScenarioConfig:
         raise SystemExit(str(exc)) from None
 
 
-def _synth(cfg: ScenarioConfig, system):
-    """Ground-truth trajectory, then noisy observations of it."""
-    times = cfg.times()
-    traj = simulate(system, np.array(cfg.m_true), cfg.t_f, cfg.dt,
-                    events=cfg.events())
-    noise = cfg.noise(2 * N_BUS * len(times))
-    obs = synthesize_observations(traj, times, noise, cfg.seed)
-    return traj, obs, noise
-
-
 # -- subcommands ---------------------------------------------------------
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    system = load_system()
-    traj = simulate(system, np.array(cfg.m_true), cfg.t_f, cfg.dt,
-                    events=cfg.events())
+    traj = cfg.truth(load_system())
     hdr = _header_lines(cfg)
     prefix = Path(args.out_prefix)
     traj_path = prefix.with_name(prefix.name + "_trajectory.csv")
@@ -97,8 +82,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_synth_data(args) -> int:
     cfg = _load_config(args)
-    system = load_system()
-    _, obs, noise = _synth(cfg, system)
+    obs, noise = cfg.observations(cfg.truth(load_system()))
     write_observations(obs, noise, args.out, header_lines=_header_lines(cfg))
     print(f"wrote {obs.size} noisy observations to {args.out}")
     return 0
@@ -106,13 +90,12 @@ def cmd_synth_data(args) -> int:
 
 def run_estimate(cfg: ScenarioConfig, system, obs, noise) -> PosteriorSummary:
     """MAP point and Laplace posterior with the back end cfg.method names."""
-    m_true = np.array(cfg.m_true)
     if cfg.method == "adjoint":
         return estimate_adjoint(system, obs, noise, cfg.prior(), cfg.t_f,
-                                cfg.dt, cfg.events(), m_true=m_true)
+                                cfg.dt, cfg.events(), m_true=cfg.m_true)
     summary, _ = estimate_pce(system, obs, noise, cfg.prior(), cfg.t_f, cfg.dt,
                               cfg.events(), order=cfg.pce_order,
-                              rule=cfg.pce_rule, m_true=m_true)
+                              rule=cfg.pce_rule, m_true=cfg.m_true)
     return summary
 
 
@@ -164,7 +147,7 @@ def _derived_seed(master: int, index: int) -> int:
 def _sweep_one(packed):
     index, cfg = packed
     system = load_system()
-    _, obs, noise = _synth(cfg, system)
+    obs, noise = cfg.observations(cfg.truth(system))
     s = run_estimate(cfg, system, obs, noise)
     load = cfg.disturbance.load if cfg.disturbance is not None else 0.0
     return [index, cfg.t_f, cfg.dt, cfg.dt_obs, load, cfg.noise_var, cfg.seed,
@@ -212,7 +195,7 @@ def cmd_sweep(args) -> int:
 def cmd_gradient_check(args) -> int:
     cfg = _load_config(args)
     system = load_system()
-    _, obs, noise = _synth(cfg, system)
+    obs, noise = cfg.observations(cfg.truth(system))
     rng = np.random.default_rng(cfg.seed)
     m0 = np.array(cfg.prior_mean)
     points = [m0] + [m0 * (1.0 + 0.2 * rng.uniform(-1, 1, m0.size))

@@ -112,7 +112,6 @@ class DisturbanceEvent:
 class GeneratorParams:
     """Constants of the three machines and their exciters (arrays over machines)."""
     bus: np.ndarray       # 0-based bus index of each machine
-    h_ref: np.ndarray     # reference inertia constants (s)
     d: np.ndarray         # damping torque coefficient (pu torque / pu speed)
     rs: np.ndarray
     xd: np.ndarray
@@ -447,21 +446,15 @@ class NineBusSystem:
                 tm - torque - d * (uu[xo + OMEGA] - ws) / ws)
         return jac
 
-    @property
-    def h_ref(self) -> np.ndarray:
-        return self.gens.h_ref.copy()
-
 
 def load_system(path: str | Path | None = None) -> NineBusSystem:
     """Load the data file and return the model built at its equilibrium.
 
     With no argument the packaged WSCC 9-bus data set is used.
     """
-    if path is None:
-        src = resources.files("gridest.data").joinpath("wscc9.yaml")
-        raw = yaml.safe_load(src.read_text())
-    else:
-        raw = yaml.safe_load(Path(path).read_text())
+    src = resources.files("gridest.data").joinpath("wscc9.yaml") \
+        if path is None else Path(path)
+    raw = yaml.safe_load(src.read_text())
     if raw.get("version") != 1:
         raise ValueError("unsupported data file version")
 
@@ -483,29 +476,18 @@ def load_system(path: str | Path | None = None) -> NineBusSystem:
     gens_raw = raw["generators"]
     if len(gens_raw) != N_MACH:
         raise ValueError(f"expected {N_MACH} generators, got {len(gens_raw)}")
-    exc = raw["exciters"]
-
-    def col(key):
-        return np.array([g[key] for g in gens_raw], dtype=float)
 
     p_gen_set = np.zeros(N_BUS)
     for g in gens_raw:
         p_gen_set[g["bus"] - 1] = g["p_set"]
 
+    # machine constants per generator, exciter constants shared by all three
     gens = GeneratorParams(
         bus=np.array([g["bus"] - 1 for g in gens_raw]),
-        h_ref=col("h"), d=col("d"), rs=col("rs"),
-        xd=col("xd"), xdp=col("xdp"), xq=col("xq"), xqp=col("xqp"),
-        td0p=col("td0p"), tq0p=col("tq0p"),
-        ka=np.full(N_MACH, float(exc["ka"])),
-        ta=np.full(N_MACH, float(exc["ta"])),
-        ke=np.full(N_MACH, float(exc["ke"])),
-        te=np.full(N_MACH, float(exc["te"])),
-        kf=np.full(N_MACH, float(exc["kf"])),
-        tf=np.full(N_MACH, float(exc["tf"])),
-        sat_a=np.full(N_MACH, float(exc["sat_a"])),
-        sat_b=np.full(N_MACH, float(exc["sat_b"])),
-    )
+        **{key: np.array([g[key] for g in gens_raw], dtype=float)
+           for key in ("d", "rs", "xd", "xdp", "xq", "xqp", "td0p", "tq0p")},
+        **{key: np.full(N_MACH, float(raw["exciters"][key]))
+           for key in ("ka", "ta", "ke", "te", "kf", "tf", "sat_a", "sat_b")})
 
     network = NetworkData(
         ybus=_build_ybus(raw["branches"]),

@@ -1,23 +1,25 @@
 """Scenario configuration: one experiment = one config.
 
 A scenario bundles everything needed to reproduce an estimation run:
-time grid, disturbance, noise level, prior, ground truth, seed, and the
-estimation method.  Configs round-trip through YAML and the CLI can
-override individual fields with flags.
+time grid, disturbance, noise level, prior, ground truth, seed and
+method; its `truth` and `observations` are the one recipe for synthetic
+data.  Configs round-trip through YAML; CLI flags override fields.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from .bayes import GaussianPrior
-from .integrator import grid_nodes
+from .integrator import grid_nodes, simulate
 from .lbfgs import H_LOWER_BOUND
-from .ninebus import DisturbanceEvent
-from .observation import NoiseModel, observation_times
+from .ninebus import N_BUS, DisturbanceEvent
+from .observation import (NoiseModel, observation_times,
+                          synthesize_observations)
 from .pce import PCE_RULES
 
 METHODS = ("adjoint", "pce")
@@ -50,9 +52,23 @@ class ScenarioConfig:
     pce_rule: str = "stochastic-testing"
 
     def __post_init__(self):
-        self.prior_mean = tuple(float(x) for x in self.prior_mean)
-        self.prior_var = tuple(float(x) for x in self.prior_var)
-        self.m_true = tuple(float(x) for x in self.m_true)
+        # a field of the wrong type would fail later, in a comparison or
+        # in the noise stream, with a message that does not name it
+        def number(x, kind=Real):
+            return isinstance(x, kind) and not isinstance(x, bool)
+        for name in ("t_f", "dt", "dt_obs", "noise_var", "seed", "pce_order"):
+            integer = name in ("seed", "pce_order")
+            if not number(getattr(self, name), Integral if integer else Real):
+                raise ValueError(f"{name}={getattr(self, name)!r} is not "
+                                 + ("an integer" if integer else "a number"))
+        for name in ("prior_mean", "prior_var", "m_true"):
+            value = getattr(self, name)
+            if not (isinstance(value, (list, tuple, np.ndarray))
+                    and all(map(number, value))):
+                raise ValueError(f"{name}={value!r} is not a list of numbers")
+            setattr(self, name, tuple(float(x) for x in value))
+        if not isinstance(self.disturbance, (DisturbanceEvent, type(None))):
+            raise ValueError(f"disturbance={self.disturbance!r} is not an event")
         for name in ("t_f", "dt", "dt_obs", "noise_var", "prior_mean",
                      "prior_var", "m_true"):
             if not np.all(np.isfinite(getattr(self, name))):
@@ -80,8 +96,7 @@ class ScenarioConfig:
         if any(h <= 0 for h in self.m_true):
             raise ValueError(
                 f"m_true={self.m_true} has an inertia that is not positive")
-        if len(self.prior_mean) != len(self.prior_var) or \
-                len(self.prior_mean) != len(self.m_true):
+        if not len(self.prior_mean) == len(self.prior_var) == len(self.m_true):
             raise ValueError("prior_mean, prior_var and m_true lengths differ")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
@@ -103,6 +118,18 @@ class ScenarioConfig:
 
     def noise(self, n_obs: int) -> NoiseModel:
         return NoiseModel.iid(self.noise_var, n_obs)
+
+    def truth(self, system):
+        """The forward solve at the true inertias m_true."""
+        return simulate(system, np.array(self.m_true), self.t_f, self.dt,
+                        events=self.events())
+
+    def observations(self, truth):
+        """(ObservationSet, NoiseModel): the truth's bus voltages at times()
+        plus iid noise of variance noise_var, drawn from seed."""
+        times = self.times()
+        noise = self.noise(2 * N_BUS * len(times))
+        return synthesize_observations(truth, times, noise, self.seed), noise
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> dict:

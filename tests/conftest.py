@@ -1,16 +1,18 @@
 """Shared fixtures: the 9-bus system and cached estimation scenarios."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gridest.bayes import GaussianPrior, estimate_adjoint
-from gridest.integrator import simulate
-from gridest.ninebus import N_BUS, DisturbanceEvent, load_system
-from gridest.observation import (NoiseModel, observation_times,
-                                 synthesize_observations)
+from gridest.ninebus import load_system
+from gridest.scenario import (DEFAULT_DISTURBANCE, DEFAULT_M_TRUE,
+                              DEFAULT_PRIOR_MEAN, DEFAULT_PRIOR_VAR,
+                              ScenarioConfig)
 
-M_TRUE = np.array([23.64, 6.40, 3.01])
-PRIOR_MEAN = np.array([24.0, 6.0, 3.1])
-PRIOR_VAR = np.array([5.76, 0.36, 0.09])
+M_TRUE = np.array(DEFAULT_M_TRUE)
+PRIOR_MEAN = np.array(DEFAULT_PRIOR_MEAN)
+PRIOR_VAR = np.array(DEFAULT_PRIOR_VAR)
 SEED = 1234
 
 
@@ -32,13 +34,12 @@ def make_scenario(system):
     def make(t_f, dt_obs=0.05, load=5.5, var=1e-4, seed=SEED, dt=0.01):
         key = (t_f, dt_obs, load, var, seed, dt)
         if key not in cache:
-            events = () if load is None else (
-                DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=load),)
-            times = observation_times(t_f, dt_obs)
-            traj = simulate(system, M_TRUE, t_f, dt, events=events)
-            noise = NoiseModel.iid(var, 2 * N_BUS * len(times))
-            obs = synthesize_observations(traj, times, noise, seed)
-            cache[key] = (obs, noise, events)
+            cfg = ScenarioConfig(
+                t_f=t_f, dt=dt, dt_obs=dt_obs, noise_var=var, seed=seed,
+                disturbance=None if load is None else replace(
+                    DEFAULT_DISTURBANCE, load=load))
+            obs, noise = cfg.observations(cfg.truth(system))
+            cache[key] = (obs, noise, cfg.events())
         return cache[key]
 
     return make

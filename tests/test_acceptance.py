@@ -7,6 +7,7 @@ diag(5.76, 0.36, 0.09)), disturbance 5.5 pu at bus 5 on [0.1, 0.3),
 noise variance 1e-4, seed 1234.
 """
 import numpy as np
+from conftest import M_TRUE, PRIOR_MEAN
 from least_squares import SHIFT, shifted_linear
 
 from gridest.bayes import GaussianPrior, estimate_adjoint, laplace_covariance
@@ -15,8 +16,6 @@ from gridest.lbfgs import minimize
 from gridest.ninebus import DisturbanceEvent
 from gridest.pce import estimate_pce, sparse_rule
 
-M_TRUE = np.array([23.64, 6.40, 3.01])
-PRIOR_MEAN = np.array([24.0, 6.0, 3.1])
 EVENTS = (DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5),)
 
 

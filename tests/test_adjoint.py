@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import M_TRUE
 
 import gridest.adjoint
 from gridest.adjoint import (backward_sweep, misfit, misfit_state_gradients,
@@ -22,11 +23,8 @@ EVENTS = (DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5),)
 
 
 @pytest.fixture(scope="module")
-def small_case(system):
-    traj = simulate(system, system.h_ref, T_F, DT, events=EVENTS)
-    times = observation_times(T_F, 0.1)
-    noise = NoiseModel.iid(1e-4, 2 * N_BUS * len(times))
-    obs = synthesize_observations(traj, times, noise, seed=1234)
+def small_case(make_scenario):
+    obs, noise, _ = make_scenario(T_F, dt_obs=0.1)
     return obs, noise
 
 
@@ -53,7 +51,7 @@ def _assert_gradient_matches_fd(system, m, obs, noise, events=EVENTS):
 
 def test_misfit_hand_oracle(system, small_case):
     obs, noise = small_case
-    traj = simulate(system, system.h_ref, T_F, DT, events=EVENTS)
+    traj = simulate(system, M_TRUE, T_F, DT, events=EVENTS)
     f = observe(traj, obs.times, obs.buses, obs.coords)
     expected = 0.5 * np.sum((f - obs.values) ** 2 / noise.var)
     assert misfit(traj, obs, noise) == pytest.approx(expected, rel=1e-14)
@@ -82,7 +80,7 @@ BRANCH_CASES = {
                          ids=BRANCH_CASES.keys())
 def test_gradient_matches_finite_differences_on_branch_paths(system, coords,
                                                              events):
-    traj = simulate(system, system.h_ref, T_F, DT, events=events)
+    traj = simulate(system, M_TRUE, T_F, DT, events=events)
     times = observation_times(T_F, 0.1)
     noise = NoiseModel.iid(1e-4, 2 * N_BUS * len(times))
     obs = synthesize_observations(traj, times, noise, seed=1234,
@@ -103,7 +101,7 @@ def test_prior_term_is_exactly_additive(system, small_case):
 
 
 def test_gradient_vanishes_on_noiseless_data_at_truth(system):
-    m_true = system.h_ref
+    m_true = M_TRUE
     traj = simulate(system, m_true, T_F, DT, events=EVENTS)
     times = observation_times(T_F, 0.1)
     noise = NoiseModel.iid(1e-4, 2 * N_BUS * len(times))
@@ -117,7 +115,7 @@ def test_gradient_vanishes_on_noiseless_data_at_truth(system):
 
 def test_misfit_state_gradients_placement(system, small_case):
     obs, noise = small_case
-    traj = simulate(system, system.h_ref, T_F, DT, events=EVENTS)
+    traj = simulate(system, M_TRUE, T_F, DT, events=EVENTS)
     ru = misfit_state_gradients(traj, obs, noise)
     # entries exactly at the observation nodes
     assert set(ru) == {10, 20, 30, 40, 50}
@@ -129,7 +127,7 @@ def test_misfit_state_gradients_placement(system, small_case):
     for col in (27, 28, 35, 44):
         states = traj.states.copy()
         base = misfit(traj, obs, noise)
-        traj2 = simulate(system, system.h_ref, T_F, DT, events=EVENTS)
+        traj2 = simulate(system, M_TRUE, T_F, DT, events=EVENTS)
         traj2.states[30, col] += h
         up = misfit(traj2, obs, noise)
         traj2.states[30, col] -= 2 * h
@@ -150,7 +148,7 @@ def test_misfit_state_gradients_placement(system, small_case):
 
 
 def test_misfit_state_gradients_polar(system):
-    traj = simulate(system, system.h_ref, T_F, DT, events=EVENTS)
+    traj = simulate(system, M_TRUE, T_F, DT, events=EVENTS)
     times = observation_times(T_F, 0.25)
     noise = NoiseModel.iid(1e-4, 2 * N_BUS * len(times))
     obs = synthesize_observations(traj, times, noise, seed=7, coords="polar")
@@ -159,7 +157,7 @@ def test_misfit_state_gradients_polar(system):
     g = ru[node]
     h = 1e-7
     for col in (27, 30, 41):
-        traj2 = simulate(system, system.h_ref, T_F, DT, events=EVENTS)
+        traj2 = simulate(system, M_TRUE, T_F, DT, events=EVENTS)
         traj2.states[node, col] += h
         up = misfit(traj2, obs, noise)
         traj2.states[node, col] -= 2 * h
@@ -173,7 +171,7 @@ PRIOR = GaussianPrior(mean=np.array([24.0, 6.0, 3.1]),
 
 
 def _observed_case(system, coords, events):
-    traj = simulate(system, system.h_ref, T_F, DT, events=events)
+    traj = simulate(system, M_TRUE, T_F, DT, events=events)
     times = observation_times(T_F, 0.1)
     noise = NoiseModel.iid(1e-4, 2 * N_BUS * len(times))
     obs = synthesize_observations(traj, times, noise, seed=1234,
@@ -234,7 +232,7 @@ def test_observation_past_the_horizon_is_named(system, small_case):
     # data to 0.5 s on a 0.3 s trajectory: both passes name the first
     # time past the end instead of indexing past the stored states
     obs, noise = small_case
-    m = system.h_ref
+    m = M_TRUE
     traj = simulate(system, m, 0.3, DT, events=EVENTS)
     with pytest.raises(ValueError, match="observation time 0.4 is past the "
                                          "end of the trajectory at t=0.3"):

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import M_TRUE
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from least_squares import SHIFT, LeastSquares, shifted_linear
@@ -246,7 +247,7 @@ def test_objective_value_depends_on_m_alone(system, prior, make_scenario):
 def test_estimate_adjoint_small_scenario(system, prior, make_scenario):
     obs, noise, events = make_scenario(0.5, dt_obs=0.1)
     summary = estimate_adjoint(system, obs, noise, prior, 0.5, 0.01,
-                               events=events, m_true=[23.64, 6.40, 3.01])
+                               events=events, m_true=M_TRUE)
     st = summary.stats
     assert st["converged"]
     # the MAP: a forward solve per point tried, a tangent-linear pass per

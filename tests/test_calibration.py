@@ -19,36 +19,34 @@ that.  An over-confident posterior
 one below it.
 
 The seeds, N and the bound were fixed before any case was run.  Data:
-truth [23.64, 6.40, 3.01], the packaged prior, a 5.5 pu load step at
-bus 5 on [0.1, 0.3), noise variance 1e-4, dt = 0.01.  A surrogate does
+ScenarioConfig's defaults at each case's horizon and cadence (truth
+[23.64, 6.40, 3.01], the packaged prior, a 5.5 pu load step at bus 5 on
+[0.1, 0.3), noise variance 1e-4, dt = 0.01), one truth trajectory per
+case and one noise draw per seed.  A surrogate does
 not depend on the data, so each PCE case builds one and runs the
 surrogate MAP once per seed.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from conftest import M_TRUE
 
 from gridest.bayes import estimate_adjoint
 from gridest.integrator import simulate
-from gridest.ninebus import N_BUS, DisturbanceEvent
-from gridest.observation import (NoiseModel, observation_times, observe,
-                                 synthesize_observations)
+from gridest.observation import observe
 from gridest.pce import build_surrogate, surrogate_map
+from gridest.scenario import ScenarioConfig
 
-M_TRUE = np.array([23.64, 6.40, 3.01])
-EVENTS = (DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5),)
-DT = 0.01
-NOISE_VAR = 1e-4
 PCE_SEEDS = range(10000, 10040)        # N = 40
 ADJOINT_SEEDS = range(10000, 10020)    # N = 20
 
 
 def _data_sets(system, t_f, dt_obs, seeds):
     """(obs, noise) per seed, all from one truth trajectory."""
-    times = observation_times(t_f, dt_obs)
-    traj = simulate(system, M_TRUE, t_f, DT, events=EVENTS)
-    noise = NoiseModel.iid(NOISE_VAR, 2 * N_BUS * len(times))
-    return [(synthesize_observations(traj, times, noise, seed), noise)
-            for seed in seeds]
+    cfg = ScenarioConfig(t_f=t_f, dt_obs=dt_obs)
+    truth = cfg.truth(system)
+    return [replace(cfg, seed=seed).observations(truth) for seed in seeds]
 
 
 def _assert_calibrated(label, summaries):
@@ -64,10 +62,11 @@ def _assert_calibrated(label, summaries):
 
 
 def _check_pce(system, prior, rule, t_f, dt_obs):
-    times = observation_times(t_f, dt_obs)
+    cfg = ScenarioConfig(t_f=t_f, dt_obs=dt_obs)
+    times = cfg.times()
 
     def forward(m):
-        return observe(simulate(system, m, t_f, DT, EVENTS), times)
+        return observe(simulate(system, m, t_f, cfg.dt, cfg.events()), times)
 
     surrogate = build_surrogate(rule, 2, forward, prior)
     summaries = [surrogate_map(surrogate, obs, noise, prior)
@@ -89,6 +88,8 @@ def test_pce_posterior_calibrated_at_5s(system, prior):
 
 
 def test_adjoint_posterior_calibrated(system, prior):
-    summaries = [estimate_adjoint(system, obs, noise, prior, 1.0, DT, EVENTS)
+    cfg = ScenarioConfig(t_f=1.0, dt_obs=0.05)
+    summaries = [estimate_adjoint(system, obs, noise, prior, 1.0, cfg.dt,
+                                  cfg.events())
                  for obs, noise in _data_sets(system, 1.0, 0.05, ADJOINT_SEEDS)]
     _assert_calibrated("adjoint at 1.0 s", summaries)

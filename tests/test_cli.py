@@ -1,13 +1,18 @@
 """Command-line interface: every subcommand end to end in-process."""
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import gridest
 import gridest.bayes
 import gridest.cli
 from gridest.bayes import AdjointObjective
@@ -286,6 +291,63 @@ def test_dt_flag_checks_only_the_resolved_disturbance(tmp_path):
     with pytest.raises(SystemExit, match=re.escape(
             "disturbance bound 0.1 is not a multiple of dt=0.04")):
         _run(["synth-data", *grid, "--out", tmp_path / "c.csv"])
+
+
+# a config field of the wrong type, as YAML reads it, and the error that
+# names it: the command ends with that message and writes no file
+WRONG_TYPES = {
+    "disturbance-list": ("disturbance: [1, 2]",
+                         "disturbance=[1, 2] is not an event"),
+    "prior-mean-scalar": ("prior_mean: 5",
+                          "prior_mean=5 is not a list of numbers"),
+    "t-f-text": ("t_f: abc", "t_f='abc' is not a number"),
+    "pce-order-text": ("pce_order: two", "pce_order='two' is not an integer"),
+    "noise-var-list": ("noise_var: [1, 2]",
+                       "noise_var=[1, 2] is not a number"),
+    "seed-text": ("seed: abc", "seed='abc' is not an integer"),
+    "seed-fraction": ("seed: 1.5", "seed=1.5 is not an integer"),
+}
+
+
+@pytest.mark.parametrize("line, message", WRONG_TYPES.values(),
+                         ids=WRONG_TYPES.keys())
+def test_config_field_of_the_wrong_type_is_named(tmp_path, line, message):
+    cfg_path = tmp_path / "bad.yaml"
+    cfg_path.write_text(line + "\n")
+    with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
+        _run(["synth-data", "--config", cfg_path,
+              "--out", tmp_path / "d.csv"])
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+def test_synth_data_writes_the_scenario_observations(tmp_path, system):
+    # the file holds, bit for bit, what the library recipe draws
+    cfg = ScenarioConfig(t_f=0.5, dt_obs=0.1, seed=77, noise_var=4e-4)
+    path = tmp_path / "d.csv"
+    _run(["synth-data", *FAST, "--seed", "77", "--noise-var", "4e-4",
+          "--out", path])
+    assert ScenarioConfig.from_dict(_header_config(path)) == cfg
+    obs, noise = cfg.observations(cfg.truth(system))
+    back, noise_back = read_observations(path)
+    assert np.array_equal(back.times, obs.times)
+    assert np.array_equal(back.values, obs.values)
+    assert np.array_equal(noise_back.var, noise.var)
+
+
+@pytest.mark.parametrize("user, expected", [(None, "1"), ("2", "2")])
+def test_import_pins_blas_threads_unless_set(user, expected):
+    # the variables must be set before numpy loads OpenBLAS, so a fresh
+    # interpreter imports the package first
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = str(Path(gridest.__file__).parents[1])
+    if user is not None:
+        env.update(dict.fromkeys(names, user))
+    out = subprocess.run(
+        [sys.executable, "-c", "import os, gridest; print(*(os.environ[k] "
+         f"for k in {names!r}))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == [expected] * 3
 
 
 @pytest.mark.parametrize("method, rule", METHOD_CASES)

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import M_TRUE
 
 from gridest import integrator
 from gridest.integrator import (CHORD_RHO, EXTRAPOLATION_ORDER,
@@ -157,7 +158,7 @@ def test_simulate_argument_validation():
 
 
 def test_nine_bus_stays_on_equilibrium_without_events(system):
-    traj = simulate(system, system.h_ref, 0.5, 0.01)
+    traj = simulate(system, M_TRUE, 0.5, 0.01)
     u0 = system.steady_state()
     assert np.max(np.abs(traj.states - u0)) < 1e-12
     assert traj.newton_iters == 0  # start is exact, no correction needed
@@ -165,7 +166,7 @@ def test_nine_bus_stays_on_equilibrium_without_events(system):
 
 def test_nine_bus_event_run_shapes(system):
     ev = DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5)
-    traj = simulate(system, system.h_ref, 0.5, 0.01, events=(ev,))
+    traj = simulate(system, M_TRUE, 0.5, 0.01, events=(ev,))
     assert isinstance(traj, Trajectory)
     assert traj.states.shape == (51, 45)
     assert np.all(np.isfinite(traj.states))
@@ -176,7 +177,7 @@ def test_nine_bus_event_run_shapes(system):
     assert np.max(np.abs(traj.states[-1, :21] - u0[:21])) > 1e-3
     # algebraic consistency of the final stored state
     loads = system.load_set(*system.loads_at(0.49, (ev,)))
-    f = system.rhs(traj.states[-1], system.h_ref, loads)
+    f = system.rhs(traj.states[-1], M_TRUE, loads)
     assert np.max(np.abs(f[21:])) < 1e-9
 
 
@@ -184,9 +185,9 @@ def test_solve_algebraic_restores_consistency(system):
     u = system.steady_state()
     loads = system.load_set(*system.loads_at(0.15, (DisturbanceEvent(
         bus=5, start=0.1, duration=0.2, load=5.5),)))
-    v, f_v, _ = solve_algebraic(system, u, 0.15, system.h_ref, loads)
+    v, f_v, _ = solve_algebraic(system, u, 0.15, M_TRUE, loads)
     assert np.array_equal(v[:21], u[:21])
-    f = system.rhs(v, system.h_ref, loads)
+    f = system.rhs(v, M_TRUE, loads)
     assert np.max(np.abs(f[21:])) < 1e-10
     assert np.array_equal(f_v, f)
 
@@ -348,7 +349,7 @@ def test_nan_jacobian_is_a_step_failure():
 
 def test_step_hands_back_the_arrival_rhs(system):
     ev = DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5)
-    m = system.h_ref
+    m = M_TRUE
     traj = simulate(system, m, 0.5, 0.01, events=(ev,))
     for k in (0, 10, 11, 30, 45):
         loads = traj.load_sets[traj.step_loads[k]]
@@ -389,7 +390,7 @@ def test_simulate_never_repeats_an_rhs_call(system):
     # the event
     recorder = RhsRecorder(system)
     ev = DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5)
-    traj = simulate(recorder, system.h_ref, 0.5, 0.01, events=(ev,))
+    traj = simulate(recorder, M_TRUE, 0.5, 0.01, events=(ev,))
     assert set(traj.pre_event) == {10, 30}
     calls = recorder.calls
     assert len(calls) > traj.n_steps
@@ -403,7 +404,7 @@ def test_newton_factorizations_are_the_lu_calls_of_a_solve(monkeypatch,
                                                            system):
     rec = NewtonRecorder(monkeypatch, None, None)    # counts the LUs only
     ev = DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5)
-    traj = simulate(system, system.h_ref, 0.5, 0.01, events=(ev,))
+    traj = simulate(system, M_TRUE, 0.5, 0.01, events=(ev,))
     assert set(traj.pre_event) == {10, 30}
     assert traj.newton_factorizations == rec.factorizations > 0
 
@@ -415,7 +416,7 @@ def test_nine_bus_newton_iteration_count(system):
     # before the first run, is 240 for 200 steps: about one update per
     # step.  The quadratic start made 442, 2.2 per step
     ev = DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5)
-    traj = simulate(system, system.h_ref, 2.0, 0.01, events=(ev,))
+    traj = simulate(system, M_TRUE, 2.0, 0.01, events=(ev,))
     assert set(traj.pre_event) == {10, 30}
     assert traj.newton_factorizations <= traj.n_steps + len(traj.pre_event)
     assert traj.newton_iters <= 240
@@ -480,7 +481,7 @@ def test_extrapolated_start_reaches_the_same_state(system):
     # it bit for bit in no more Newton iterations than from u_k, and in
     # fewer where the start is of order 2 or more and u_k is not already
     # a root
-    m = system.h_ref
+    m = M_TRUE
     traj = simulate(system, m, 2.0, 0.01, events=ONE_EVENT)
     pre = traj.pre_event
     cold = list(_resolved_steps(system, traj, m))
@@ -497,8 +498,8 @@ def test_extrapolated_start_reaches_the_same_state(system):
 
 def test_state_gap_catches_a_newton_that_stops_at_accept(monkeypatch, system):
     monkeypatch.setattr(integrator, "NEWTON_TOL", NEWTON_ACCEPT)
-    traj = simulate(system, system.h_ref, 2.0, 0.01, events=ONE_EVENT)
-    resolved = _resolved_steps(system, traj, system.h_ref)
+    traj = simulate(system, M_TRUE, 2.0, 0.01, events=ONE_EVENT)
+    resolved = _resolved_steps(system, traj, M_TRUE)
     assert _start_gap(resolved, traj.pre_event) > STATE_GAP
 
 

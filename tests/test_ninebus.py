@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 import yaml
+from conftest import M_TRUE
 
 from gridest.integrator import simulate
 from gridest.ninebus import (DELTA, EQP, N_BUS, N_MACH, N_STATE, N_X,
@@ -38,7 +39,7 @@ def test_mass_is_semi_explicit(system):
 def test_steady_state_is_equilibrium_for_any_inertia(system):
     u0 = system.steady_state()
     loads = system.load_set(system.network.p_load, system.network.q_load)
-    for m in (system.h_ref, 2.0 * system.h_ref, np.array([5.0, 3.0, 1.0])):
+    for m in (M_TRUE, 2.0 * M_TRUE, np.array([5.0, 3.0, 1.0])):
         f = system.rhs(u0, m, loads)
         assert np.max(np.abs(f)) < 1e-9
 
@@ -126,7 +127,7 @@ def test_rhs_matches_reference(system, loads):
 def test_jac_u_matches_finite_differences(system):
     rng = np.random.default_rng(11)
     u = system.steady_state() + 1e-2 * rng.standard_normal(N_STATE)
-    m = system.h_ref
+    m = M_TRUE
     for loads in LOAD_SETS.values():
         load_set = system.load_set(*loads(system))
         jac = system.jac_u(u, m, load_set)
@@ -159,7 +160,7 @@ def test_load_set_follows_the_load_values():
     system = load_system()
     rng = np.random.default_rng(14)
     u = system.steady_state() + 1e-2 * rng.standard_normal(N_STATE)
-    m = system.h_ref
+    m = M_TRUE
     p_nom, q = LOAD_SETS["nominal"](system)
     p_ev, _ = LOAD_SETS["event"](system)
     assert not np.array_equal(p_nom, p_ev)
@@ -299,7 +300,7 @@ def test_loads_at_half_open_window(system):
 def test_generator_params_validation(system):
     g = system.gens
     kw = {f: getattr(g, f).copy() for f in (
-        "bus", "h_ref", "d", "rs", "xd", "xdp", "xq", "xqp", "td0p",
+        "bus", "d", "rs", "xd", "xdp", "xq", "xqp", "td0p",
         "tq0p", "ka", "ta", "ke", "te", "kf", "tf", "sat_a", "sat_b")}
     bad = dict(kw)
     bad["xdp"] = kw["xd"] * 2
@@ -316,10 +317,3 @@ def test_load_system_rejects_unknown_version(tmp_path):
     f.write_text(yaml.safe_dump({"version": 2}))
     with pytest.raises(ValueError):
         load_system(f)
-
-
-def test_h_ref_is_a_copy(system):
-    h = system.h_ref
-    h[0] = -1.0
-    assert system.h_ref[0] > 0
-    assert np.allclose(system.h_ref, [23.64, 6.40, 3.01])

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import M_TRUE
 from scipy.special import ndtri
 
 from gridest.integrator import grid_nodes, simulate
@@ -17,12 +18,12 @@ from gridest.observation import (NoiseModel, ObservationSet, normal_stream,
                                  observe, read_observations, synthesize,
                                  synthesize_observations, write_csv,
                                  write_observations, write_trajectory_csv)
+from gridest.scenario import ScenarioConfig
 
 
 @pytest.fixture(scope="module")
 def short_traj(system):
-    ev = DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5)
-    return simulate(system, system.h_ref, 0.4, 0.01, events=(ev,))
+    return ScenarioConfig(t_f=0.4).truth(system)
 
 
 def test_observation_times_grid():
@@ -172,9 +173,7 @@ def test_observation_set_validation():
 
 
 def test_csv_round_trip(tmp_path, short_traj):
-    times = observation_times(0.4, 0.1)
-    noise = NoiseModel.iid(1e-4, 2 * N_BUS * len(times))
-    obs = synthesize_observations(short_traj, times, noise, seed=1234)
+    obs, noise = ScenarioConfig(t_f=0.4, dt_obs=0.1).observations(short_traj)
     path = tmp_path / "obs.csv"
     write_observations(obs, noise, path, header_lines=("generated",))
     assert path.read_text().startswith("# generated\n")
@@ -216,7 +215,7 @@ def test_write_observations_rejects_noise_of_the_wrong_length(tmp_path, var):
 
 def test_trajectory_csv_round_trip(tmp_path, system):
     ev = DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5)
-    traj = simulate(system, system.h_ref, 0.3, 0.01, events=(ev,))
+    traj = simulate(system, M_TRUE, 0.3, 0.01, events=(ev,))
     path = tmp_path / "traj.csv"
     write_trajectory_csv(traj, path, state_names(),
                          header_lines=("alpha", "beta"))
@@ -277,22 +276,29 @@ def _writes(call: ast.Call) -> bool:
         bool(set(str(mode.value)) & set("wax+"))
 
 
-def _writing_scopes(node, scope):
+def _calling_scopes(node, scope, matches):
+    """(scope, line) of every call under node for which matches is true."""
     for child in ast.iter_child_nodes(node):
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                               ast.ClassDef)):
             inner = f"{scope}.{child.name}"
-        if isinstance(child, ast.Call) and _writes(child):
+        if isinstance(child, ast.Call) and matches(child):
             yield scope, child.lineno
-        yield from _writing_scopes(child, inner)
+        yield from _calling_scopes(child, inner, matches)
 
 
-def test_only_the_format_writers_write_files():
+def _package_scopes(matches):
     import gridest
     found = set()
     for path in sorted(Path(gridest.__file__).parent.glob("*.py")):
-        found |= set(_writing_scopes(ast.parse(path.read_text()), path.stem))
+        found |= set(_calling_scopes(ast.parse(path.read_text()), path.stem,
+                                     matches))
+    return found
+
+
+def test_only_the_format_writers_write_files():
+    found = _package_scopes(_writes)
     stray = sorted(f"{scope}:{line}" for scope, line in found
                    if scope not in WRITERS)
     assert not stray, f"files written outside the format writers: {stray}"
@@ -300,10 +306,23 @@ def test_only_the_format_writers_write_files():
     assert {scope for scope, _ in found} == WRITERS
 
 
+def _synthesizes(call: ast.Call) -> bool:
+    f = call.func
+    name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+    return name == "synthesize_observations"
+
+
+def test_only_the_scenario_draws_synthetic_data():
+    # the truth, the observation times, the noise length and the draw
+    # exist once, in ScenarioConfig.truth and observations
+    found = _package_scopes(_synthesizes)
+    assert {scope for scope, _ in found} == \
+        {"scenario.ScenarioConfig.observations"}, sorted(found)
+
+
 def test_read_rejects_repeated_row(tmp_path, short_traj):
-    times = observation_times(0.4, 0.2)
-    noise = NoiseModel.iid(1e-4, 2 * N_BUS * len(times))
-    obs = synthesize_observations(short_traj, times, noise, seed=5)
+    obs, noise = ScenarioConfig(t_f=0.4, dt_obs=0.2,
+                                seed=5).observations(short_traj)
     path = tmp_path / "obs.csv"
     write_observations(obs, noise, path)
     with open(path, "a") as fh:
@@ -334,9 +353,8 @@ MALFORMED = {
 @pytest.mark.parametrize("edit, message", MALFORMED.values(),
                          ids=MALFORMED.keys())
 def test_read_rejects_malformed_file(tmp_path, short_traj, edit, message):
-    times = observation_times(0.4, 0.2)
-    noise = NoiseModel.iid(1e-4, 2 * N_BUS * len(times))
-    obs = synthesize_observations(short_traj, times, noise, seed=5)
+    obs, noise = ScenarioConfig(t_f=0.4, dt_obs=0.2,
+                                seed=5).observations(short_traj)
     path = tmp_path / "obs.csv"
     write_observations(obs, noise, path)
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
@@ -346,9 +364,8 @@ def test_read_rejects_malformed_file(tmp_path, short_traj, edit, message):
 
 
 def test_read_requires_sidecar(tmp_path, short_traj):
-    times = observation_times(0.4, 0.2)
-    noise = NoiseModel.iid(1e-4, 2 * N_BUS * len(times))
-    obs = synthesize_observations(short_traj, times, noise, seed=5)
+    obs, noise = ScenarioConfig(t_f=0.4, dt_obs=0.2,
+                                seed=5).observations(short_traj)
     path = tmp_path / "obs.csv"
     write_observations(obs, noise, path)
     path.with_suffix(".csv.meta.json").unlink()

@@ -1,6 +1,7 @@
 """Polynomial-chaos surrogate: rules, selection, coefficients, MAP."""
 import numpy as np
 import pytest
+from conftest import M_TRUE
 
 from gridest.bayes import GaussianPrior
 from gridest.hermite import basis_matrix, multi_index_set, n_basis
@@ -294,7 +295,7 @@ def test_estimate_pce_small_pipeline(system, prior, make_scenario):
     summary, surrogate = estimate_pce(system, obs, noise, prior, 0.5, 0.01,
                                       events=events, order=2,
                                       rule="stochastic-testing",
-                                      m_true=[23.64, 6.40, 3.01])
+                                      m_true=M_TRUE)
     assert summary.method == "pce"
     assert surrogate.n_forward == 10
     assert summary.stats["forward_solves"] == 10
