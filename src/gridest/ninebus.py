@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from importlib import resources
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,11 @@ def state_names() -> list[str]:
     return names
 
 
+def is_number(x, kind=Real) -> bool:
+    """x is a kind of number (Real unless named), and not a bool."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class DisturbanceEvent:
     """Temporary replacement of the active-power load at one bus.
@@ -92,12 +98,16 @@ class DisturbanceEvent:
     load: float
 
     def __post_init__(self):
+        if not is_number(self.bus, Integral):
+            raise ValueError(f"event bus {self.bus!r} is not an integer")
         if not 1 <= self.bus <= N_BUS:
             raise ValueError(f"event bus {self.bus} outside 1..{N_BUS}")
         for name in ("start", "duration", "load"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"event {name} {getattr(self, name)!r} "
-                                 "is not finite")
+            value = getattr(self, name)
+            if not is_number(value):
+                raise ValueError(f"event {name} {value!r} is not a number")
+            if not math.isfinite(value):
+                raise ValueError(f"event {name} {value!r} is not finite")
         if self.start < 0:
             raise ValueError("event start must be >= 0")
         if self.duration <= 0:

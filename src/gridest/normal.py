@@ -1,0 +1,139 @@
+"""The standard normal CDF ndtr and its inverse ndtri, ported from Cephes
+(S. L. Moshier, Methods and Programs for Mathematical Functions, 1989),
+the code that scipy.special evaluates, step for step, so both return
+the doubles scipy.special does without loading it.  The tables run from
+the highest power down, the denominators with Cephes' implied leading 1,
+so np.polyval and _horner take the steps of polevl and p1evl.  Logs and
+exponentials are libm's (math.log, math.exp): np.log rounds some
+doubles differently.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+_EXP_M2 = 0.13533528323661269189          # exp(-2): ndtri's central branch
+_S2PI = 2.50662827463100050242            # sqrt(2 pi)
+_SQRT1_2 = 0.70710678118654752440
+_MAXLOG = 7.09782712893383996843e2        # log(largest double)
+
+# ndtri, |u - 1/2| <= 1/2 - exp(-2)
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+       -5.66762857469070293439e1, 1.39312609387279679503e1,
+       -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
+       8.63602421390890590575e1, -2.25462687854119370527e2,
+       2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+# ndtri tails, z = sqrt(-2 log y) in [2, 8): y down to exp(-32)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+       5.71628192246421288162e1, 4.40805073893200834700e1,
+       1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+       -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
+       4.13172038254672030440e1, 1.50425385692907503408e1,
+       2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+# ndtri tails, z in [8, 64)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
+       3.93881025292474443415e0, 1.33303460815807542389e0,
+       2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6,
+       6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
+       1.37702099489081330271e0, 2.16236993594496635890e-1,
+       1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+# erf, |x| <= 1, in x^2
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+      2.23200534594684319226e3, 7.00332514112805075473e3,
+      5.55923013010394962768e4)
+_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+      4.59432382970980127987e3, 2.26290000613890934246e4,
+      4.92673942608635921086e4)
+# erfc, 1 <= x < 8
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+      7.46321056442269912687e0, 4.86371970985681366614e1,
+      1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3,
+      5.57535335369399327526e2)
+_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
+      3.54937778887819891062e2, 9.75708501743205489753e2,
+      1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+# erfc, x >= 8
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
+      5.01905042251180477414e0, 6.16021097993053585195e0,
+      7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
+      1.20489539808096656605e1, 1.70814450747565897222e1,
+      9.60896809063285878198e0, 3.36907645100081516050e0)
+
+
+def _horner(x: float, coefs) -> float:
+    """polevl on one float: coefs[0], then y * x + c for each next c."""
+    y = coefs[0]
+    for c in coefs[1:]:
+        y = y * x + c
+    return y
+
+
+def _log(y: np.ndarray) -> np.ndarray:
+    return np.array([math.log(v) for v in y.tolist()])
+
+
+def ndtri(u) -> np.ndarray:
+    """x with Phi(x) = u, elementwise; as in Cephes, -inf at u = 0, inf at
+    u = 1 and NaN off [0, 1]."""
+    u = np.asarray(u, dtype=float)
+    x = np.select([u == 0.0, u == 1.0], [-np.inf, np.inf], np.nan)
+    mid = (u > _EXP_M2) & (u <= 1.0 - _EXP_M2)
+    y = u[mid] - 0.5
+    y2 = y * y
+    x[mid] = (y + y * (y2 * np.polyval(_P0, y2) / np.polyval(_Q0, y2))) * _S2PI
+    upper = u > 1.0 - _EXP_M2
+    tails = (u > 0.0) & (u < 1.0) & ~mid
+    y = np.where(upper, 1.0 - u, u)[tails]
+    t = np.sqrt(-2.0 * _log(y))
+    z = 1.0 / t
+    x1 = np.empty_like(t)
+    near = t < 8.0
+    x1[near] = z[near] * np.polyval(_P1, z[near]) / np.polyval(_Q1, z[near])
+    x1[~near] = z[~near] * np.polyval(_P2, z[~near]) / np.polyval(_Q2, z[~near])
+    tail = t - _log(t) / t - x1
+    x[tails] = np.where(upper[tails], tail, -tail)
+    return x
+
+
+def _erf(x: float) -> float:
+    """erf for |x| <= 1 (odd: the sign of x carries through exactly)."""
+    z = x * x
+    return x * _horner(z, _T) / _horner(z, _U)
+
+
+def _erfc(x: float) -> float:
+    """erfc for x >= 0, flushed to 0 where exp(-x^2) underflows."""
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    z = -x * x
+    if z < -_MAXLOG:
+        return 0.0
+    p, q = (_P, _Q) if x < 8.0 else (_R, _S)
+    return math.exp(z) * _horner(x, p) / _horner(x, q)
+
+
+def _ndtr(a: float) -> float:
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
+def ndtr(a) -> np.ndarray:
+    """Phi(a), the standard normal CDF, elementwise."""
+    a = np.asarray(a, dtype=float)
+    return np.array([_ndtr(v) for v in a.ravel().tolist()]).reshape(a.shape)

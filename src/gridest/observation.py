@@ -14,7 +14,8 @@ multiples (integrator.grid_nodes).
 Synthetic data uses a counter-based PRNG so streams are reproducible
 and documented: uniforms are (r >> 11 + 0.5) / 2^53 built from the raw
 64-bit Philox4x64-10 stream keyed by the seed, mapped through the
-inverse normal CDF and scaled by the per-entry noise std.
+inverse normal CDF (normal.ndtri, bit-identical to scipy.special.ndtri)
+and scaled by the per-entry noise std.
 """
 from __future__ import annotations
 
@@ -24,10 +25,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
 
 from .integrator import GRID_TOL, grid_nodes
 from .ninebus import N_BUS, ix_vim, ix_vre
+from .normal import ndtri
 
 RECT, POLAR = "rect", "polar"
 _COMPONENTS = {RECT: ("v_re", "v_im"), POLAR: ("v_mag", "v_ang")}
@@ -133,7 +134,9 @@ def observation_partials(traj, obs: ObservationSet):
 
 
 def normal_stream(seed: int, n: int) -> np.ndarray:
-    """Reproducible standard-normal draws (Philox counter stream + ndtri)."""
+    """Reproducible standard-normal draws: the Philox counter stream's
+    uniforms through normal.ndtri, the Cephes inverse normal CDF, which
+    draws what scipy.special.ndtri would, bit for bit."""
     raw = np.random.Philox(key=np.uint64(seed)).random_raw(n)
     u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) / 2.0 ** 53
     return ndtri(u)

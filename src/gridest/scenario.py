@@ -17,7 +17,7 @@ import yaml
 from .bayes import GaussianPrior
 from .integrator import grid_nodes, simulate
 from .lbfgs import H_LOWER_BOUND
-from .ninebus import N_BUS, DisturbanceEvent
+from .ninebus import N_BUS, DisturbanceEvent, is_number
 from .observation import (NoiseModel, observation_times,
                           synthesize_observations)
 from .pce import PCE_RULES
@@ -54,17 +54,15 @@ class ScenarioConfig:
     def __post_init__(self):
         # a field of the wrong type would fail later, in a comparison or
         # in the noise stream, with a message that does not name it
-        def number(x, kind=Real):
-            return isinstance(x, kind) and not isinstance(x, bool)
         for name in ("t_f", "dt", "dt_obs", "noise_var", "seed", "pce_order"):
             integer = name in ("seed", "pce_order")
-            if not number(getattr(self, name), Integral if integer else Real):
+            if not is_number(getattr(self, name), Integral if integer else Real):
                 raise ValueError(f"{name}={getattr(self, name)!r} is not "
                                  + ("an integer" if integer else "a number"))
         for name in ("prior_mean", "prior_var", "m_true"):
             value = getattr(self, name)
             if not (isinstance(value, (list, tuple, np.ndarray))
-                    and all(map(number, value))):
+                    and all(map(is_number, value))):
                 raise ValueError(f"{name}={value!r} is not a list of numbers")
             setattr(self, name, tuple(float(x) for x in value))
         if not isinstance(self.disturbance, (DisturbanceEvent, type(None))):

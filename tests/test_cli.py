@@ -306,6 +306,14 @@ WRONG_TYPES = {
                        "noise_var=[1, 2] is not a number"),
     "seed-text": ("seed: abc", "seed='abc' is not an integer"),
     "seed-fraction": ("seed: 1.5", "seed=1.5 is not an integer"),
+    "event-bus-text": ("disturbance: {bus: abc, start: 0.1, duration: 0.2, "
+                       "load: 5.5}", "event bus 'abc' is not an integer"),
+    "event-start-text": ("disturbance: {bus: 5, start: x, duration: 0.2, "
+                         "load: 5.5}", "event start 'x' is not a number"),
+    "event-bus-float": ("disturbance: {bus: 5.0, start: 0.1, duration: 0.2, "
+                        "load: 5.5}", "event bus 5.0 is not an integer"),
+    "event-bus-bool": ("disturbance: {bus: true, start: 0.1, duration: 0.2, "
+                       "load: 5.5}", "event bus True is not an integer"),
 }
 
 
