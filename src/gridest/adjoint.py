@@ -27,15 +27,9 @@ costs one LU of its Newton matrix (integrator.lu_factor, one dgetrf)
 and one triangular solve on it (lu_solve, one dgetrs: transposed here,
 3 columns there); a projection node adds one LU of g_y and one solve.
 Both passes walk one linearization, forward or reversed
-(_linearization).  The trajectory is stored, so every state it needs is
-known before the first step: F_u's state-dependent entries and F_m are
-evaluated in one stacked call each (system.jac_u_entries, system.jac_m)
-at every node, plus every pre-switch arrival state.  Per load set the
-Newton matrix and B^x are built once without those entries; a step
-copies them and writes its entries, and a projection node writes its
-entries into the load set's matrix.  On the 9-bus model (Xeon, one
-BLAS thread, numpy 2.4, scipy 1.17) a 1 s pass of 100 steps takes
-about 2.9 ms, 12.7 us of each step's 28 us in dgetrf.
+(_linearization), which evaluates F_u's state-dependent entries and F_m
+in one stacked call each and builds each step's matrices from templates
+made once per load set.  bench/layers.py times and counts each pass.
 A singular Newton matrix or g_y raises integrator.StepFailure naming
 the pass and the time; so does a multiplier or a sensitivity that is
 not finite (LU lets a NaN through), naming the first node it reaches.
@@ -58,8 +52,14 @@ Tangent-linear and adjoint DAE sensitivities are derived together in
 Cao, Li, Petzold & Serban (SIAM J. Sci. Comput. 24, 2003).
 
 The pass keeps S at every node (post-switch, with the pre-switch S at
-each projection node) in a Sensitivity.  It predicts the trajectory at
-a nearby m as u_k + S_k (m - m_0), with an error of O(|m - m_0|^2).
+each projection node) in a Sensitivity.  With W = (S, I), the Hessian of
+J is W^T L'' W for the scheme's Lagrangian L (second-order adjoint:
+Wang, Navon, Le Dimet & Zou, 1992; Ozyurt & Barton, SIAM J. Sci.
+Comput. 26, 2005): J_f^T Gn^-1 J_f plus the Jacobian of
+lagrangian_gradient.  Its multipliers nu are one sweep's lam_k times w
+(dt/2 on the differential rows, 1 below) at step k's arrival, times
+dt/2 on the differential rows at its departure, and -g_y^-T a_y on g's
+rows at a projection node's post-switch state.
 """
 from __future__ import annotations
 
@@ -102,33 +102,42 @@ def misfit_state_gradients(traj: Trajectory, obs: ObservationSet,
     return out
 
 
+def _node_stack(values, pre_event):
+    """(stack, depart): values at each step's arrival (pre_event's at a
+    projection node), then at node 0 and each projection node; depart[k]
+    is the row of node k's stored value.  States and S stack alike."""
+    starts = [0] + sorted(k for k in pre_event if k > 0)
+    arrivals = values[1:].copy()
+    for k in starts[1:]:
+        arrivals[k - 1] = pre_event[k]
+    depart = np.arange(-1, len(arrivals) - 1)
+    depart[starts] = len(arrivals) + np.arange(len(starts))
+    return np.concatenate((arrivals, values[starts])), depart
+
+
 def _linearization(system, traj: Trajectory, m: np.ndarray,
                    names: tuple[str, str], reverse: bool = False):
-    """The linearization of traj at m, step by step, in time order or
-    reversed: for step k under its load set traj.step_loads[k], (k, B^x,
-    dt/2 (F_m(u_k) + F_m(u_{k+1})) on the differential rows, the Newton
-    matrix's LU, and at a projection node k (g_x, g_y's LU), else None).
+    """(stack, depart, entries, jm, steps): _node_stack of traj's
+    states, F_u's state-dependent entries and F_m at each, and the
+    linearization of traj at m, step by step, in time order or reversed:
+    steps yields for step k under its load set traj.step_loads[k] (k,
+    B^x, dt/2 (F_m(u_k) + F_m(u_{k+1})) on the differential rows, the
+    Newton matrix's LU, and at a projection node k (g_x, g_y's LU), else
+    None).
 
     B^x and g_x, g_y are taken at node k's stored (post-switch) state,
     the Newton matrix and F_m(u_{k+1}) at the arrival state, pre-switch
-    at a projection node.  The stack of evaluated states is every
-    arrival state plus the departures that are no step's arrival: node 0
-    and each projection node.  names = (pass, projection) name a
-    singular matrix's StepFailure.
+    at a projection node: F_u's entries and F_m are evaluated once at
+    every state of the stack.  The Newton matrix and B^x of a load set
+    are built once without the entries; a step copies them and writes
+    its entries.  names = (pass, projection) name a singular matrix's
+    StepFailure.
     """
     n_x, n, dt = system.n_x, traj.n_steps, traj.dt
-    starts = [0] + sorted(k for k in traj.pre_event if k > 0)
-    arrivals = traj.states[1:].copy()
-    for k in starts[1:]:
-        arrivals[k - 1] = traj.pre_event[k]
-    stack = np.vstack((arrivals, traj.states[starts]))
-    # row of node k's stored state: the arrival of step k - 1, or a start
-    depart = np.arange(-1, n - 1)
-    depart[starts] = n + np.arange(len(starts))
-
+    stack, depart = _node_stack(traj.states, traj.pre_event)
     entries = system.jac_u_entries(stack, m)
-    fm = system.jac_m(stack, m)[:, :n_x]
-    fm_steps = 0.5 * dt * (fm[depart] + fm[:n])
+    jm = system.jac_m(stack, m)
+    fm_steps = 0.5 * dt * (jm[depart, :n_x] + jm[:n, :n_x])
 
     n_state = stack.shape[1]
     rows, cols = np.divmod(system.jac_idx, n_state)
@@ -147,40 +156,38 @@ def _linearization(system, traj: Trajectory, m: np.ndarray,
         b.flat[::n_state + 1] += 1.0
         b_tpl.append(b)
 
-    steps = range(n)
-    for k in reversed(steps) if reverse else steps:
-        li = traj.step_loads[k]
-        a = a_tpl[li].copy(order="F")
-        a.ravel(order="F")[a_idx] = a_vals[k]
-        step_lu = lu_factor(a, names[0], traj.times[k + 1])
-        b = b_tpl[li].copy()
-        b.reshape(-1)[b_idx] = b_vals[k]
-        projection = None
-        if k in traj.pre_event:
-            fu = traj.load_sets[li].copy()
-            fu.reshape(-1)[system.jac_idx] = entries[depart[k]]
-            projection = fu[n_x:, :n_x], lu_factor(fu[n_x:, n_x:], names[1],
-                                                   traj.times[k])
-        yield k, b, fm_steps[k], step_lu, projection
+    def steps():
+        for k in reversed(range(n)) if reverse else range(n):
+            li = traj.step_loads[k]
+            a = a_tpl[li].copy(order="F")
+            a.ravel(order="F")[a_idx] = a_vals[k]
+            step_lu = lu_factor(a, names[0], traj.times[k + 1])
+            b = b_tpl[li].copy()
+            b.reshape(-1)[b_idx] = b_vals[k]
+            projection = None
+            if k in traj.pre_event:
+                fu = traj.load_sets[li].copy()
+                fu.reshape(-1)[system.jac_idx] = entries[depart[k]]
+                projection = fu[n_x:, :n_x], lu_factor(
+                    fu[n_x:, n_x:], names[1], traj.times[k])
+            yield k, b, fm_steps[k], step_lu, projection
+    return stack, depart, entries, jm, steps()
 
 
-def backward_sweep(system, traj: Trajectory, m: np.ndarray,
-                   obs: ObservationSet, noise: NoiseModel,
-                   prior=None) -> np.ndarray:
-    """Exact gradient of the discrete objective by one adjoint pass.
-
-    `prior`, when given, must expose mean/var arrays; its quadratic
-    penalty gradient Gpr^-1 (m - mean) is added to the data term.
-    """
+def _sweep(system, traj: Trajectory, m: np.ndarray, obs: ObservationSet,
+           noise: NoiseModel):
+    """The adjoint sweep: (mu, nu, (stack, entries, jm)), the misfit's
+    gradient, the multipliers nu of F at each state of _node_stack (see
+    the module docstring) and _linearization's stacked evaluation."""
     n_x = system.n_x
     ru = misfit_state_gradients(traj, obs, noise)
-
+    stack, depart, entries, jm, steps = _linearization(
+        system, traj, m, ("adjoint sweep", "adjoint projection"), reverse=True)
     mu = np.zeros(system.n_param)
+    nu = np.zeros_like(stack)
     a = ru.get(traj.n_steps, np.zeros_like(traj.states[0])).copy()
-    for k, b, fm, step_lu, projection in _linearization(
-            system, traj, m, ("adjoint sweep", "adjoint projection"),
-            reverse=True):
-        lam = lu_solve(step_lu, a, trans=1)
+    for k, b, fm, step_lu, projection in steps:
+        lam = nu[k] = lu_solve(step_lu, a, trans=1)
         if not np.isfinite(lam).all():
             raise StepFailure(f"adjoint sweep at t={traj.times[k + 1]:.6g}: "
                               "multiplier not finite")
@@ -192,10 +199,25 @@ def backward_sweep(system, traj: Trajectory, m: np.ndarray,
         if projection is not None:
             # pull a back through the algebraic re-solve
             g_x, g_y_lu = projection
-            a[:n_x] -= g_x.T @ lu_solve(g_y_lu, a[n_x:], trans=1)
+            beta = lu_solve(g_y_lu, a[n_x:], trans=1)
+            a[:n_x] -= g_x.T @ beta
             a[n_x:] = 0.0
+            nu[depart[k], n_x:] = -beta
+    nu[depart, :n_x] += nu[:traj.n_steps, :n_x]
+    # F enters the scheme times dt/2 on the differential rows, 1 below
+    nu[:, :n_x] *= 0.5 * traj.dt
+    return mu, nu, (stack, entries, jm)
 
-    grad = mu
+
+def backward_sweep(system, traj: Trajectory, m: np.ndarray,
+                   obs: ObservationSet, noise: NoiseModel,
+                   prior=None) -> np.ndarray:
+    """Exact gradient of the discrete objective by one adjoint pass.
+
+    `prior`, when given, must expose mean/var arrays; its quadratic
+    penalty gradient Gpr^-1 (m - mean) is added to the data term.
+    """
+    grad = _sweep(system, traj, m, obs, noise)[0]
     if prior is not None:
         grad = grad + (m - np.asarray(prior.mean)) / np.asarray(prior.var)
     return grad
@@ -213,14 +235,33 @@ class Sensitivity:
     states: np.ndarray
     pre_event: dict[int, np.ndarray]
 
-    def predict(self, m: np.ndarray) -> Trajectory:
-        """The first-order trajectory at m: u_k + S_k (m - self.m)."""
-        dm = np.asarray(m, dtype=float) - self.m
-        traj = self.traj
-        return replace(traj, states=traj.states + self.states @ dm,
-                       pre_event={k: u + self.pre_event[k] @ dm
-                                  for k, u in traj.pre_event.items()},
-                       newton_iters=0, newton_factorizations=0)
+
+def lagrangian_gradient(system, sens: Sensitivity, obs: ObservationSet,
+                        noise: NoiseModel):
+    """change(m'): the change from sens.m of W^T times the gradient in
+    (u, m') of sum_u nu_u^T F(u, m') and of the observation map against
+    the held weighted residual, at the states u + S (m' - m) predicted
+    from sens.  Its Jacobian at sens.m is the misfit's Hessian less
+    J_f^T Gn^-1 J_f; it solves none."""
+    traj, m = sens.traj, sens.m
+    _, nu, (stack, entries, jm) = _sweep(system, traj, m, obs, noise)
+    s_stack = _node_stack(sens.states, sens.pre_event)[0]
+    rows, cols = np.divmod(system.jac_idx, stack.shape[1])
+    nu_s = nu[:, rows, None] * s_stack[:, cols]
+    nodes, (rv, iv), d = observation_partials(traj, obs)
+    wr = (residual(traj, obs) / noise.var).reshape(len(nodes), len(rv), 2)
+    s_obs = sens.states[nodes[:, None, None], np.stack((rv, iv), axis=1)]
+
+    def change(m_new):
+        dm = m_new - m
+        moved = stack + s_stack @ dm
+        d_new = observation_partials(replace(
+            traj, states=traj.states + sens.states @ dm), obs)[2]
+        return np.einsum("ke,kei->i",
+                         system.jac_u_entries(moved, m_new) - entries, nu_s) \
+            + np.einsum("ksi,ks->i", system.jac_m(moved, m_new) - jm, nu) \
+            + np.einsum("tbc,tbcv,tbvi->i", wr, d_new - d, s_obs)
+    return change
 
 
 def tangent_linear(system, traj: Trajectory, m: np.ndarray,
@@ -234,7 +275,8 @@ def tangent_linear(system, traj: Trajectory, m: np.ndarray,
     s = np.zeros(sens.shape[1:])
     rhs = np.zeros(s.shape, order="F")
     for k, b, fm, step_lu, projection in _linearization(
-            system, traj, m, ("tangent-linear pass", "tangent-linear projection")):
+            system, traj, m, ("tangent-linear pass",
+                              "tangent-linear projection"))[-1]:
         if projection is not None:
             # carry s through the algebraic re-solve
             g_x, g_y_lu = projection

@@ -16,25 +16,19 @@ converges in a handful of iterations.
 The posterior covariance is the Laplace approximation
 Gpost = (Hessian of J at the MAP)^-1.  The model Hessian leaves out the
 residual curvature, which moves the variances by tens of per cent at
-high noise, so the full Hessian is taken by one-sided finite
-differences of the gradient, (g(m_MAP + h e_j) - g(m_MAP)) / h.  That
-gradient is evaluated on the predicted trajectory T~(m) = T(m_MAP) +
-S (m - m_MAP) of the tangent-linear pass at the MAP: one more
-tangent-linear pass along T~ gives J~^T Gn^-1 (f(T~) - d) +
-Gpr^-1 (m - m_pr), with no forward or adjoint solve.  g(m_MAP) itself
-is the gradient of the MAP driver's last linearization, whose
-trajectory is T~ at dm = 0.  The prediction error 1/2 T''[dm, dm] +
-O(|dm|^3) is O(h^2) in the gradient, so like the truncation error of
-the one-sided difference it is O(h) in the Hessian; FD_REL_STEP keeps
-both near 1e-7 relative, while the roundoff of the difference stays
-below that.  The Hessian keeps the residual curvature, and the Laplace
-step costs three tangent-linear passes.  Both back ends end in
-PosteriorSummary.at_map, which takes the MAP driver's convergence
-verdict (its Newton decrement test) as the estimate's.
+high noise, so both back ends invert their objective's full Hessian.
+AdjointObjective.hessian takes it at the MAP driver's last
+linearization, by one adjoint sweep and no forward solve: that pass's
+Gauss-Newton Hessian plus laplace_covariance's one-sided differences of
+adjoint.lagrangian_gradient, whose O(h) error FD_REL_STEP keeps near
+1e-7 relative.  Both back ends end in PosteriorSummary.at_map, which
+takes the MAP driver's convergence verdict (its Newton decrement test)
+as the estimate's.
 
 stats records the cost in solves: forward_solves (the MAP driver's
-n_evals; the Laplace step makes none), tangent_solves (iterations + 4),
-newton_iters and newton_factorizations.  No estimate sweeps the adjoint.
+n_evals; the Laplace step makes none), tangent_solves (iterations + 1),
+adjoint_solves (1, the Laplace step's sweep), newton_iters and
+newton_factorizations.
 
 Quality metrics for synthetic studies with known truth:
 
@@ -52,7 +46,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .adjoint import backward_sweep, misfit, residual, tangent_linear
+from .adjoint import (backward_sweep, lagrangian_gradient, misfit, residual,
+                      tangent_linear)
 from .integrator import grid_nodes, simulate
 from .lbfgs import minimize as map_estimate
 from .normal import ndtr
@@ -89,11 +84,9 @@ class AdjointObjective:
     gradient(m) costs one forward simulation plus one adjoint sweep;
     value(m) costs one forward simulation; linearize(m) costs one
     tangent-linear pass, plus a forward simulation unless m is the point
-    of the latest one, and makes that pass the anchor and its gradient
-    anchor_gradient.  predicted_gradient(m) costs one tangent-linear
-    pass along the anchor's predicted trajectory, and equals
-    anchor_gradient at the anchor's m.  Every forward solve is cold, so
-    J(m) depends on m alone.
+    of the latest one, and makes that pass the anchor.  hessian(m), at
+    the anchor's m, costs one adjoint sweep.  Every forward solve is
+    cold, so J(m) depends on m alone.
     """
 
     def __init__(self, system, obs: ObservationSet, noise: NoiseModel,
@@ -107,11 +100,12 @@ class AdjointObjective:
         self.events = tuple(events)
         self.n_forward = 0
         self.n_tangent = 0
+        self.n_adjoint = 0
         self.newton_iters = 0
         self.newton_factorizations = 0
         self._latest = None    # (m, trajectory) of the latest forward solve
-        self.anchor = None     # Sensitivity of the latest linearization
-        self.anchor_gradient = None    # and the gradient it gave
+        self.anchor = None     # (Sensitivity, Gauss-Newton Hessian) of the
+        #                        latest linearization
 
     def simulate(self, m):
         self.n_forward += 1
@@ -127,18 +121,9 @@ class AdjointObjective:
 
     def gradient(self, m: np.ndarray) -> np.ndarray:
         traj = self.simulate(m)
+        self.n_adjoint += 1
         return backward_sweep(self.system, traj, m, self.obs, self.noise,
                               prior=self.prior)
-
-    def _tangent(self, traj, m):
-        """One tangent-linear pass: (Jacobian, sensitivity, residual,
-        gradient)."""
-        self.n_tangent += 1
-        jac, sens = tangent_linear(self.system, traj, m, self.obs)
-        r = residual(traj, self.obs)
-        prior = self.prior
-        grad = jac.T @ (r / self.noise.var) + (m - prior.mean) / prior.var
-        return jac, sens, r, grad
 
     def linearize(self, m: np.ndarray):
         """(J(m), gradient, Gauss-Newton Hessian) from the tangent-linear
@@ -147,14 +132,26 @@ class AdjointObjective:
             traj = self._latest[1]
         else:
             traj = self.simulate(m)
-        jac, self.anchor, r, grad = self._tangent(traj, m)
-        self.anchor_gradient = grad
-        j = 0.5 * float(r @ (r / self.noise.var)) + self.prior.neg_log(m)
-        return j, grad, gauss_newton_hessian(jac, self.noise.var, self.prior)
+        self.n_tangent += 1
+        jac, sens = tangent_linear(self.system, traj, m, self.obs)
+        r, prior = residual(traj, self.obs), self.prior
+        grad = jac.T @ (r / self.noise.var) + (m - prior.mean) / prior.var
+        hess = gauss_newton_hessian(jac, self.noise.var, prior)
+        self.anchor = sens, hess
+        j = 0.5 * float(r @ (r / self.noise.var)) + prior.neg_log(m)
+        return j, grad, hess
 
-    def predicted_gradient(self, m: np.ndarray) -> np.ndarray:
-        """The gradient on the anchor's predicted trajectory at m."""
-        return self._tangent(self.anchor.predict(m), m)[3]
+    def hessian(self, m: np.ndarray) -> np.ndarray:
+        """The full Hessian at the anchor's m, by laplace_covariance (so
+        checked for symmetry and symmetrized): its Gauss-Newton Hessian
+        plus one-sided differences of adjoint.lagrangian_gradient."""
+        sens, gauss_newton = self.anchor
+        if not np.array_equal(sens.m, m):
+            raise ValueError("the Hessian is taken at the latest linearization")
+        self.n_adjoint += 1
+        change = lagrangian_gradient(self.system, sens, self.obs, self.noise)
+        return laplace_covariance(
+            m, lambda x: change(x) + gauss_newton @ (x - m), 0.0)[1]
 
 
 def gauss_newton_hessian(jac, noise_var, prior: GaussianPrior) -> np.ndarray:
@@ -227,8 +224,9 @@ class PosteriorSummary:
     Given m_true, construction computes the metrics err, tau and cns.
     Both back ends build it with at_map, which writes the MAP driver's
     keys into stats, next to one solve record: forward_solves,
-    tangent_solves, newton_iters and newton_factorizations.  The pce
-    back end adds rule, order, n_starts and n_converged_starts.
+    tangent_solves, adjoint_solves, newton_iters and
+    newton_factorizations.  The pce back end adds rule, order, n_starts
+    and n_converged_starts.
     """
     m_map: np.ndarray
     gamma_post: np.ndarray
@@ -289,14 +287,13 @@ def estimate_adjoint(system, obs: ObservationSet, noise: NoiseModel,
     """Full adjoint-based pipeline: MAP point then Laplace covariance."""
     check_data(obs, noise, t_f, dt)
     objective = AdjointObjective(system, obs, noise, prior, t_f, dt, events)
+    # map_estimate returns the last point it linearized, the anchor
     res = map_estimate(objective, prior.mean.copy())
-    # map_estimate returns the last point it linearized
-    assert np.array_equal(objective.anchor.m, res.x)
-    gpost, _ = laplace_covariance(res.x, objective.predicted_gradient,
-                                  objective.anchor_gradient)
+    gpost = hessian_inverse(objective.hessian(res.x))
     stats = {
         "forward_solves": objective.n_forward,
         "tangent_solves": objective.n_tangent,
+        "adjoint_solves": objective.n_adjoint,
         "newton_iters": objective.newton_iters,
         "newton_factorizations": objective.newton_factorizations,
     }

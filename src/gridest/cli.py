@@ -110,6 +110,8 @@ def _report(summary) -> str:
     lines.append(f"  cost: {st['iterations']} iterations, "
                  f"{st['forward_solves']} forward solves, "
                  f"{st['tangent_solves']} tangent-linear solves, "
+                 f"{st['adjoint_solves']} adjoint sweep"
+                 f"{'' if st['adjoint_solves'] == 1 else 's'}, "
                  f"converged: {st['converged']}")
     return "\n".join(lines)
 

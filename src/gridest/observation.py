@@ -12,10 +12,10 @@ trajectory (no interpolation), so observation times must be grid
 multiples (integrator.grid_nodes).
 
 Synthetic data uses a counter-based PRNG so streams are reproducible
-and documented: uniforms are (r >> 11 + 0.5) / 2^53 built from the raw
-64-bit Philox4x64-10 stream keyed by the seed, mapped through the
-inverse normal CDF (normal.ndtri, bit-identical to scipy.special.ndtri)
-and scaled by the per-entry noise std.
+and documented: uniforms are (r >> 11 + 0.5) / 2^53, capped at
+1 - 2^-53, from the raw 64-bit Philox4x64-10 stream keyed by the seed,
+mapped through the inverse normal CDF (normal.ndtri, bit-identical to
+scipy.special.ndtri) and scaled by the per-entry noise std.
 """
 from __future__ import annotations
 
@@ -139,7 +139,8 @@ def normal_stream(seed: int, n: int) -> np.ndarray:
     draws what scipy.special.ndtri would, bit for bit."""
     raw = np.random.Philox(key=np.uint64(seed)).random_raw(n)
     u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) / 2.0 ** 53
-    return ndtri(u)
+    # raw >> 11 = 2^53 - 1 rounds u to 1, where ndtri is infinite
+    return ndtri(np.minimum(u, 1.0 - 2.0 ** -53))
 
 
 def synthesize(f_true: np.ndarray, noise: NoiseModel, seed: int) -> np.ndarray:

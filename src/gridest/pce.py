@@ -17,12 +17,12 @@ Each quadrature/collocation node costs exactly one forward simulation;
 the count is recorded on the surrogate and is the estimate's
 forward_solves.  The induced negative log posterior is a polynomial
 with closed-form gradient and Hessian, so the surrogate MAP needs no
-further simulations (tangent_solves is 0) and its Laplace covariance
-is the analytic Hessian inverse.  The MAP is one run of the bounded
-Gauss-Newton driver of the adjoint back end (lbfgs.minimize), from the
-same start, the prior mean, with the same bayes.gauss_newton_hessian
-and the same Newton-decrement stop, set tighter (_MAP_DECREMENT_TOL)
-because a surrogate iterate costs no solve.
+further simulations (tangent_solves and adjoint_solves are 0) and its
+Laplace covariance is the analytic Hessian inverse.  The MAP is one run
+of the bounded Gauss-Newton driver of the adjoint back end
+(lbfgs.minimize), from the same start, the prior mean, with the same
+bayes.gauss_newton_hessian and the same Newton-decrement stop, set
+tighter (_MAP_DECREMENT_TOL) because a surrogate iterate costs no solve.
 """
 from __future__ import annotations
 
@@ -261,7 +261,7 @@ def surrogate_map(surrogate: Surrogate, obs, noise, prior: GaussianPrior,
     adjoint back end uses; its verdict is the estimate's.  The full
     Hessian at the MAP gives the covariance, its inverse.  stats holds
     the rule, the order, the surrogate's forward solves and no
-    tangent-linear pass next to the driver's keys.
+    tangent-linear pass or adjoint sweep next to the driver's keys.
     """
     objective = SurrogateObjective(surrogate, obs, noise, prior)
     res = minimize(objective, prior.mean, decrement_tol=_MAP_DECREMENT_TOL)
@@ -270,6 +270,7 @@ def surrogate_map(surrogate: Surrogate, obs, noise, prior: GaussianPrior,
         "order": surrogate.order,
         "forward_solves": surrogate.n_forward,
         "tangent_solves": 0,
+        "adjoint_solves": 0,
         "n_starts": 1,    # always 1; kept while perfbench/ reads it
     }
     summary = PosteriorSummary.at_map(

@@ -10,13 +10,14 @@ import gridest.adjoint
 from gridest.adjoint import (backward_sweep, misfit, misfit_state_gradients,
                              residual, tangent_linear)
 from gridest.bayes import (AdjointObjective, GaussianPrior, hessian_inverse,
-                           laplace_covariance, map_estimate)
+                           map_estimate)
 from gridest.integrator import StepFailure, simulate
 from gridest.ninebus import (EDP, EQP, N_BUS, N_STATE, OMEGA, DisturbanceEvent,
                              ix_id, ix_iq, ix_vim, ix_vre)
 from gridest.observation import (POLAR, RECT, NoiseModel, ObservationSet,
                                  observation_times, observe,
                                  synthesize_observations)
+from gridest.scenario import ScenarioConfig
 
 T_F, DT = 0.5, 0.01
 EVENTS = (DisturbanceEvent(bus=5, start=0.1, duration=0.2, load=5.5),)
@@ -246,7 +247,7 @@ def _map_objective(system, coords, events):
     obs, noise = _observed_case(system, coords, events)
     objective = AdjointObjective(system, obs, noise, PRIOR, T_F, DT, events)
     res = map_estimate(objective, PRIOR.mean.copy())
-    assert np.array_equal(objective.anchor.m, res.x)
+    assert np.array_equal(objective.anchor[0].m, res.x)
     return objective, res.x
 
 
@@ -262,51 +263,61 @@ def _central_hessian(m, grad_fn, rel_step=1e-4):
     return 0.5 * (hess + hess.T)
 
 
-@pytest.mark.parametrize("coords, events", TANGENT_CASES.values(),
-                         ids=TANGENT_CASES.keys())
-def test_predicted_laplace_hessian_matches_adjoint_fd(system, coords, events):
-    # one-sided differences of the gradient on the predicted trajectory,
-    # from the gradient of the MAP driver's last linearization, against
-    # central differences of the adjoint gradient of full solves
-    objective, m_map = _map_objective(system, coords, events)
-    n_fwd, n_tan = objective.n_forward, objective.n_tangent
-    _, hess = laplace_covariance(m_map, objective.predicted_gradient,
-                                 objective.anchor_gradient)
-    # every gradient call solves forward, so no adjoint sweep ran either
-    assert objective.n_forward == n_fwd
-    assert objective.n_tangent == n_tan + 3
+def _assert_laplace_hessian_matches_adjoint_fd(objective, m_map):
+    # one adjoint sweep along the MAP driver's last linearization, and no
+    # other solve, against central differences of the adjoint gradient of
+    # full solves
+    counts = objective.n_forward, objective.n_tangent, objective.n_adjoint
+    hess = objective.hessian(m_map)
+    assert (objective.n_forward, objective.n_tangent, objective.n_adjoint) \
+        == (counts[0], counts[1], counts[2] + 1)
     hess_adj = _central_hessian(m_map, objective.gradient)
     assert np.max(np.abs(hess - hess_adj)) <= 1e-6 * np.max(np.abs(hess_adj))
 
 
-def test_anchor_gradient_is_the_predicted_gradient_at_the_map(system):
-    # the prediction at dm = 0 is the anchor's own trajectory, so handing
-    # in the driver's gradient saves a pass and changes no bit
+@pytest.mark.parametrize("coords, events", TANGENT_CASES.values(),
+                         ids=TANGENT_CASES.keys())
+def test_predicted_laplace_hessian_matches_adjoint_fd(system, coords, events):
+    _assert_laplace_hessian_matches_adjoint_fd(
+        *_map_objective(system, coords, events))
+
+
+def test_predicted_laplace_hessian_matches_adjoint_fd_at_the_papers_horizon(
+        system):
+    # the 5 s, seed-1234 scenario of ScenarioConfig's defaults
+    cfg = ScenarioConfig()
+    obs, noise = cfg.observations(cfg.truth(system))
+    objective = AdjointObjective(system, obs, noise, cfg.prior(), cfg.t_f,
+                                 cfg.dt, cfg.events())
+    res = map_estimate(objective, cfg.prior().mean.copy())
+    assert res.converged
+    _assert_laplace_hessian_matches_adjoint_fd(objective, res.x)
+
+
+def test_laplace_hessian_is_taken_at_the_anchor(system):
     objective, m_map = _map_objective(system, RECT, EVENTS)
-    assert np.array_equal(objective.predicted_gradient(m_map),
-                          objective.anchor_gradient)
+    with pytest.raises(ValueError, match="latest linearization"):
+        objective.hessian(m_map * 1.01)
 
 
 @pytest.mark.parametrize("coords, events", TANGENT_CASES.values(),
                          ids=TANGENT_CASES.keys())
 def test_one_sided_laplace_variances_match_central_reference(system, coords,
                                                              events):
-    """The one-sided Laplace step agrees with the central one it replaced.
+    """The one-sided Laplace step agrees with a central one.
 
     The inertias enter the swing equations as 1/m_j, whose log-derivatives
     m_j d_j and m_j^2 d_j^2 are -1 and 2 relative; take 2 as the scale of
     m_j d_j on the Hessian.
 
-    The reference takes central differences of the predicted gradient at
-    h_c = 1e-4 |m_j|.  The prediction error 1/2 T''[dm, dm] is even in dm
-    and cancels, so the reference is off by (h_c^2 / 6) d_j^2 g, about
-    1e-8 * 4 / 6 < 1e-8 of a Hessian column.
+    The reference takes central differences of the adjoint gradient of
+    full solves at h_c = 1e-4 |m_j|, so it is off by (h_c^2 / 6) d_j^2 g,
+    about 1e-8 * 4 / 6 < 1e-8 of a Hessian column.
 
-    The one-sided column at h = FD_REL_STEP |m_j| = 1e-7 |m_j| is off by
-    its truncation error (h / 2) d_j H[:, j] and by the prediction error
-    at m + h e_j over h, which is of the same O(h) size: each about
-    1e-7 / 2 * 2 = 1e-7 of the column.  Roundoff adds eps |g| / h, about
-    1e-9.  So the Hessians differ by delta = 2e-7 of a column.
+    The one-sided differences at h = FD_REL_STEP |m_j| = 1e-7 |m_j| are
+    off by their truncation error (h / 2) d_j, about 1e-7 / 2 * 2 = 1e-7
+    of the column.  Roundoff adds about eps / 1e-7 = 2e-9.  So the
+    Hessians differ by delta = 2e-7 of a column, with room to spare.
 
     With H = D C D and D^2 = diag(H), Gpost_ii = (C^-1)_ii / H_ii, and a
     relative perturbation delta of C moves (C^-1)_ii by at most
@@ -316,10 +327,8 @@ def test_one_sided_laplace_variances_match_central_reference(system, coords,
     the variances agree within 50 * 2e-7 = 1e-5 relative.
     """
     objective, m_map = _map_objective(system, coords, events)
-    gpost, _ = laplace_covariance(m_map, objective.predicted_gradient,
-                                  objective.anchor_gradient)
-    ref = hessian_inverse(_central_hessian(m_map,
-                                           objective.predicted_gradient))
+    gpost = hessian_inverse(objective.hessian(m_map))
+    ref = hessian_inverse(_central_hessian(m_map, objective.gradient))
     rel = np.abs(np.diag(gpost) / np.diag(ref) - 1.0)
     assert np.max(rel) <= 1e-5
 
@@ -327,14 +336,15 @@ def test_one_sided_laplace_variances_match_central_reference(system, coords,
 def test_predicted_laplace_hessian_without_disturbance(system):
     # the trajectory does not depend on m: only the prior curves J
     objective, m_map = _map_objective(system, RECT, ())
-    _, hess = laplace_covariance(m_map, objective.predicted_gradient,
-                                 objective.predicted_gradient(m_map))
-    assert np.allclose(hess, np.diag(1.0 / PRIOR.var), rtol=1e-10, atol=1e-10)
+    assert np.allclose(objective.hessian(m_map), np.diag(1.0 / PRIOR.var),
+                       rtol=1e-10, atol=1e-10)
 
 
 @pytest.mark.parametrize("coords, events", BRANCH_CASES.values(),
                          ids=BRANCH_CASES.keys())
 def test_prediction_error_is_second_order(system, coords, events):
+    # S at every node, pre-switch included, is what lagrangian_gradient
+    # moves the states by: u + S dm is the solve at m0 + dm to O(|dm|^2)
     m0 = np.array([22.0, 6.5, 2.9])
     obs, _ = _observed_case(system, coords, events)
     _, sens = tangent_linear(system, simulate(system, m0, T_F, DT, events),
@@ -342,13 +352,14 @@ def test_prediction_error_is_second_order(system, coords, events):
     dm = 0.02 * m0 * np.array([1.0, -1.0, 1.0])
     errs = []
     for scale in (1.0, 0.5):
-        m = m0 + scale * dm
-        exact = simulate(system, m, T_F, DT, events)
-        predicted = sens.predict(m)
-        assert set(predicted.pre_event) == set(exact.pre_event)
-        errs.append(max([np.max(np.abs(predicted.states - exact.states))]
-                        + [np.max(np.abs(predicted.pre_event[k] - u))
-                           for k, u in exact.pre_event.items()]))
+        exact = simulate(system, m0 + scale * dm, T_F, DT, events)
+        assert set(sens.pre_event) == set(exact.pre_event)
+        errs.append(max(
+            [np.max(np.abs(sens.traj.states + sens.states @ (scale * dm)
+                           - exact.states))]
+            + [np.max(np.abs(sens.traj.pre_event[k]
+                             + sens.pre_event[k] @ (scale * dm) - u))
+               for k, u in exact.pre_event.items()]))
     assert 3.5 < errs[0] / errs[1] < 4.5
 
 

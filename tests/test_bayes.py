@@ -250,11 +250,12 @@ def test_estimate_adjoint_small_scenario(system, prior, make_scenario):
                                events=events, m_true=M_TRUE)
     st = summary.stats
     assert st["converged"]
-    # the MAP: a forward solve per point tried, a tangent-linear pass per
-    # iterate and no adjoint; the Laplace step: three tangent-linear
-    # passes along the predicted trajectory, no forward or adjoint solve
+    # the MAP: a forward solve per point tried and a tangent-linear pass
+    # per iterate; the Laplace step: one adjoint sweep along the last
+    # iterate's trajectory, no forward solve or tangent-linear pass
     assert st["forward_solves"] == st["n_evals"]
-    assert st["tangent_solves"] == (st["iterations"] + 1) + 3
+    assert st["tangent_solves"] == st["iterations"] + 1
+    assert st["adjoint_solves"] == 1
     assert summary.m_map.shape == (3,)
     assert np.all(summary.m_map > 0)
     eig = np.linalg.eigvalsh(summary.gamma_post)
@@ -318,8 +319,8 @@ def test_estimators_check_the_data_before_any_solve(
 
 DRIVER_KEYS = {"iterations", "n_evals", "converged", "message",
                "final_grad_norm", "objective", "history"}
-SOLVE_KEYS = {"forward_solves", "tangent_solves", "newton_iters",
-              "newton_factorizations"}
+SOLVE_KEYS = {"forward_solves", "tangent_solves", "adjoint_solves",
+              "newton_iters", "newton_factorizations"}
 
 
 @pytest.mark.parametrize("method", ["adjoint", "pce"])
@@ -334,6 +335,8 @@ def test_stats_hold_one_solve_record(system, prior, make_scenario, method):
     else:
         extra = {"rule", "order", "n_starts", "n_converged_starts"}
         summary = estimate_pce(*args)[0]
+        assert summary.stats["tangent_solves"] == 0
+        assert summary.stats["adjoint_solves"] == 0
     assert set(summary.stats) == DRIVER_KEYS | SOLVE_KEYS | extra
 
 

@@ -110,9 +110,9 @@ def test_estimate_adjoint_json(tmp_path, capsys):
     assert "metrics" in doc
     text = capsys.readouterr().out
     assert "Err" in text and "tau" in text
-    # the solve record: no estimate runs an adjoint sweep
-    assert "forward solves" in text and "adjoint solves" not in text
-    assert "tangent-linear solves" in text
+    # the solve record, with the Laplace step's one adjoint sweep
+    assert "forward solves" in text and "tangent-linear solves" in text
+    assert "1 adjoint sweep," in text
 
 
 def _method_flags(method, rule):
@@ -125,9 +125,9 @@ def _assert_shared_cost(rule, iterations, forward, tangent, converged):
     assert converged
     if rule is None:
         assert forward > 0
-        # one tangent-linear pass per Gauss-Newton iterate, three for the
+        # one tangent-linear pass per Gauss-Newton iterate, none for the
         # Laplace step
-        assert tangent == iterations + 4
+        assert tangent == iterations + 1
     else:
         assert forward == PCE_NODES[rule]
         assert tangent == 0
@@ -163,6 +163,8 @@ def test_estimate_pce_json(tmp_path, method, rule):
     if rule is None:
         # the Laplace step makes no forward solve
         assert st["forward_solves"] == st["n_evals"]
+    # its one adjoint sweep; the surrogate's Hessian needs none
+    assert st["adjoint_solves"] == (1 if rule is None else 0)
     assert 0 < st["newton_factorizations"] < st["newton_iters"]
 
 

@@ -120,6 +120,30 @@ def test_normal_stream_documented_construction():
     assert abs(big.std() - 1.0) < 0.03
 
 
+def test_normal_stream_draws_are_finite_at_the_top_raw_words(monkeypatch):
+    # raw words in [2^64 - 2^11, 2^64) round the documented uniform to
+    # 1.0, where ndtri is infinite: the stream caps u at 1 - 2^-53 there
+    # and leaves every other word's draw as documented
+    words = np.array([2 ** 64 - 1, 2 ** 64 - 2 ** 11, 2 ** 64 - 2 ** 11 - 1,
+                      2 ** 63, 0], dtype=np.uint64)
+
+    class Words:
+        def __init__(self, key):
+            pass
+
+        def random_raw(self, n):
+            return words[:n]
+
+    monkeypatch.setattr(np.random, "Philox", Words)
+    z = normal_stream(1234, words.size)
+    assert np.isfinite(z).all()
+    u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) / 2.0 ** 53
+    top = u == 1.0
+    assert top.tolist() == [True, True, False, False, False]
+    assert np.array_equal(z[top], ndtri(np.full(2, 1.0 - 2.0 ** -53)))
+    assert np.array_equal(z[~top], ndtri(u[~top]))
+
+
 def test_synthesize_noise_scales_with_std():
     f = np.linspace(0.9, 1.1, 30)
     d1 = synthesize(f, NoiseModel.iid(1e-4, 30), seed=42)
